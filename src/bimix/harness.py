@@ -4,6 +4,12 @@ A sweep plan pins a base model, one grid axis (rho, a two-community alpha
 grid, or a distribution parameter), a replicate count and a master seed.
 Every replicate's randomness derives from (master seed, grid index,
 replicate index), so results are identical under any degree of parallelism.
+
+The scenario catalogue is one table, ``_SCENARIOS``, with a row per
+scenario: edge law, swept quantity, network shape, grid values, and P and
+rho where the sweep does not set them.  ``scenario`` builds a plan from a
+row, and ``SCENARIO_NAMES`` is the table's key order.  The distribution
+parameters a sweep can vary come from the edge-law records in ``sampler``.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,10 +31,10 @@ from .model import (
     make_standard_two_block,
     validate_model,
 )
-from .sampler import EdgeDistribution, RandomSource, sample_adjacency
+from .sampler import PARAM_KINDS, EdgeDistribution, RandomSource, sample_adjacency
 
 AXES = ("rho", "alpha_grid", "dist_param")
-DIST_PARAMS = ("m", "sigma2", "beta")
+DIST_PARAMS = tuple(PARAM_KINDS)
 
 # grid points are spaced this far apart in substream index space, so a point
 # can host up to STREAM_STRIDE replicates without colliding with its neighbor
@@ -65,7 +72,7 @@ class SweepPlan:
         if self.axis == "dist_param":
             if self.param not in DIST_PARAMS:
                 raise ValueError(f"dist_param axis needs param in {DIST_PARAMS}, got {self.param!r}")
-            expected = {"m": "binomial", "sigma2": "normal", "beta": "logistic"}[self.param]
+            expected = PARAM_KINDS[self.param]
             if self.base.dist.kind != expected:
                 raise ValueError(f"param {self.param!r} requires a {expected} base distribution")
         if self.axis == "alpha_grid":
@@ -170,13 +177,7 @@ def _point_spec(plan: SweepPlan, value) -> ModelSpec:
     if plan.axis == "rho":
         return replace(plan.base, rho=float(value))
     if plan.axis == "dist_param":
-        if plan.param == "m":
-            dist = EdgeDistribution.binomial(int(value))
-        elif plan.param == "sigma2":
-            dist = EdgeDistribution.normal(float(value))
-        else:
-            dist = EdgeDistribution.logistic(float(value))
-        return replace(plan.base, dist=dist)
+        return replace(plan.base, dist=replace(plan.base.dist, **{plan.param: value}))
     a_in, a_out = value
     P, rho = make_standard_two_block(plan.base.n_r, a_in, a_out)
     return replace(plan.base, P=P, rho=rho)
@@ -248,146 +249,100 @@ def _float_grid(first: float, last: float, step: float) -> tuple[float, ...]:
     return tuple(round(first + i * step, 10) for i in range(count))
 
 
-def _alpha_pairs(values) -> tuple[tuple[float, float], ...]:
-    # row-major: alpha_in ascending in the outer loop
-    return tuple((a, b) for a in values for b in values)
+# the catalogue's member-count shapes: (n_r, n_c, pure rows, pure columns per community)
+_BIG = (200, 300, 50, 100)
+_SMALL = (30, 50, 10, 20)
+_GRID_300 = (300, 300, 50, 100)
+_GRID_50 = (50, 50, 10, 20)
+_SETUP_16 = (16, 14, 7, 6)
+_SETUP_10 = (10, 8, 4, 3)
+
+_BER = EdgeDistribution.bernoulli()
+_POI = EdgeDistribution.poisson()
+_BIN7 = EdgeDistribution.binomial(7)
+_NORM = EdgeDistribution.normal(1.0)
+_EXP = EdgeDistribution.exponential()
+_UNI = EdgeDistribution.uniform()
+_LOGI = EdgeDistribution.logistic(1.0)
+_SGN = EdgeDistribution.signed()
 
 
-def _planted_spec(n_r, n_c, K, n_pure_r, n_pure_c, P, rho, dist) -> ModelSpec:
-    return ModelSpec(
-        P=P,
-        rho=rho,
-        Pi_r=make_planted_memberships(n_r, K, n_pure_r),
-        Pi_c=make_planted_memberships(n_c, K, n_pure_c),
-        dist=dist,
-    )
+class _Scenario(NamedTuple):
+    """One catalogue row: two communities, planted memberships, one swept quantity.
+
+    ``swept`` is ``rho``, ``alpha_grid`` or the law's parameter name.  An
+    alpha_grid row pairs every value with every value and takes P and rho
+    from its first pair of unequal magnitudes; a rho row starts at its first
+    value; a parameter row holds ``rho`` fixed.
+    """
+
+    dist: EdgeDistribution
+    swept: str
+    shape: tuple
+    values: tuple
+    P: np.ndarray | None = None
+    rho: float | None = None
 
 
-def _alpha_plan(name, dist, n, n_pure_r, n_pure_c, values, replicates, master_seed) -> SweepPlan:
-    pairs = _alpha_pairs(values)
-    first_valid = next(p for p in pairs if abs(p[0]) != abs(p[1]))
-    P, rho = make_standard_two_block(n, *first_valid)
-    base = _planted_spec(n, n, 2, n_pure_r, n_pure_c, P, rho, dist)
-    return SweepPlan(base, "alpha_grid", pairs, replicates, master_seed, scenario=name)
+# catalogue order is the CLI's --scenario choice order
+_SCENARIOS = {
+    "sim1a": _Scenario(_BER, "rho", _BIG, _float_grid(0.1, 1.0, 0.1), _P_POS),
+    "sim1b": _Scenario(_BER, "alpha_grid", _GRID_300, _float_grid(1, 30, 1)),
+    "sim1c": _Scenario(_BER, "alpha_grid", _GRID_300, _float_grid(5, 50, 2.5)),
+    "sim2a": _Scenario(_POI, "rho", _BIG, _float_grid(0.2, 4.0, 0.2), _P_POS),
+    "sim2b": _Scenario(_POI, "alpha_grid", _GRID_300, _float_grid(10, 100, 5)),
+    "sim2c": _Scenario(_POI, "alpha_grid", _GRID_300, _float_grid(200, 2000, 100)),
+    "sim3a": _Scenario(_BIN7, "rho", _BIG, _float_grid(0.2, 2.0, 0.2), _P_POS),
+    "sim3b": _Scenario(EdgeDistribution.binomial(2), "m", _BIG, _float_grid(2, 20, 2), _P_POS, 2.0),
+    "sim3c": _Scenario(_BIN7, "alpha_grid", _GRID_300, _float_grid(1, 20, 1)),
+    "sim3d": _Scenario(_BIN7, "alpha_grid", _GRID_300, _float_grid(15, 300, 15)),
+    "sim4a": _Scenario(_NORM, "rho", _BIG, _float_grid(0.2, 2.0, 0.2), _P_MIXED),
+    "sim4b": _Scenario(EdgeDistribution.normal(0.5), "sigma2", _BIG, _float_grid(0.5, 5.0, 0.5), _P_MIXED, 2.0),
+    "sim4c": _Scenario(_NORM, "alpha_grid", _GRID_300, _float_grid(-50, 50, 5)),
+    "sim4d": _Scenario(_NORM, "alpha_grid", _GRID_300, _float_grid(-500, 500, 50)),
+    "sim5a": _Scenario(_EXP, "rho", _BIG, _float_grid(1, 100, 1), _P_POS),
+    "sim5b": _Scenario(_EXP, "alpha_grid", _GRID_300, _float_grid(10, 100, 5)),
+    "sim5c": _Scenario(_EXP, "alpha_grid", _GRID_300, _float_grid(1000, 10000, 500)),
+    "sim6a": _Scenario(_UNI, "rho", _SMALL, _float_grid(1, 100, 1), _P_POS),
+    "sim6b": _Scenario(_UNI, "alpha_grid", _GRID_50, _float_grid(10, 100, 5)),
+    "sim6c": _Scenario(_UNI, "alpha_grid", _GRID_50, _float_grid(1000, 10000, 500)),
+    "sim7a": _Scenario(_LOGI, "rho", _SMALL, _float_grid(0.2, 4.0, 0.2), _P_MIXED),
+    "sim7b": _Scenario(EdgeDistribution.logistic(0.1), "beta", _SMALL, _float_grid(0.1, 0.4, 0.05), _P_MIXED, 0.5),
+    "sim7c": _Scenario(_LOGI, "alpha_grid", _GRID_50, _float_grid(-50, 50, 5)),
+    "sim7d": _Scenario(_LOGI, "alpha_grid", _GRID_50, _float_grid(-500, 500, 50)),
+    "sim8a": _Scenario(_SGN, "rho", (100, 150, 30, 60), _float_grid(0.1, 1.0, 0.1), _P_MIXED),
+    "sim8b": _Scenario(_SGN, "alpha_grid", (300, 300, 100, 120), _float_grid(-30, 30, 2)),
+    "sim8c": _Scenario(_SGN, "alpha_grid", (300, 300, 100, 120), _float_grid(-50, 50, 5)),
+    "setup1": _Scenario(_BER, "rho", _SETUP_16, (0.9,), _P_POS_ALT),
+    "setup2": _Scenario(_POI, "rho", _SETUP_16, (60.0,), _P_POS_ALT),
+    "setup3": _Scenario(_BIN7, "rho", _SETUP_16, (6.0,), _P_POS_ALT),
+    "setup4": _Scenario(_NORM, "rho", _SETUP_10, (40.0,), _P_MIXED_ALT),
+    "setup5": _Scenario(_EXP, "rho", _SETUP_10, (10.0,), _P_POS_ALT),
+    "setup6": _Scenario(_UNI, "rho", _SETUP_10, (10.0,), _P_POS_ALT),
+    "setup7": _Scenario(_LOGI, "rho", _SETUP_10, (40.0,), _P_MIXED_ALT),
+    "setup8": _Scenario(_SGN, "rho", (32, 28, 14, 12), (0.9,), _P_MIXED_ALT),
+}
 
-
-def _rho_plan(name, dist, n_r, n_c, n_pure_r, n_pure_c, P, values, replicates, master_seed) -> SweepPlan:
-    base = _planted_spec(n_r, n_c, 2, n_pure_r, n_pure_c, P, values[0], dist)
-    return SweepPlan(base, "rho", tuple(values), replicates, master_seed, scenario=name)
-
-
-def _param_plan(
-    name, dist, param, n_r, n_c, n_pure_r, n_pure_c, P, rho, values, replicates, master_seed
-) -> SweepPlan:
-    base = _planted_spec(n_r, n_c, 2, n_pure_r, n_pure_c, P, rho, dist)
-    return SweepPlan(
-        base, "dist_param", tuple(values), replicates, master_seed, scenario=name, param=param
-    )
-
-
-def _setup_plan(name, dist, n_r, n_pure_r, n_c, n_pure_c, P, rho, replicates, master_seed) -> SweepPlan:
-    base = _planted_spec(n_r, n_c, 2, n_pure_r, n_pure_c, P, rho, dist)
-    return SweepPlan(base, "rho", (rho,), replicates, master_seed, scenario=name)
-
-
-def _build_scenario(name: str, replicates: int, master_seed: int) -> SweepPlan:
-    big = dict(n_r=200, n_c=300, n_pure_r=50, n_pure_c=100)
-    small = dict(n_r=30, n_c=50, n_pure_r=10, n_pure_c=20)
-    ber = EdgeDistribution.bernoulli()
-    poi = EdgeDistribution.poisson()
-    expn = EdgeDistribution.exponential()
-    uni = EdgeDistribution.uniform()
-    sgn = EdgeDistribution.signed()
-    r, s = replicates, master_seed
-    if name == "sim1a":
-        return _rho_plan(name, ber, **big, P=_P_POS, values=_float_grid(0.1, 1.0, 0.1), replicates=r, master_seed=s)
-    if name == "sim1b":
-        return _alpha_plan(name, ber, 300, 50, 100, _float_grid(1, 30, 1), r, s)
-    if name == "sim1c":
-        return _alpha_plan(name, ber, 300, 50, 100, _float_grid(5, 50, 2.5), r, s)
-    if name == "sim2a":
-        return _rho_plan(name, poi, **big, P=_P_POS, values=_float_grid(0.2, 4.0, 0.2), replicates=r, master_seed=s)
-    if name == "sim2b":
-        return _alpha_plan(name, poi, 300, 50, 100, _float_grid(10, 100, 5), r, s)
-    if name == "sim2c":
-        return _alpha_plan(name, poi, 300, 50, 100, _float_grid(200, 2000, 100), r, s)
-    if name == "sim3a":
-        return _rho_plan(name, EdgeDistribution.binomial(7), **big, P=_P_POS, values=_float_grid(0.2, 2.0, 0.2), replicates=r, master_seed=s)
-    if name == "sim3b":
-        return _param_plan(name, EdgeDistribution.binomial(2), "m", **big, P=_P_POS, rho=2.0, values=_float_grid(2, 20, 2), replicates=r, master_seed=s)
-    if name == "sim3c":
-        return _alpha_plan(name, EdgeDistribution.binomial(7), 300, 50, 100, _float_grid(1, 20, 1), r, s)
-    if name == "sim3d":
-        return _alpha_plan(name, EdgeDistribution.binomial(7), 300, 50, 100, _float_grid(15, 300, 15), r, s)
-    if name == "sim4a":
-        return _rho_plan(name, EdgeDistribution.normal(1.0), **big, P=_P_MIXED, values=_float_grid(0.2, 2.0, 0.2), replicates=r, master_seed=s)
-    if name == "sim4b":
-        return _param_plan(name, EdgeDistribution.normal(0.5), "sigma2", **big, P=_P_MIXED, rho=2.0, values=_float_grid(0.5, 5.0, 0.5), replicates=r, master_seed=s)
-    if name == "sim4c":
-        return _alpha_plan(name, EdgeDistribution.normal(1.0), 300, 50, 100, _float_grid(-50, 50, 5), r, s)
-    if name == "sim4d":
-        return _alpha_plan(name, EdgeDistribution.normal(1.0), 300, 50, 100, _float_grid(-500, 500, 50), r, s)
-    if name == "sim5a":
-        return _rho_plan(name, expn, **big, P=_P_POS, values=_float_grid(1, 100, 1), replicates=r, master_seed=s)
-    if name == "sim5b":
-        return _alpha_plan(name, expn, 300, 50, 100, _float_grid(10, 100, 5), r, s)
-    if name == "sim5c":
-        return _alpha_plan(name, expn, 300, 50, 100, _float_grid(1000, 10000, 500), r, s)
-    if name == "sim6a":
-        return _rho_plan(name, uni, **small, P=_P_POS, values=_float_grid(1, 100, 1), replicates=r, master_seed=s)
-    if name == "sim6b":
-        return _alpha_plan(name, uni, 50, 10, 20, _float_grid(10, 100, 5), r, s)
-    if name == "sim6c":
-        return _alpha_plan(name, uni, 50, 10, 20, _float_grid(1000, 10000, 500), r, s)
-    if name == "sim7a":
-        return _rho_plan(name, EdgeDistribution.logistic(1.0), **small, P=_P_MIXED, values=_float_grid(0.2, 4.0, 0.2), replicates=r, master_seed=s)
-    if name == "sim7b":
-        return _param_plan(name, EdgeDistribution.logistic(0.1), "beta", **small, P=_P_MIXED, rho=0.5, values=_float_grid(0.1, 0.4, 0.05), replicates=r, master_seed=s)
-    if name == "sim7c":
-        return _alpha_plan(name, EdgeDistribution.logistic(1.0), 50, 10, 20, _float_grid(-50, 50, 5), r, s)
-    if name == "sim7d":
-        return _alpha_plan(name, EdgeDistribution.logistic(1.0), 50, 10, 20, _float_grid(-500, 500, 50), r, s)
-    if name == "sim8a":
-        return _rho_plan(name, sgn, n_r=100, n_c=150, n_pure_r=30, n_pure_c=60, P=_P_MIXED, values=_float_grid(0.1, 1.0, 0.1), replicates=r, master_seed=s)
-    if name == "sim8b":
-        return _alpha_plan(name, sgn, 300, 100, 120, _float_grid(-30, 30, 2), r, s)
-    if name == "sim8c":
-        return _alpha_plan(name, sgn, 300, 100, 120, _float_grid(-50, 50, 5), r, s)
-    if name == "setup1":
-        return _setup_plan(name, ber, 16, 7, 14, 6, _P_POS_ALT, 0.9, r, s)
-    if name == "setup2":
-        return _setup_plan(name, poi, 16, 7, 14, 6, _P_POS_ALT, 60.0, r, s)
-    if name == "setup3":
-        return _setup_plan(name, EdgeDistribution.binomial(7), 16, 7, 14, 6, _P_POS_ALT, 6.0, r, s)
-    if name == "setup4":
-        return _setup_plan(name, EdgeDistribution.normal(1.0), 10, 4, 8, 3, _P_MIXED_ALT, 40.0, r, s)
-    if name == "setup5":
-        return _setup_plan(name, expn, 10, 4, 8, 3, _P_POS_ALT, 10.0, r, s)
-    if name == "setup6":
-        return _setup_plan(name, uni, 10, 4, 8, 3, _P_POS_ALT, 10.0, r, s)
-    if name == "setup7":
-        return _setup_plan(name, EdgeDistribution.logistic(1.0), 10, 4, 8, 3, _P_MIXED_ALT, 40.0, r, s)
-    if name == "setup8":
-        return _setup_plan(name, sgn, 32, 14, 28, 12, _P_MIXED_ALT, 0.9, r, s)
-    raise ValueError(f"unknown scenario {name!r}")
-
-
-SCENARIO_NAMES = tuple(
-    [f"sim1{c}" for c in "abc"]
-    + [f"sim2{c}" for c in "abc"]
-    + [f"sim3{c}" for c in "abcd"]
-    + [f"sim4{c}" for c in "abcd"]
-    + [f"sim5{c}" for c in "abc"]
-    + [f"sim6{c}" for c in "abc"]
-    + [f"sim7{c}" for c in "abcd"]
-    + [f"sim8{c}" for c in "abc"]
-    + [f"setup{i}" for i in range(1, 9)]
-)
+SCENARIO_NAMES = tuple(_SCENARIOS)
 
 
 def scenario(name: str, replicates: int = 50, master_seed: int = 0) -> SweepPlan:
     """Catalogued sweep plan by name (sim1a..sim8c, setup1..setup8)."""
-    return _build_scenario(name, replicates, master_seed)
+    if name not in _SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}")
+    dist, swept, (n_r, n_c, pure_r, pure_c), grid, P, rho = _SCENARIOS[name]
+    if swept == "alpha_grid":
+        grid = tuple((a, b) for a in grid for b in grid)  # row-major: alpha_in outer
+        P, rho = make_standard_two_block(n_r, *next(p for p in grid if abs(p[0]) != abs(p[1])))
+    base = ModelSpec(
+        P=P,
+        rho=grid[0] if rho is None else rho,
+        Pi_r=make_planted_memberships(n_r, 2, pure_r),
+        Pi_c=make_planted_memberships(n_c, 2, pure_c),
+        dist=dist,
+    )
+    axis, param = ("dist_param", swept) if swept in PARAM_KINDS else (swept, None)
+    return SweepPlan(base, axis, grid, replicates, master_seed, scenario=name, param=param)
 
 
 def plan_from_json(data: dict) -> SweepPlan:

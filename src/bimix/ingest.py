@@ -44,6 +44,40 @@ def _parse_token(token: str):
         return token
 
 
+def _fields(path, format: str, columns: tuple, header: str = ""):
+    """Yield ``(line number, fields)`` for each data line of an edge-list file.
+
+    Blank lines and comments (starting with '%' or '#') are skipped, except a
+    comment starting with ``header``, which yields ``header`` followed by the
+    rest of its line split on whitespace.  A data line splits on whitespace
+    (``format='tsv'``) or commas (``'csv'``) and must have a field count in
+    ``columns``.
+    """
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if header and line.startswith(header):
+                yield lineno, [header, *line[len(header) :].split()]
+            elif line and not line.startswith(("%", "#")):
+                parts = [p.strip() for p in line.split(",")] if format == "csv" else line.split()
+                if len(parts) not in columns:
+                    raise EdgeListError(
+                        f"line {lineno}: expected {' or '.join(map(str, columns))} columns, "
+                        f"got {len(parts)}: {line!r}"
+                    )
+                yield lineno, parts
+
+
+def _weight(lineno: int, token) -> float:
+    try:
+        weight = float(token)
+    except ValueError:
+        raise EdgeListError(f"line {lineno}: unparsable weight {token!r}") from None
+    if not math.isfinite(weight):
+        raise EdgeListError(f"line {lineno}: non-finite weight {weight!r}")
+    return weight
+
+
 def load_edge_list(
     path, format: str = "tsv", weight_default: float = 1.0, duplicates: str = "error"
 ) -> EdgeList:
@@ -56,43 +90,21 @@ def load_edge_list(
         raise ValueError(f"format must be 'tsv' or 'csv', got {format!r}")
     if duplicates not in DUPLICATE_POLICIES:
         raise ValueError(f"duplicates must be one of {DUPLICATE_POLICIES}")
-    nodes: list = []
-    seen: set = set()
+    nodes: dict = {}  # insertion-ordered set: first appearance as either endpoint
     weights: dict = {}
-    order: list = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("%") or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")] if format == "csv" else line.split()
-            if len(parts) not in (2, 3):
-                raise EdgeListError(
-                    f"line {lineno}: expected 2 or 3 columns, got {len(parts)}: {line!r}"
-                )
-            src, tgt = _parse_token(parts[0]), _parse_token(parts[1])
-            if len(parts) == 3:
-                try:
-                    weight = float(parts[2])
-                except ValueError:
-                    raise EdgeListError(f"line {lineno}: unparsable weight {parts[2]!r}") from None
-            else:
-                weight = float(weight_default)
-            if not math.isfinite(weight):
-                raise EdgeListError(f"line {lineno}: non-finite weight {weight!r}")
-            for node in (src, tgt):
-                if node not in seen:
-                    seen.add(node)
-                    nodes.append(node)
-            key = (src, tgt)
-            if key in weights:
-                if duplicates == "error":
-                    raise EdgeListError(f"line {lineno}: duplicate edge {src!r} -> {tgt!r}")
-                weights[key] += weight
-            else:
-                weights[key] = weight
-                order.append(key)
-    edges = tuple((s, t, weights[(s, t)]) for s, t in order)
+    for lineno, parts in _fields(path, format, (2, 3)):
+        src, tgt = _parse_token(parts[0]), _parse_token(parts[1])
+        weight = _weight(lineno, parts[2] if len(parts) == 3 else weight_default)
+        nodes[src] = None
+        nodes[tgt] = None
+        key = (src, tgt)
+        if key in weights:
+            if duplicates == "error":
+                raise EdgeListError(f"line {lineno}: duplicate edge {src!r} -> {tgt!r}")
+            weights[key] += weight
+        else:
+            weights[key] = weight
+    edges = tuple((s, t, w) for (s, t), w in weights.items())
     return EdgeList(edges=edges, nodes=tuple(nodes), duplicate_policy=duplicates)
 
 

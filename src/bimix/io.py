@@ -11,6 +11,7 @@ import json
 
 import numpy as np
 
+from .ingest import EdgeListError, _fields, _weight
 from .model import ModelSpec
 from .sampler import EdgeDistribution
 
@@ -37,36 +38,46 @@ def save_edges_tsv(A: np.ndarray, path) -> None:
                     fh.write(f"{i + 1}\t{j + 1}\t{float(A[i, j])!r}\n")
 
 
+def _int_pair(lineno: int, tokens: list, what: str, minimum: int) -> tuple[int, int]:
+    try:
+        i, j = map(int, tokens)
+    except ValueError:  # not two integers
+        pass
+    else:
+        if i >= minimum and j >= minimum:
+            return i, j
+    raise EdgeListError(
+        f"line {lineno}: {what} must be two integers >= {minimum}, got {' '.join(tokens)!r}"
+    )
+
+
 def load_edges_tsv(path) -> np.ndarray:
     """Read a TSV edge list back into a dense matrix.
 
     The shape header is honored when present; otherwise the matrix is sized
-    by the largest indices encountered.
+    by the largest indices encountered.  A position below 1 or outside the
+    shape, a repeated position, and a malformed header or weight each raise
+    ``EdgeListError`` naming the line.
     """
     shape = None
-    triples = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith(SHAPE_HEADER):
-                parts = line[len(SHAPE_HEADER) :].split()
-                shape = (int(parts[0]), int(parts[1]))
-                continue
-            if line.startswith("%") or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"line {lineno}: expected 3 tab-separated columns: {line!r}")
-            triples.append((int(parts[0]), int(parts[1]), float(parts[2])))
+    cells = {}
+    for lineno, fields in _fields(path, "tsv", (3,), header=SHAPE_HEADER):
+        if fields[0] == SHAPE_HEADER:
+            shape = _int_pair(lineno, fields[1:], "shape", minimum=0)
+            continue
+        position = _int_pair(lineno, fields[:2], "position", minimum=1)
+        if position in cells:
+            raise EdgeListError(f"line {lineno}: duplicate position {position}")
+        cells[position] = (lineno, _weight(lineno, fields[2]))
     if shape is None:
-        if not triples:
-            raise ValueError("edge list is empty and carries no shape header")
-        shape = (max(t[0] for t in triples), max(t[1] for t in triples))
+        if not cells:
+            raise EdgeListError("edge list is empty and carries no shape header")
+        shape = tuple(max(position[axis] for position in cells) for axis in (0, 1))
     A = np.zeros(shape)
-    for i, j, w in triples:
-        A[i - 1, j - 1] = w
+    for (i, j), (lineno, weight) in cells.items():
+        if i > shape[0] or j > shape[1]:
+            raise EdgeListError(f"line {lineno}: position ({i}, {j}) outside the shape {shape}")
+        A[i - 1, j - 1] = weight
     return A
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelSpec
-from .sampler import EdgeDistribution, distribution_gamma
+from .sampler import _LAWS, EdgeDistribution, distribution_gamma
 
 PERMUTATION_LIMIT = 10
 SINGULAR_TOL = 1e-12
@@ -116,36 +116,19 @@ class SeparationMargins:
     gap_margin: float
 
 
-def _check_alpha_domain(dist: EdgeDistribution, alpha: float, n: int) -> None:
-    limit = n / math.log(n)
-    kind = dist.kind
-    if kind == "bernoulli" and not (0.0 <= alpha <= limit):
-        raise ValueError(f"bernoulli alpha must lie in [0, n/log(n)] = [0, {limit:g}], got {alpha}")
-    if kind in ("poisson", "exponential") and not alpha > 0.0:
-        raise ValueError(f"{kind} alpha must be positive, got {alpha}")
-    if kind == "binomial" and not (0.0 < alpha <= dist.m * limit):
-        raise ValueError(
-            f"binomial alpha must lie in (0, m*n/log(n)] = (0, {dist.m * limit:g}], got {alpha}"
-        )
-    if kind == "uniform" and not alpha >= 0.0:
-        raise ValueError(f"uniform alpha must be nonnegative, got {alpha}")
-    if kind == "signed" and not abs(alpha) < limit:
-        raise ValueError(f"signed alpha must satisfy |alpha| < n/log(n) = {limit:g}, got {alpha}")
-
-
 def separation_margins(
     dist: EdgeDistribution, alpha_in: float, alpha_out: float, n: int, tau: float
 ) -> SeparationMargins:
     """Margins of the kind-specialized separation condition at one grid point.
 
-    The magnitude condition's left side substitutes the kind's noise level
-    at ``rho = max(|alpha_in|, |alpha_out|) * log(n) / n``: it is
-    max(|alpha_in|, |alpha_out|) for bernoulli/poisson/binomial,
-    sigma2 * n / log(n) for normal, max(alpha^2) * log(n) / n for
-    exponential (divided by 3 for uniform), pi^2 beta^2 n / (3 log n) for
-    logistic, and n / log(n) for the signed law.  Canonical tau values are 1
-    (bernoulli), m (binomial) and 2 (signed); for unbounded laws pass a
-    plug-in estimate.
+    The magnitude condition's left side is the law's variance bound
+    gamma * rho at ``rho = max(|alpha_in|, |alpha_out|) * log(n) / n``,
+    times n / log(n): it is max(|alpha_in|, |alpha_out|) for
+    bernoulli/poisson/binomial, sigma2 * n / log(n) for normal,
+    max(alpha^2) * log(n) / n for exponential (divided by 3 for uniform),
+    pi^2 beta^2 n / (3 log n) for logistic, and n / log(n) for the signed
+    law.  Canonical tau values are 1 (bernoulli), m (binomial) and 2
+    (signed); for unbounded laws pass a plug-in estimate.
     """
     n = int(n)
     if n < 3:
@@ -153,24 +136,16 @@ def separation_margins(
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     alpha_in, alpha_out = float(alpha_in), float(alpha_out)
-    _check_alpha_domain(dist, alpha_in, n)
-    _check_alpha_domain(dist, alpha_out, n)
+    law, log_n = _LAWS[dist.kind], math.log(n)
+    limit = n / log_n
+    interval = law.alpha(dist, limit)
+    for alpha in (alpha_in, alpha_out):
+        if not interval.contains(alpha):
+            rule = law.alpha_rule.format(interval=interval, limit=limit)
+            raise ValueError(f"{dist.kind} alpha must {rule}, got {alpha}")
 
-    log_n = math.log(n)
-    peak = max(abs(alpha_in), abs(alpha_out))
-    kind = dist.kind
-    if kind in ("bernoulli", "poisson", "binomial"):
-        magnitude = peak
-    elif kind == "normal":
-        magnitude = dist.sigma2 * n / log_n
-    elif kind == "exponential":
-        magnitude = peak**2 * log_n / n
-    elif kind == "uniform":
-        magnitude = peak**2 * log_n / (3.0 * n)
-    elif kind == "logistic":
-        magnitude = math.pi**2 * dist.beta**2 * n / (3.0 * log_n)
-    else:  # signed
-        magnitude = n / log_n
+    rho = max(abs(alpha_in), abs(alpha_out)) * log_n / n
+    magnitude = law.variance(dist, rho) * n / log_n
     return SeparationMargins(
         magnitude_margin=magnitude - tau**2,
         gap_margin=abs(abs(alpha_in) - abs(alpha_out)) / tau,

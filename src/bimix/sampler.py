@@ -4,41 +4,165 @@ Every supported edge-weight law produces independent entries A(i, j) whose
 expectation equals the supplied mean matrix entry omega(i, j).  The mean
 matrix must lie inside the law's admissible domain, which is checked before
 any random draw happens.
+
+Each law is one record in ``_LAWS``: its sign class, its shape parameter,
+its admissible means, scales and grid alphas, its variance bound and its
+draw.  Every function below reads the record; none switches on the kind.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-KINDS = (
-    "bernoulli",
-    "poisson",
-    "binomial",
-    "normal",
-    "exponential",
-    "uniform",
-    "logistic",
-    "signed",
-)
-
-# Sign pattern the connectivity matrix must satisfy for each edge law.
-_SIGN_REQUIREMENT = {
-    "bernoulli": "nonnegative",
-    "poisson": "strictly-positive",
-    "binomial": "nonnegative",
-    "normal": "any-real",
-    "exponential": "strictly-positive",
-    "uniform": "nonnegative",
-    "logistic": "any-real",
-    "signed": "any-real",
-}
-
-
 class SamplingDomainError(ValueError):
     """A mean-matrix entry lies outside the edge law's admissible domain."""
+
+
+@dataclass(frozen=True)
+class RhoInterval:
+    """Admissible interval for the scale parameter rho, with open/closed ends."""
+
+    lo: float
+    hi: float
+    lo_open: bool = True
+    hi_open: bool = False
+
+    def _outside(self, x):
+        # elementwise on arrays
+        below = x <= self.lo if self.lo_open else x < self.lo
+        above = x >= self.hi if self.hi_open else x > self.hi
+        return below | above
+
+    def contains(self, x: float) -> bool:
+        return math.isfinite(x) and not self._outside(x)
+
+    def __str__(self) -> str:
+        left = "(" if self.lo_open else "["
+        right = ")" if self.hi_open else "]"
+        # integer ends print in full, like a binomial trial count
+        lo, hi = (str(v) if isinstance(v, int) else f"{v:g}" for v in (self.lo, self.hi))
+        return f"{left}{lo}, {hi}{right}"
+
+
+_ANY_MEAN = RhoInterval(-math.inf, math.inf, hi_open=True)
+_POSITIVE = RhoInterval(0.0, math.inf, hi_open=True)
+_NONNEGATIVE = RhoInterval(0.0, math.inf, lo_open=False, hi_open=True)
+
+
+@dataclass(frozen=True)
+class _Law:
+    """One edge law's rules.
+
+    ``mean(dist)`` bounds the entries of the mean matrix and ``rho(dist)``
+    the scale; ``alpha(dist, limit)`` bounds a two-community grid alpha at
+    ``limit = n / log(n)``, and ``alpha_rule`` words that bound for error
+    messages.  ``variance(dist, rho)`` bounds Var[A(i, j)] at scale rho, so
+    the normalized noise level gamma is ``variance / rho``.  ``draw`` makes
+    the law's numpy calls for a whole mean matrix.  A law with a shape
+    parameter names it in ``param``; ``valid`` and ``rule`` check a value,
+    ``coerce`` normalizes it.  The defaults admit any finite mean and alpha
+    and any positive rho.
+    """
+
+    sign: str
+    variance: Callable
+    draw: Callable
+    mean: Callable = lambda d: _ANY_MEAN
+    rho: Callable = lambda d: _POSITIVE
+    alpha: Callable = lambda d, limit: _ANY_MEAN
+    alpha_rule: str = "be finite"
+    param: str | None = None
+    valid: Callable | None = None
+    rule: str = ""
+    coerce: Callable | None = None
+
+
+_LAWS = {
+    "bernoulli": _Law(
+        sign="nonnegative",
+        mean=lambda d: RhoInterval(0.0, 1.0, lo_open=False),
+        rho=lambda d: RhoInterval(0.0, 1.0),
+        alpha=lambda d, limit: RhoInterval(0.0, limit, lo_open=False),
+        alpha_rule="lie in [0, n/log(n)] = {interval}",
+        variance=lambda d, rho: rho,
+        draw=lambda g, omega, d: (g.random(omega.shape) < omega).astype(float),
+    ),
+    "poisson": _Law(
+        sign="strictly-positive",
+        mean=lambda d: _NONNEGATIVE,
+        alpha=lambda d, limit: _POSITIVE,
+        alpha_rule="be positive",
+        variance=lambda d, rho: rho,
+        draw=lambda g, omega, d: g.poisson(omega).astype(float),
+    ),
+    "binomial": _Law(
+        sign="nonnegative",
+        mean=lambda d: RhoInterval(0, d.m, lo_open=False),
+        rho=lambda d: RhoInterval(0.0, float(d.m)),
+        alpha=lambda d, limit: RhoInterval(0.0, d.m * limit),
+        alpha_rule="lie in (0, m*n/log(n)] = {interval}",
+        variance=lambda d, rho: rho,
+        draw=lambda g, omega, d: g.binomial(d.m, omega / d.m).astype(float),
+        param="m",
+        valid=lambda m: int(m) == m and m >= 1,
+        rule="binomial trial count m must be a positive integer",
+        coerce=int,
+    ),
+    "normal": _Law(
+        sign="any-real",
+        variance=lambda d, rho: d.sigma2,
+        # scale 0 reproduces the mean exactly
+        draw=lambda g, omega, d: g.normal(loc=omega, scale=math.sqrt(d.sigma2)),
+        param="sigma2",
+        valid=lambda sigma2: sigma2 >= 0.0,
+        rule="normal variance sigma2 must be >= 0",
+        coerce=float,
+    ),
+    "exponential": _Law(
+        sign="strictly-positive",
+        mean=lambda d: _POSITIVE,
+        alpha=lambda d, limit: _POSITIVE,
+        alpha_rule="be positive",
+        variance=lambda d, rho: rho * rho,
+        draw=lambda g, omega, d: g.exponential(scale=omega),
+    ),
+    "uniform": _Law(
+        sign="nonnegative",
+        mean=lambda d: _NONNEGATIVE,
+        alpha=lambda d, limit: _NONNEGATIVE,
+        alpha_rule="be nonnegative",
+        variance=lambda d, rho: rho * rho / 3.0,
+        draw=lambda g, omega, d: g.uniform(low=0.0, high=2.0 * omega),
+    ),
+    "logistic": _Law(
+        sign="any-real",
+        variance=lambda d, rho: math.pi**2 * d.beta**2 / 3.0,
+        draw=lambda g, omega, d: g.logistic(loc=omega, scale=d.beta),
+        param="beta",
+        valid=lambda beta: beta > 0.0,
+        rule="logistic scale beta must be > 0",
+        coerce=float,
+    ),
+    "signed": _Law(
+        sign="any-real",
+        mean=lambda d: RhoInterval(-1.0, 1.0, lo_open=False),
+        rho=lambda d: RhoInterval(0.0, 1.0, hi_open=True),
+        alpha=lambda d, limit: RhoInterval(-limit, limit, hi_open=True),
+        alpha_rule="satisfy |alpha| < n/log(n) = {limit:g}",
+        variance=lambda d, rho: 1.0,
+        # +1 with probability (1 + omega) / 2, else -1
+        draw=lambda g, omega, d: np.where(g.random(omega.shape) < (1.0 + omega) / 2.0, 1.0, -1.0),
+    ),
+}
+
+KINDS = tuple(_LAWS)
+
+# the edge law each shape parameter belongs to, in EdgeDistribution's field order
+PARAM_KINDS = {law.param: kind for kind, law in _LAWS.items() if law.param}
 
 
 @dataclass(frozen=True)
@@ -58,26 +182,19 @@ class EdgeDistribution:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}; expected one of {KINDS}")
-        needs = {"binomial": "m", "normal": "sigma2", "logistic": "beta"}.get(self.kind)
-        for param in ("m", "sigma2", "beta"):
+        law = _LAWS[self.kind]
+        for param in PARAM_KINDS:
             value = getattr(self, param)
-            if param == needs:
+            if param == law.param:
                 if value is None:
                     raise ValueError(f"{self.kind} distribution requires parameter {param!r}")
             elif value is not None:
                 raise ValueError(f"{self.kind} distribution takes no parameter {param!r}")
-        if self.kind == "binomial":
-            if int(self.m) != self.m or self.m < 1:
-                raise ValueError(f"binomial trial count m must be a positive integer, got {self.m!r}")
-            object.__setattr__(self, "m", int(self.m))
-        if self.kind == "normal":
-            if not (self.sigma2 >= 0.0):
-                raise ValueError(f"normal variance sigma2 must be >= 0, got {self.sigma2!r}")
-            object.__setattr__(self, "sigma2", float(self.sigma2))
-        if self.kind == "logistic":
-            if not (self.beta > 0.0):
-                raise ValueError(f"logistic scale beta must be > 0, got {self.beta!r}")
-            object.__setattr__(self, "beta", float(self.beta))
+        if law.param:
+            value = getattr(self, law.param)
+            if not law.valid(value):
+                raise ValueError(f"{law.rule}, got {value!r}")
+            object.__setattr__(self, law.param, law.coerce(value))
 
     @classmethod
     def bernoulli(cls) -> "EdgeDistribution":
@@ -113,30 +230,16 @@ class EdgeDistribution:
 
     def label(self) -> str:
         """Short human-readable tag, e.g. ``binomial(m=7)``."""
-        if self.kind == "binomial":
-            return f"binomial(m={self.m})"
-        if self.kind == "normal":
-            return f"normal(sigma2={self.sigma2})"
-        if self.kind == "logistic":
-            return f"logistic(beta={self.beta})"
-        return self.kind
+        param = _LAWS[self.kind].param
+        return f"{self.kind}({param}={getattr(self, param)})" if param else self.kind
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        for param in ("m", "sigma2", "beta"):
-            value = getattr(self, param)
-            if value is not None:
-                out[param] = value
-        return out
+        param = _LAWS[self.kind].param
+        return {"kind": self.kind, param: getattr(self, param)} if param else {"kind": self.kind}
 
     @classmethod
     def from_dict(cls, data: dict) -> "EdgeDistribution":
-        return cls(
-            kind=data["kind"],
-            m=data.get("m"),
-            sigma2=data.get("sigma2"),
-            beta=data.get("beta"),
-        )
+        return cls(data["kind"], **{param: data.get(param) for param in PARAM_KINDS})
 
 
 @dataclass(frozen=True)
@@ -167,29 +270,6 @@ class RandomSource:
         return RandomSource(self.seed, self.stream + offset)
 
 
-@dataclass(frozen=True)
-class RhoInterval:
-    """Admissible interval for the scale parameter rho, with open/closed ends."""
-
-    lo: float
-    hi: float
-    lo_open: bool = True
-    hi_open: bool = False
-
-    def contains(self, x: float) -> bool:
-        if not math.isfinite(x):
-            return False
-        above = x > self.lo if self.lo_open else x >= self.lo
-        below = x < self.hi if self.hi_open else x <= self.hi
-        return above and below
-
-    def __str__(self) -> str:
-        left = "(" if self.lo_open else "["
-        right = ")" if self.hi_open else "]"
-        hi = "inf" if math.isinf(self.hi) else f"{self.hi:g}"
-        return f"{left}{self.lo:g}, {hi}{right}"
-
-
 def admissible_rho_interval(dist: EdgeDistribution) -> RhoInterval:
     """Range of scale parameters rho compatible with the edge law.
 
@@ -197,18 +277,12 @@ def admissible_rho_interval(dist: EdgeDistribution) -> RhoInterval:
     probabilities cap rho at the trial count m; the signed law needs the
     two point probabilities (1 +/- omega)/2 to stay inside (0, 1).
     """
-    if dist.kind == "bernoulli":
-        return RhoInterval(0.0, 1.0, lo_open=True, hi_open=False)
-    if dist.kind == "binomial":
-        return RhoInterval(0.0, float(dist.m), lo_open=True, hi_open=False)
-    if dist.kind == "signed":
-        return RhoInterval(0.0, 1.0, lo_open=True, hi_open=True)
-    return RhoInterval(0.0, math.inf, lo_open=True, hi_open=True)
+    return _LAWS[dist.kind].rho(dist)
 
 
 def required_sign_class(dist: EdgeDistribution) -> str:
     """Weakest sign pattern the connectivity matrix must satisfy for ``dist``."""
-    return _SIGN_REQUIREMENT[dist.kind]
+    return _LAWS[dist.kind].sign
 
 
 def distribution_gamma(dist: EdgeDistribution, rho: float) -> float:
@@ -223,51 +297,20 @@ def distribution_gamma(dist: EdgeDistribution, rho: float) -> float:
         raise SamplingDomainError(
             f"rho={rho!r} outside admissible interval {interval} for {dist.kind}"
         )
-    if dist.kind in ("bernoulli", "poisson", "binomial"):
-        return 1.0
-    if dist.kind == "normal":
-        return dist.sigma2 / rho
-    if dist.kind == "exponential":
-        return rho
-    if dist.kind == "uniform":
-        return rho / 3.0
-    if dist.kind == "logistic":
-        return math.pi**2 * dist.beta**2 / (3.0 * rho)
-    return 1.0 / rho  # signed
-
-
-def _first_violation(omega: np.ndarray, bad: np.ndarray, bound: str, kind: str) -> str:
-    i, j = np.argwhere(bad)[0]
-    return f"{kind} mean at entry ({i}, {j}) is {omega[i, j]!r}, outside {bound}"
+    return _LAWS[dist.kind].variance(dist, rho) / rho
 
 
 def _check_domain(omega: np.ndarray, dist: EdgeDistribution) -> None:
-    if not np.all(np.isfinite(omega)):
-        bad = ~np.isfinite(omega)
-        raise SamplingDomainError(_first_violation(omega, bad, "finite values", dist.kind))
-    kind = dist.kind
-    if kind == "bernoulli":
-        bad = (omega < 0.0) | (omega > 1.0)
-        bound = "[0, 1]"
-    elif kind == "poisson":
-        bad = omega < 0.0
-        bound = "[0, inf)"
-    elif kind == "binomial":
-        bad = (omega < 0.0) | (omega > dist.m)
-        bound = f"[0, {dist.m}]"
-    elif kind == "exponential":
-        bad = omega <= 0.0
-        bound = "(0, inf)"
-    elif kind == "uniform":
-        bad = omega < 0.0
-        bound = "[0, inf)"
-    elif kind == "signed":
-        bad = np.abs(omega) > 1.0
-        bound = "[-1, 1]"
-    else:  # normal, logistic accept any finite mean
-        return
+    if np.all(np.isfinite(omega)):
+        bound = _LAWS[dist.kind].mean(dist)
+        bad = bound._outside(omega)
+    else:
+        bound, bad = "finite values", ~np.isfinite(omega)
     if bad.any():
-        raise SamplingDomainError(_first_violation(omega, bad, bound, kind))
+        i, j = np.argwhere(bad)[0]
+        raise SamplingDomainError(
+            f"{dist.kind} mean at entry ({i}, {j}) is {omega[i, j]!r}, outside {bound}"
+        )
 
 
 def sample_adjacency(
@@ -285,22 +328,4 @@ def sample_adjacency(
     if omega.ndim != 2:
         raise ValueError(f"mean matrix must be 2-dimensional, got shape {omega.shape}")
     _check_domain(omega, dist)
-    g = rng.generator()
-    kind = dist.kind
-    if kind == "bernoulli":
-        return (g.random(omega.shape) < omega).astype(float)
-    if kind == "poisson":
-        return g.poisson(omega).astype(float)
-    if kind == "binomial":
-        return g.binomial(dist.m, omega / dist.m).astype(float)
-    if kind == "normal":
-        # scale 0 reproduces the mean exactly
-        return g.normal(loc=omega, scale=math.sqrt(dist.sigma2))
-    if kind == "exponential":
-        return g.exponential(scale=omega)
-    if kind == "uniform":
-        return g.uniform(low=0.0, high=2.0 * omega)
-    if kind == "logistic":
-        return g.logistic(loc=omega, scale=dist.beta)
-    # signed: +1 with probability (1 + omega) / 2, else -1
-    return np.where(g.random(omega.shape) < (1.0 + omega) / 2.0, 1.0, -1.0)
+    return _LAWS[dist.kind].draw(rng.generator(), omega, dist)

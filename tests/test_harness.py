@@ -1,5 +1,8 @@
 """Sweep harness tests: determinism, scenario catalogue, skipping, CSV output."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -102,6 +105,17 @@ class TestRunSweep:
         parallel = run_sweep(plan, n_jobs=4)
         assert serial.to_csv_text() == parallel.to_csv_text()
 
+    def test_non_integer_trial_count_skipped(self):
+        # a JSON plan's m = 2.5 is not a trial count; it must not be swept as m = 2
+        base = ModelSpec(P=P1, rho=1.0, Pi_r=make_planted_memberships(16, 2, 4),
+                         Pi_c=make_planted_memberships(12, 2, 3),
+                         dist=EdgeDistribution.binomial(2))
+        plan = plan_from_json({"base": spec_to_dict(base), "axis": "dist_param", "param": "m",
+                               "grid": [2.0, 2.5], "replicates": 2})
+        first, second = run_sweep(plan).points
+        assert not first.skipped
+        assert second.skipped == "binomial trial count m must be a positive integer, got 2.5"
+
     def test_dist_param_axis(self):
         base = ModelSpec(P=P1, rho=1.0, Pi_r=make_planted_memberships(16, 2, 4),
                          Pi_c=make_planted_memberships(12, 2, 3),
@@ -130,7 +144,56 @@ class TestCSV:
         assert run_sweep(plan).to_csv_text() == run_sweep(plan).to_csv_text()
 
 
+# SHA-256 of json.dumps([axis, param, grid, spec_to_dict(base)]) for every
+# catalogued plan, recorded from the hand-written catalogue: any edit to a
+# scenario's model or grid shows here
+CATALOGUE_DIGESTS = {
+    "sim1a": "35939afe9cfba2fe45f08191965815c39b7331bb0eca552878ab46e52add7dc1",
+    "sim1b": "2fc7fb591f8457e492b63b1fb2d2c1ae14f4cb6e7133ea314b0bbc8c96fe71f9",
+    "sim1c": "033f704d7793179b8d82898ca5621fea383d54113b094d789788742ad291cff6",
+    "sim2a": "5bd374e5fc0ab34b0aaf399af1fa4d9559a17a470f86d13fe9239d6e56de11de",
+    "sim2b": "47e9af2d4f601c57deefd70b0c4d121b666c9fa4811635615c984290f346b3ac",
+    "sim2c": "911383c965c4630d99fa01971395b3082656335070ea45f7af10f7b8ddb25bc8",
+    "sim3a": "97bb264488c08fc08d32080f163df6a526b8a148d7b12689c8a40f8d89555ea8",
+    "sim3b": "9ed6b86aee507da97e125d52b99abc40ff9726734d6cd01c279c84631d753afa",
+    "sim3c": "baf16b65a057236647afbb3b5d5e8ea22ad34333c47c7f799a31d1091987e7a5",
+    "sim3d": "32f0b9b039f21a5f1f775e9ecdec32554c01da15f29f3a682e8f4443920064ee",
+    "sim4a": "06ae7771ce3e5d2aa5ea5e42354194a9312d99527db3064f0be68801b6d849f7",
+    "sim4b": "3a70e5c4a7444ff4dad56ac100c39e80db5e71e344b7d74b7c7178e02814cff1",
+    "sim4c": "cf5ff42ae131dd81e2fbd041273159096c46b8d5798c0297c1677c0b25317ee6",
+    "sim4d": "daa272d2e6d1d84acddd3cb4949d48d33384f0437f2b553a1b5a9c6bfe564727",
+    "sim5a": "f08c5315f186abf0029d7064866390f9319b1633c8de1028e509676158ee1a29",
+    "sim5b": "c8d25d8bb98eab098a57dc099b611933e2e6dae3b1a9e4461be6c7fc3e9642fc",
+    "sim5c": "c2597e23bf94e425604ed3039cc7c79020a2b2eab021758fcece4b182a399e02",
+    "sim6a": "013b86bdbc1a62ffd58c72f9437fa60b506ad350babe168fff40754f559053c1",
+    "sim6b": "8cb08a2ca9711f3f86c08cc0e9cf6f40041cb89f25ca54cdf5f48d250833a21c",
+    "sim6c": "91bee76f2d5d7cba4222b8136fc412abfd0ad8b1a12681bd8df79d88d6a12f46",
+    "sim7a": "175c89e31fe036aa8c105c5726b128d33ca7713ed06adabeac908f166a2315be",
+    "sim7b": "4382fa9585824e705e629fe669ec6b5047b067104b26f00a1d0e19d23abf811c",
+    "sim7c": "af225bd4bc7c3bb360f4414a83fbfbe5990a453c7b10a0f0e5cb56051f30620d",
+    "sim7d": "da37cf8cea62e497a1944d300417bcdeba6d6f91aa04a8c05329172716254c70",
+    "sim8a": "07e1a1f99a0bf6e38fe2b653cf49b4e345b3993de0622879bf3449975d02b3d4",
+    "sim8b": "b5d6bddd135b88453d820c10112e8995abac470f2f2ff17686af1fdce60a7f76",
+    "sim8c": "7c1fc6a8a95afcfb0cd5586a9f8d6a5df6104bbe5a69bbe0bdce6e54120c447d",
+    "setup1": "282ac179c1dda9d588053705595d5483ea739a4331b1182e7965f2253e4998cf",
+    "setup2": "64f358f16cb86cc56f620aa05a9469b5561979aad6fef5fd0577581350c519da",
+    "setup3": "37000e5c5a28484e48dac7f8a7a08e6585687aa7689f057e7d9220be143cf7ec",
+    "setup4": "c0679564b1bc276401a6528867066e6f446066f7972b01ae758766de32d1488b",
+    "setup5": "377e2055c0669f1374489dd44bbf400271ce9aff0b5d88876328acbd6439c0f7",
+    "setup6": "120ee6973e6a0c41cf015ef7cd6a8a7996e5d607b68f8410035ea0c5340852bc",
+    "setup7": "e0c872289264b3086a0e435d61146b6607fbdc2993998c41205faf95f4497583",
+    "setup8": "61ea7ad22699326a9f8db5663b6c88d4e5c951a552ae2dbf86b4f968aa091f7d",
+}
+
+
 class TestScenarioCatalogue:
+    def test_catalogue_pinned(self):
+        assert SCENARIO_NAMES == tuple(CATALOGUE_DIGESTS)
+        for name in SCENARIO_NAMES:
+            plan = scenario(name)
+            doc = json.dumps([plan.axis, plan.param, plan.grid, spec_to_dict(plan.base)])
+            assert hashlib.sha256(doc.encode()).hexdigest() == CATALOGUE_DIGESTS[name], name
+
     def test_all_names_build(self):
         for name in SCENARIO_NAMES:
             plan = scenario(name, replicates=3, master_seed=1)

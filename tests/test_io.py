@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bimix.ingest import EdgeListError
 from bimix.io import (
     load_edges_tsv,
     load_matrix_csv,
@@ -61,6 +62,34 @@ class TestEdgesTSV:
         A = load_edges_tsv(path)
         assert A.shape == (3, 2)
         assert A[0, 1] == 5.0 and A[2, 0] == -2.0
+
+
+class TestEdgesTSVErrors:
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            pytest.param("% shape: 2 2\n1\t1\t1.0\n0\t1\t5.0\n", 3, id="index-zero"),
+            pytest.param("1\t-1\t5.0\n", 1, id="negative-index"),
+            pytest.param("1\t2\t5.0\n1\t2\t6.0\n", 2, id="duplicate-position"),
+            pytest.param("% shape: 2 2\n1\t1\t1.0\n3\t1\t5.0\n", 3, id="row-past-shape"),
+            pytest.param("1\t3\t1.0\n% shape: 2 2\n", 1, id="column-past-trailing-shape"),
+            pytest.param("% shape: 4\n1\t1\t1.0\n", 1, id="one-field-header"),
+            pytest.param("% shape: 2 x\n", 1, id="non-integer-header"),
+            pytest.param("1\tx\t1.0\n", 1, id="non-integer-position"),
+            pytest.param("1\t1\tabc\n", 1, id="unparsable-weight"),
+            pytest.param("1\t1\t1.0\n2\t1\n", 2, id="two-columns"),
+        ],
+    )
+    def test_rejected_naming_the_line(self, tmp_path, text, lineno):
+        path = tmp_path / "a.tsv"
+        path.write_text(text)
+        with pytest.raises(EdgeListError, match=f"^line {lineno}: "):
+            load_edges_tsv(path)
+
+    def test_comments_and_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "a.tsv"
+        path.write_text("# made by hand\n% shape: 2 3\n\n1\t3\t2.5\n% note\n")
+        np.testing.assert_array_equal(load_edges_tsv(path), [[0.0, 0.0, 2.5], [0.0, 0.0, 0.0]])
 
 
 class TestSpecJSON:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -241,6 +242,22 @@ class TestSeparationMargins:
         expected = math.pi**2 * 0.25 * 400 / (3 * math.log(400)) - 1.0
         assert m.magnitude_margin == pytest.approx(expected)
 
+    def test_zero_peak_keeps_rho_free_magnitude(self):
+        # at alpha_in = alpha_out = 0 the laws whose gamma grows as 1/rho keep
+        # their rho-free magnitude; the others have none left
+        n, log_n = 300, math.log(300)
+        expected = {
+            EdgeDistribution.normal(1.0): n / log_n,  # 52.597, so the margin reads 51.597
+            EdgeDistribution.logistic(0.5): math.pi**2 * 0.25 * n / (3 * log_n),
+            EdgeDistribution.signed(): n / log_n,
+            EdgeDistribution.bernoulli(): 0.0,
+            EdgeDistribution.uniform(): 0.0,
+        }
+        for dist, magnitude in expected.items():
+            m = separation_margins(dist, 0.0, 0.0, n, tau=1.0)
+            assert m.magnitude_margin == pytest.approx(magnitude - 1.0), dist.label()
+            assert m.gap_margin == 0.0
+
     def test_alpha_domain_enforced(self):
         with pytest.raises(ValueError):
             separation_margins(EdgeDistribution.bernoulli(), -1.0, 3.0, 300, tau=1.0)
@@ -248,6 +265,18 @@ class TestSeparationMargins:
             separation_margins(EdgeDistribution.poisson(), 0.0, 3.0, 300, tau=1.0)
         with pytest.raises(ValueError):
             separation_margins(EdgeDistribution.signed(), 80.0, 3.0, 300, tau=2.0)
+
+    def test_alpha_domain_messages(self):
+        cases = [
+            (EdgeDistribution.bernoulli(), 60.0, "bernoulli alpha must lie in [0, n/log(n)] = [0, 52.5967], got 60.0"),
+            (EdgeDistribution.binomial(2), 0.0, "binomial alpha must lie in (0, m*n/log(n)] = (0, 105.193], got 0.0"),
+            (EdgeDistribution.poisson(), -1.0, "poisson alpha must be positive, got -1.0"),
+            (EdgeDistribution.uniform(), -1.0, "uniform alpha must be nonnegative, got -1.0"),
+            (EdgeDistribution.signed(), -60.0, "signed alpha must satisfy |alpha| < n/log(n) = 52.5967, got -60.0"),
+        ]
+        for dist, alpha, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                separation_margins(dist, alpha, 1.0, 300, tau=1.0)
 
 
 class TestEmpiricalTauGamma:

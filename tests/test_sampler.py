@@ -1,11 +1,13 @@
 """Sampler tests: determinism, per-law moments, supports and domain checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from bimix.sampler import (
+    KINDS,
     EdgeDistribution,
     RandomSource,
     SamplingDomainError,
@@ -113,6 +115,51 @@ class TestDomainErrors:
         omega = np.array([[3.5, 2.0], [1.0, 7.5]])
         with pytest.raises(SamplingDomainError):
             sample_adjacency(omega, EdgeDistribution.binomial(7), RandomSource(1))
+
+
+def _below(x):
+    return float(np.nextafter(x, -np.inf))
+
+
+def _above(x):
+    return float(np.nextafter(x, np.inf))
+
+
+# law -> (its constructor, its mean domain as printed, means on or just inside
+# the domain's ends, means just past them); laws with no bounded end accept any
+# finite mean and name "finite values"
+MEAN_DOMAINS = {
+    "bernoulli": (EdgeDistribution.bernoulli(), "[0, 1]", (0.0, 1.0), (_below(0.0), _above(1.0))),
+    "poisson": (EdgeDistribution.poisson(), "[0, inf)", (0.0,), (_below(0.0),)),
+    "binomial": (EdgeDistribution.binomial(7), "[0, 7]", (0.0, 7.0), (_below(0.0), _above(7.0))),
+    "normal": (EdgeDistribution.normal(1.0), "finite values", (-1e300, 1e300), (-np.inf, np.nan)),
+    "exponential": (EdgeDistribution.exponential(), "(0, inf)", (_above(0.0),), (0.0, -1.0)),
+    "uniform": (EdgeDistribution.uniform(), "[0, inf)", (0.0,), (_below(0.0),)),
+    "logistic": (EdgeDistribution.logistic(1.0), "finite values", (-1e300, 1e300), (np.inf, np.nan)),
+    "signed": (EdgeDistribution.signed(), "[-1, 1]", (-1.0, 1.0), (_below(-1.0), _above(1.0))),
+}
+
+
+class TestDomainBoundaries:
+    def test_every_law_listed(self):
+        assert tuple(MEAN_DOMAINS) == KINDS
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_ends_accepted_and_just_past_rejected(self, kind):
+        dist, domain, inside, outside = MEAN_DOMAINS[kind]
+        for mean in inside:
+            sample_adjacency(np.full((2, 3), mean), dist, RandomSource(1))
+        for mean in outside:
+            omega = np.full((2, 3), 0.5)
+            omega[1, 2] = mean
+            message = rf"{kind} mean at entry \(1, 2\) is .*, outside {re.escape(domain)}$"
+            with pytest.raises(SamplingDomainError, match=message):
+                sample_adjacency(omega, dist, RandomSource(1))
+
+    def test_large_trial_count_printed_in_full(self):
+        omega = np.array([[2e6]])
+        with pytest.raises(SamplingDomainError, match=re.escape("outside [0, 1234567]")):
+            sample_adjacency(omega, EdgeDistribution.binomial(1234567), RandomSource(1))
 
 
 class TestGamma:
