@@ -11,7 +11,7 @@ import numpy as np
 from . import __version__
 from .disp import disp
 from .harness import SCENARIO_NAMES, load_plan, run_sweep, scenario
-from .ingest import drop_isolated, load_edge_list, summarize, to_dense
+from .ingest import load_edge_list, summarize, to_dense
 from .io import load_edges_tsv, load_matrix_csv, save_matrix_csv
 from .metrics import error_rate, hamm_rc, mixed_proportion
 from .spectral import estimate_k_eigengap, singular_values
@@ -66,10 +66,14 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    options = (("replicates", args.replicates), ("master_seed", args.seed))
+    given = {key: value for key, value in options if value is not None}
     if args.config:
+        if given:  # a plan file sets its own seed and replicate count
+            raise ValueError("--seed and --replicates apply to --scenario only, not to --config")
         plan = load_plan(args.config)
     else:
-        plan = scenario(args.scenario, replicates=args.replicates, master_seed=args.seed)
+        plan = scenario(args.scenario, **given)
     result = run_sweep(plan, n_jobs=args.jobs)
     result.to_csv(args.out)
     ran = sum(1 for pt in result.points if not pt.skipped)
@@ -85,8 +89,6 @@ def _cmd_ingest(args) -> int:
         weight_default=args.weight_default,
         duplicates="sum" if args.sum_duplicates else "error",
     )
-    if not args.keep_isolated:
-        edges = drop_isolated(edges)
     A = to_dense(edges, square=True)
     save_matrix_csv(A, args.dense)
     stats = summarize(edges, square=True)
@@ -133,8 +135,8 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--scenario", choices=list(SCENARIO_NAMES))
     group.add_argument("--config", help="JSON sweep plan")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--replicates", type=int, default=50)
+    p.add_argument("--seed", type=int, help="--scenario master seed (default 0)")
+    p.add_argument("--replicates", type=int, help="--scenario replicate count (default 50)")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_sweep)
@@ -144,7 +146,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["tsv", "csv"], default="tsv")
     p.add_argument("--weight-default", type=float, default=1.0)
     p.add_argument("--sum-duplicates", action="store_true")
-    p.add_argument("--keep-isolated", action="store_true")
     p.add_argument("--dense", required=True, help="output dense CSV path")
     p.add_argument("--summary", required=True, help="output summary JSON path")
     p.set_defaults(func=_cmd_ingest)

@@ -28,14 +28,19 @@ def load_matrix_csv(path) -> np.ndarray:
 
 
 def save_edges_tsv(A: np.ndarray, path) -> None:
-    """Write a dense matrix as ``row<TAB>col<TAB>weight`` lines, 1-indexed."""
+    """Write a dense matrix as ``row<TAB>col<TAB>weight`` lines, 1-indexed.
+
+    A non-finite entry raises ``ValueError`` before the file is opened.
+    """
     A = np.asarray(A, dtype=float)
+    bad = np.argwhere(~np.isfinite(A))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(f"A[{i}, {j}] = {float(A[i, j])!r}: edge weights must be finite")
     with open(path, "w", newline="\n") as fh:
         fh.write(f"{SHAPE_HEADER} {A.shape[0]} {A.shape[1]}\n")
-        for i in range(A.shape[0]):
-            for j in range(A.shape[1]):
-                if A[i, j] != 0.0:
-                    fh.write(f"{i + 1}\t{j + 1}\t{float(A[i, j])!r}\n")
+        for i, j in zip(*np.nonzero(A)):
+            fh.write(f"{i + 1}\t{j + 1}\t{float(A[i, j])!r}\n")
 
 
 def _int_pair(lineno: int, tokens: list, what: str, minimum: int) -> tuple[int, int]:

@@ -145,15 +145,14 @@ def validate_model(spec: ModelSpec) -> list[str]:
     return out
 
 
-def require_valid(spec: ModelSpec) -> None:
+def build_omega(spec: ModelSpec) -> np.ndarray:
+    """Expectation adjacency matrix ``rho * Pi_r @ P @ Pi_c.T`` (rank exactly K).
+
+    Raises ``InvalidModelError`` carrying ``validate_model``'s messages joined by "; ".
+    """
     violations = validate_model(spec)
     if violations:
         raise InvalidModelError("; ".join(violations))
-
-
-def build_omega(spec: ModelSpec) -> np.ndarray:
-    """Expectation adjacency matrix ``rho * Pi_r @ P @ Pi_c.T`` (rank exactly K)."""
-    require_valid(spec)
     return spec.rho * (spec.Pi_r @ spec.P @ spec.Pi_c.T)
 
 

@@ -101,6 +101,21 @@ class TestSweep:
         assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 3
 
+    @pytest.mark.parametrize("flag", [["--seed", "99"], ["--replicates", "7"]])
+    def test_config_rejects_scenario_options(self, tmp_path, capsys, flag):
+        # a plan file carries its own seed and replicate count
+        config = tmp_path / "plan.json"
+        config.write_text(json.dumps({"scenario": "setup5", "replicates": 2, "master_seed": 4}))
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--config", str(config), *flag, "--out", str(out)]) == 1
+        assert "--config" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_scenario_defaults(self, tmp_path):
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--scenario", "setup5", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].endswith(",50,,0")
+
 
 class TestIngest:
     def test_dense_and_summary(self, tmp_path, capsys):
@@ -115,13 +130,13 @@ class TestIngest:
         assert stats["n"] == 3 and stats["edges"] == 3
         assert stats["min_weight"] == -1.0 and stats["max_weight"] == 2.0
 
-    def test_keep_isolated_flag(self, tmp_path):
+    def test_single_edge_two_nodes(self, tmp_path):
+        # every node of a loaded edge list is an endpoint, so none is isolated
         edges = tmp_path / "e.tsv"
         edges.write_text("1\t2\t1\n")
         dense = tmp_path / "a.csv"
         summary = tmp_path / "s.json"
-        assert main(["ingest", str(edges), "--dense", str(dense),
-                     "--summary", str(summary), "--keep-isolated"]) == 0
+        assert main(["ingest", str(edges), "--dense", str(dense), "--summary", str(summary)]) == 0
         assert load_matrix_csv(dense).shape == (2, 2)
 
     def test_sum_duplicates_flag(self, tmp_path):

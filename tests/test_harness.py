@@ -2,12 +2,15 @@
 
 import hashlib
 import json
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bimix.harness import (
     SCENARIO_NAMES,
+    STREAM_STRIDE,
     SweepPlan,
     alpha_grid_matrix,
     plan_from_json,
@@ -16,7 +19,13 @@ from bimix.harness import (
     scenario,
 )
 from bimix.io import spec_to_dict
-from bimix.model import InvalidModelError, ModelSpec, make_planted_memberships
+from bimix.model import (
+    InvalidModelError,
+    ModelSpec,
+    make_planted_memberships,
+    make_standard_two_block,
+    validate_model,
+)
 from bimix.sampler import EdgeDistribution
 
 from test_model import P1
@@ -124,6 +133,81 @@ class TestRunSweep:
         result = run_sweep(plan)
         assert result.axis_columns == ("m",)
         assert len(result.points) == 3
+
+
+def reference_point(spec_for, value, index, replicates, seed):
+    """(skip reason, mean, std) at one grid point, from the public API alone."""
+    try:
+        spec = spec_for(value)
+    except ValueError as exc:
+        return str(exc), None, None
+    violations = validate_model(spec)
+    if violations:
+        return "; ".join(violations), None, None
+    return "", *run_replicates(spec, replicates, seed, index * STREAM_STRIDE)
+
+
+class TestSweepPointContract:
+    """Each record equals a point-by-point rebuild; each point is validated once."""
+
+    def alpha_plan(self):
+        # equal magnitudes fail the spec build; a negative alpha fails the
+        # bernoulli sign class and alpha 5 its rho interval; (1, 2) and (2, 1) run
+        base = ModelSpec(P=P1, rho=0.5, Pi_r=make_planted_memberships(12, 2, 3),
+                         Pi_c=make_planted_memberships(12, 2, 3),
+                         dist=EdgeDistribution.bernoulli())
+        values = (-2.0, 1.0, 2.0, 5.0)
+        pairs = tuple((a, b) for a in values for b in values)
+
+        def spec_for(pair):
+            P, rho = make_standard_two_block(12, *pair)
+            return replace(base, P=P, rho=rho)
+
+        return SweepPlan(base, "alpha_grid", pairs, replicates=2, master_seed=3), spec_for
+
+    def rho_plan(self):
+        # signed law: rho = 1.0 lies outside the admissible interval (0, 1)
+        base = ModelSpec(P=np.array([[1.0, -0.2], [0.3, -0.8]]), rho=0.5,
+                         Pi_r=make_planted_memberships(12, 2, 3),
+                         Pi_c=make_planted_memberships(10, 2, 2),
+                         dist=EdgeDistribution.signed())
+        plan = SweepPlan(base, "rho", (0.3, 1.0, 0.7), replicates=3, master_seed=8)
+        return plan, lambda rho: replace(base, rho=rho)
+
+    @pytest.mark.parametrize("which", ["alpha_plan", "rho_plan"])
+    def test_rows_match_point_by_point_reference(self, which):
+        plan, spec_for = getattr(self, which)()
+        points = run_sweep(plan).points
+        for index, (value, pt) in enumerate(zip(plan.grid, points, strict=True)):
+            assert pt.values == dict(zip(plan.axis_columns(), np.ravel(value).tolist()))
+            skipped, mean, std = reference_point(spec_for, value, index, plan.replicates,
+                                                 plan.master_seed)
+            assert (pt.skipped, pt.mean_error, pt.std_error) == (skipped, mean, std)
+            assert pt.replicates == (0 if skipped else plan.replicates)
+        assert {bool(pt.skipped) for pt in points} == {True, False}
+
+    @pytest.mark.parametrize("which", ["alpha_plan", "rho_plan"])
+    def test_one_validation_per_grid_point(self, which, monkeypatch):
+        plan, spec_for = getattr(self, which)()
+        reached = 0  # points whose spec builds, so validation decides them
+        for value in plan.grid:
+            try:
+                spec_for(value)
+            except ValueError:
+                continue
+            reached += 1
+        calls = []
+
+        def counting(spec):
+            calls.append(spec)
+            return validate_model(spec)
+
+        # patch every reference to validate_model the package holds
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "bimix" and getattr(module, "validate_model", None) is validate_model:
+                monkeypatch.setattr(module, "validate_model", counting)
+        run_sweep(plan)
+        assert len(calls) == reached
 
 
 class TestCSV:

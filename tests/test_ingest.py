@@ -77,6 +77,20 @@ class TestDropIsolated:
         el = EdgeList(edges=((1, 2, 1.0), (2, 3, 1.0)), nodes=(1, 2, 3))
         assert drop_isolated(el) == el
 
+    @pytest.mark.parametrize(
+        "text, duplicates",
+        [
+            pytest.param("1\t2\t0\n3\t4\t0.0\n2\t3\t1\n", "error", id="zero-weights"),
+            pytest.param("1\t1\t2\n2\t2\t1\n1\t3\t1\n", "error", id="self-loops"),
+            pytest.param("a b\nb c\nd a 2.5\n", "error", id="two-column-lines"),
+            pytest.param("1\t2\t1\n1\t2\t-1\n3\t1\t2\n3\t1\t1\n", "sum", id="summed-duplicates"),
+        ],
+    )
+    def test_loaded_lists_have_no_isolated_nodes(self, tmp_path, text, duplicates):
+        # the reader adds a node only as an edge endpoint
+        el = load_edge_list(write(tmp_path, text), duplicates=duplicates)
+        assert drop_isolated(el) == el
+
 
 class TestToDense:
     def test_small_square(self):

@@ -56,6 +56,21 @@ class TestEdgesTSV:
         save_edges_tsv(A, path)
         assert "1\t2\t3.0" in path.read_text()
 
+    def test_row_major_lines_without_zeros(self, tmp_path):
+        A = np.array([[0.0, -0.0, 1.5], [-2.0, 0.0, 0.25]])
+        path = tmp_path / "a.tsv"
+        save_edges_tsv(A.T, path)  # a transposed view is still written row by row
+        assert path.read_text() == "% shape: 3 2\n1\t2\t-2.0\n3\t1\t1.5\n3\t2\t0.25\n"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_before_writing(self, tmp_path, bad):
+        A = np.array([[1.0, 0.0, 2.0], [0.0, 3.0, bad]])
+        A[1, 0] = bad
+        path = tmp_path / "a.tsv"
+        with pytest.raises(ValueError, match=r"^A\[1, 0\] = "):
+            save_edges_tsv(A, path)
+        assert not path.exists()
+
     def test_without_header_sizes_by_max_index(self, tmp_path):
         path = tmp_path / "a.tsv"
         path.write_text("1\t2\t5.0\n3\t1\t-2.0\n")
