@@ -40,6 +40,9 @@ def _cmd_fit(args) -> int:
         "pure_cols": list(result.pure_cols),
         "cond_row_vertices": result.cond_row_vertices,
         "cond_col_vertices": result.cond_col_vertices,
+        "next_singular_value": result.next_singular_value,
+        "degenerate_rows": result.degenerate_rows,
+        "degenerate_cols": result.degenerate_cols,
     }
     with open(f"{prefix}diagnostics.json", "w") as fh:
         json.dump(diagnostics, fh, indent=2)

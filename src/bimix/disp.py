@@ -35,7 +35,13 @@ class IllPosedFitError(RuntimeError):
 
 @dataclass(frozen=True)
 class FitResult:
-    """Estimated memberships plus fit diagnostics."""
+    """Estimated memberships plus fit diagnostics.
+
+    ``next_singular_value`` is sigma_{K+1} (0 when K = min(n_r, n_c)).
+    ``degenerate_rows`` and ``degenerate_cols`` count the nodes on each side
+    whose clamped weights vanished, so they got the uniform membership; a
+    rank-deficient ``A`` shows up there instead of raising.
+    """
 
     Pi_r_hat: np.ndarray
     Pi_c_hat: np.ndarray
@@ -44,6 +50,9 @@ class FitResult:
     pure_cols: tuple[int, ...]
     cond_row_vertices: float
     cond_col_vertices: float
+    next_singular_value: float
+    degenerate_rows: int
+    degenerate_cols: int
 
 
 def memberships_from_embedding(X: np.ndarray, K: int | None = None, radius: float = 0.0):
@@ -55,6 +64,11 @@ def memberships_from_embedding(X: np.ndarray, K: int | None = None, radius: floa
     refined vertex matrix).  Rows whose clamped weights sum below ``1e-12``
     get the uniform vector, since they carry no usable sign information.
     """
+    return _memberships(X, K, radius)[:3]
+
+
+def _memberships(X: np.ndarray, K: int | None, radius: float):
+    """``memberships_from_embedding`` plus the count of uniform-fallback rows."""
     X = np.asarray(X, dtype=float)
     k = X.shape[1] if K is None else int(K)
     idx = spa(X, k)
@@ -73,7 +87,7 @@ def memberships_from_embedding(X: np.ndarray, K: int | None = None, radius: floa
     pi[degenerate] = 1.0 / k
     ok = ~degenerate
     pi[ok] = Y[ok] / sums[ok, None]
-    return pi, idx, cond
+    return pi, idx, cond, int(degenerate.sum())
 
 
 def _noise_ratio(tsvd: TruncatedSVD) -> float:
@@ -94,12 +108,8 @@ def disp(A: np.ndarray, K: int) -> FitResult:
     tsvd = top_k_svd(A, K)
     n_r, n_c = len(tsvd.left), len(tsvd.right)
     ratio = _noise_ratio(tsvd)
-    pi_r, pure_rows, cond_r = memberships_from_embedding(
-        tsvd.left, K, ratio * np.sqrt(K / n_r)
-    )
-    pi_c, pure_cols, cond_c = memberships_from_embedding(
-        tsvd.right, K, ratio * np.sqrt(K / n_c)
-    )
+    pi_r, pure_rows, cond_r, degenerate_r = _memberships(tsvd.left, K, ratio * np.sqrt(K / n_r))
+    pi_c, pure_cols, cond_c, degenerate_c = _memberships(tsvd.right, K, ratio * np.sqrt(K / n_c))
     return FitResult(
         Pi_r_hat=pi_r,
         Pi_c_hat=pi_c,
@@ -108,6 +118,9 @@ def disp(A: np.ndarray, K: int) -> FitResult:
         pure_cols=pure_cols,
         cond_row_vertices=cond_r,
         cond_col_vertices=cond_c,
+        next_singular_value=tsvd.next_value,
+        degenerate_rows=degenerate_r,
+        degenerate_cols=degenerate_c,
     )
 
 

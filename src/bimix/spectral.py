@@ -1,10 +1,24 @@
 """Deterministic truncated singular value decomposition and community-count estimation.
 
-The decomposition is a full LAPACK bidiagonalization SVD truncated to the
-top K triples; working on the matrix directly (rather than its Gram matrix)
-keeps small singular values accurate to machine precision relative to the
-largest one.  Left singular vectors are oriented so their largest absolute
-entry is positive, making serialized output reproducible.
+The top k singular triples come from a randomized block Krylov method
+(Halko, Martinsson & Tropp, SIAM Rev. 2011; Musco & Musco, NeurIPS 2015)
+that needs only numpy.  With M = A or A.T, whichever has fewer rows, and a
+fixed Gaussian start block G of k + 2 columns, it grows an orthonormal basis
+Q of span{MG, (MM^T)MG, (MM^T)^2 MG, ...}, one block at a time, each new
+block orthogonalized twice against the basis (CGS2).  After each block the
+top-k Ritz values (square roots of the top eigenvalues of the projected Gram
+matrix Q^T M M^T Q) are compared with the previous block's; the iteration
+stops once none moves by more than ``KRYLOV_RTOL`` times the largest.  A
+Rayleigh-Ritz step then takes the SVD of the projection of M onto the top-k
+Ritz vectors, so the returned values are not computed through their squares.
+
+A full LAPACK SVD is used instead when the shorter side has fewer than
+``KRYLOV_MIN_BLOCKS`` blocks' worth of rows, and when the basis would pass
+half that side without converging.  The start block comes from a fixed seed,
+so results are reproducible bit for bit at a fixed BLAS thread count; they
+agree with the full SVD to rounding and to the Krylov stopping tolerance.
+Left singular vectors are oriented so their largest absolute entry is
+positive, making serialized output reproducible.
 """
 
 from __future__ import annotations
@@ -14,6 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 RATIO_FLOOR_RTOL = 1e-12
+KRYLOV_RTOL = 1e-10  # stop once no Ritz value moves by more than this times sigma_1
+KRYLOV_MIN_BLOCKS = 16  # shorter side below this many blocks: full LAPACK SVD
+REORTH_KEEP = 0.5  # a column keeping less norm under the second CGS pass is noise
 
 
 @dataclass(frozen=True)
@@ -53,16 +70,87 @@ def _apply_sign_convention(U: np.ndarray, V: np.ndarray) -> None:
             V[:, j] *= -1.0
 
 
+def _full_svd(A: np.ndarray, k: int, compute_uv: bool):
+    """Top-k values of a full LAPACK SVD, with their vectors if ``compute_uv``."""
+    if not compute_uv:
+        return None, np.linalg.svd(A, compute_uv=False)[:k], None
+    U, sv, Vt = np.linalg.svd(A, full_matrices=False)
+    return U[:, :k], sv[:k], Vt[:k].T
+
+
+def _orthonormalize(Y: np.ndarray, Q: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Orthonormal basis of Y's part orthogonal to Q's columns, by CGS2.
+
+    After the first pass, a column of Y that lay in span(Q) is rounding
+    noise, which also lies in span(Q); the second pass then removes most of
+    its norm.  Such a column adds no direction and is replaced by a random
+    vector (the "twice is enough" test of Kahan and Parlett).
+    """
+    Y -= Q @ (Q.T @ Y)
+    Y = np.linalg.qr(Y)[0]
+    Y -= Q @ (Q.T @ Y)
+    spent = np.linalg.norm(Y, axis=0) < REORTH_KEEP
+    if spent.any():
+        fresh = rng.standard_normal((len(Y), int(spent.sum())))
+        Y[:, spent] = fresh - Q @ (Q.T @ fresh)
+    return np.linalg.qr(Y)[0]
+
+
+def _top_k(A: np.ndarray, k: int, compute_uv: bool):
+    """Top-k singular values of A, nonincreasing, with their vectors if ``compute_uv``.
+
+    Returns ``(U, values, V)``, with ``U`` and ``V`` None when not
+    ``compute_uv``.  Block Krylov iteration; full LAPACK SVD when A is small
+    or the basis reaches ``min(A.shape) / 2`` columns unconverged.
+    """
+    b = k + 2
+    p, q = min(A.shape), max(A.shape)
+    if p < KRYLOV_MIN_BLOCKS * b:
+        return _full_svd(A, k, compute_uv)
+    M = A if A.shape[0] == p else A.T  # the basis lives in the shorter dimension
+    blocks = p // 2 // b
+    rng = np.random.default_rng(0)
+    Q = np.empty((p, blocks * b))
+    W = np.empty((q, blocks * b))  # W = M.T @ Q, so Q.T @ M = W.T
+    gram = np.empty((blocks * b, blocks * b))  # W.T @ W
+    Y = M @ rng.standard_normal((q, b))
+    ritz = None
+    for m in range(0, blocks * b, b):
+        new = slice(m, m + b)
+        Q[:, new] = _orthonormalize(Y, Q[:, :m], rng)
+        W[:, new] = M.T @ Q[:, new]
+        gram[: m + b, new] = W[:, : m + b].T @ W[:, new]
+        gram[new, :m] = gram[:m, new].T
+        lam = np.linalg.eigvalsh(gram[: m + b, : m + b])[::-1][:k]
+        previous, ritz = ritz, np.sqrt(np.maximum(lam, 0.0))
+        if previous is not None and np.all(np.abs(ritz - previous) <= KRYLOV_RTOL * ritz[0]):
+            break
+        Y = M @ W[:, new]
+    else:
+        return _full_svd(A, k, compute_uv)
+    # Rayleigh-Ritz on the top-k Ritz vectors: Z spans them inside the basis,
+    # and the SVD of (Q Z).T @ M = (W Z).T gives values without squaring them
+    Z = np.linalg.eigh(gram[: m + b, : m + b])[1][:, ::-1][:, :k]
+    WZ = W[:, : m + b] @ Z
+    if not compute_uv:
+        return None, np.linalg.svd(WZ, compute_uv=False), None
+    X, sv, Yt = np.linalg.svd(WZ, full_matrices=False)
+    left, right = Q[:, : m + b] @ (Z @ Yt.T), X
+    if M is not A:
+        left, right = right, left
+    return left, sv, right
+
+
 def top_k_svd(A: np.ndarray, K: int) -> TruncatedSVD:
     """Top-K singular value decomposition of a dense matrix.
 
+    Converges K + 1 values, since sigma_{K+1} is reported as ``next_value``.
     Raises on non-finite input or K outside [1, min(n_r, n_c)]; LAPACK
     convergence failures propagate as LinAlgError.
     """
     A = _validate_input(A, K, "K")
-    U, sv, Vt = np.linalg.svd(A, full_matrices=False)
-    U = U[:, :K].copy()
-    V = Vt[:K].T.copy()
+    U, sv, V = _top_k(A, min(K + 1, min(A.shape)), compute_uv=True)
+    U, V = U[:, :K].copy(), V[:, :K].copy()
     _apply_sign_convention(U, V)
     next_value = float(sv[K]) if K < len(sv) else 0.0
     return TruncatedSVD(left=U, singular_values=sv[:K].copy(), right=V, next_value=next_value)
@@ -71,7 +159,7 @@ def top_k_svd(A: np.ndarray, K: int) -> TruncatedSVD:
 def singular_values(A: np.ndarray, k_max: int) -> np.ndarray:
     """Top ``k_max`` singular values of A, nonincreasing."""
     A = _validate_input(A, k_max, "k_max")
-    return np.linalg.svd(A, compute_uv=False)[:k_max]
+    return _top_k(A, k_max, compute_uv=False)[1]
 
 
 def estimate_k_eigengap(sigmas, method: str = "difference") -> int:

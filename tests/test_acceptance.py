@@ -294,6 +294,11 @@ class TestCriterion9:
 
 class TestCriterion10:
     def test_thread_count_invariance(self, tmp_path):
+        """Sweep CSV bytes identical for n_jobs 1 vs 4 sweep workers at a fixed BLAS thread count.
+
+        The BLAS thread count itself is held fixed, not varied: it can move
+        the last digit of a mean.
+        """
         base = ModelSpec(P=np.array([[1.0, 0.2], [0.3, 0.8]]), rho=1.0,
                          Pi_r=make_planted_memberships(40, 2, 10),
                          Pi_c=make_planted_memberships(30, 2, 8),
@@ -306,5 +311,5 @@ class TestCriterion10:
             run_sweep(plan, n_jobs=jobs).to_csv(out)
             paths.append(out.read_bytes())
         ok = paths[0] == paths[1]
-        assert report(10, ok, f"sweep CSV bytes identical across 1 vs 4 threads "
-                              f"({len(paths[0])} bytes)")
+        assert report(10, ok, f"sweep CSV bytes identical across n_jobs 1 vs 4 sweep workers "
+                              f"at a fixed BLAS thread count ({len(paths[0])} bytes)")

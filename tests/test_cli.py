@@ -44,6 +44,22 @@ class TestFit:
         pi_r = load_matrix_csv(prefix + "rows.csv")
         assert pi_r.shape == (20, 2)
 
+    def test_rank_one_input_diagnostics(self, tmp_path):
+        # one row node linked to every column: rank 1 < K = 2; the fit still
+        # succeeds and its diagnostics show the uniform-fallback rows
+        A = np.zeros((20, 16))
+        A[0] = 1.0
+        adj = tmp_path / "a.csv"
+        save_matrix_csv(A, adj)
+        prefix = str(tmp_path / "fit_")
+        assert main(["fit", str(adj), "--k", "2", "--out-prefix", prefix]) == 0
+        diag = json.loads((tmp_path / "fit_diagnostics.json").read_text())
+        pi_r = load_matrix_csv(prefix + "rows.csv")
+        assert diag["singular_values"][1] <= 1e-12 * diag["singular_values"][0]
+        assert diag["next_singular_value"] <= 1e-12 * diag["singular_values"][0]
+        assert diag["degenerate_rows"] == int(np.all(pi_r == 0.5, axis=1).sum()) > 0
+        assert isinstance(diag["degenerate_cols"], int)
+
     def test_bad_input_returns_nonzero(self, tmp_path):
         missing = tmp_path / "nope.csv"
         assert main(["fit", str(missing), "--k", "2"]) == 1

@@ -160,6 +160,29 @@ class TestOutputContract:
             memberships_from_embedding(X, 2)
 
 
+class TestRankDeficientInput:
+    @pytest.mark.parametrize("n", [20, 300])  # full-SVD and Krylov paths
+    def test_rank_one_flags_uniform_rows(self, n):
+        # one row node linked to every column: A has rank 1 < K = 2, and the
+        # rows with no edges carry no sign information
+        A = np.zeros((n, n))
+        A[0] = 1.0
+        fit = disp(A, 2)
+        tol = fit.singular_values[0] * n * np.finfo(float).eps
+        assert fit.singular_values[1] <= tol and fit.next_singular_value <= tol
+        uniform_rows = int(np.all(fit.Pi_r_hat == 0.5, axis=1).sum())
+        assert fit.degenerate_rows == uniform_rows > 0
+        assert 0 <= fit.degenerate_cols <= n
+
+    def test_full_rank_fit_has_no_uniform_rows(self):
+        spec = ModelSpec(P=P1, rho=0.8, Pi_r=make_planted_memberships(12, 2, 3),
+                         Pi_c=make_planted_memberships(10, 2, 2), dist=EdgeDistribution.bernoulli())
+        fit = ideal_disp(spec)
+        assert (fit.degenerate_rows, fit.degenerate_cols) == (0, 0)
+        # A has exact rank K, so sigma_{K+1} is rounding noise
+        assert 0.0 <= fit.next_singular_value <= fit.singular_values[0] * 12 * np.finfo(float).eps
+
+
 class TestSampledAccuracy:
     def test_dense_bernoulli_sample_recovers_most_mass(self):
         # protocol-scale smoke check; the replicated version lives in the

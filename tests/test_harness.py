@@ -114,6 +114,14 @@ class TestRunSweep:
         parallel = run_sweep(plan, n_jobs=4)
         assert serial.to_csv_text() == parallel.to_csv_text()
 
+    def test_parallel_matches_serial_on_krylov_path(self):
+        # 300 nodes a side: every fit takes the block Krylov SVD, not LAPACK's
+        full = scenario("sim1b", replicates=2, master_seed=11)
+        plan = replace(full, grid=full.grid[7::150])
+        serial = run_sweep(plan, n_jobs=1)
+        assert sum(not pt.skipped for pt in serial.points) >= 4
+        assert serial.to_csv_text().encode() == run_sweep(plan, n_jobs=2).to_csv_text().encode()
+
     def test_non_integer_trial_count_skipped(self):
         # a JSON plan's m = 2.5 is not a trial count; it must not be swept as m = 2
         base = ModelSpec(P=P1, rho=1.0, Pi_r=make_planted_memberships(16, 2, 4),

@@ -1,15 +1,22 @@
 """Truncated SVD and eigengap tests, checked against full-decomposition oracles."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bimix.model import ModelSpec, build_omega
+from bimix import spectral
+from bimix.disp import ideal_disp
+from bimix.metrics import error_rate
+from bimix.model import ModelSpec, build_omega, make_planted_memberships
 from bimix.sampler import EdgeDistribution
 from bimix.spectral import estimate_k_eigengap, singular_values, top_k_svd
 
-from test_model import random_valid_spec
+from test_model import P1, random_valid_spec
 
 
 class TestTopKSVD:
@@ -91,6 +98,129 @@ class TestTopKSVD:
         A = np.array([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(ValueError, match="non-finite"):
             top_k_svd(A, 1)
+
+
+def planted_plus_noise(rng, n_r, n_c, K, scale=40.0):
+    """Scaled exact-rank expectation matrix plus standard normal noise."""
+    omega = build_omega(random_valid_spec(rng, n_r, n_c, K))
+    return scale * omega + rng.standard_normal((n_r, n_c))
+
+
+def subspace_gap(U_oracle, U):
+    """Spectral norm of the part of span(U_oracle) outside span(U)."""
+    return np.linalg.norm(U_oracle - U @ (U.T @ U_oracle), 2)
+
+
+@pytest.fixture
+def full_svd_calls(monkeypatch):
+    """Shapes of the matrices handed to the full LAPACK SVD during a test."""
+    calls = []
+    real = spectral._full_svd
+    monkeypatch.setattr(spectral, "_full_svd", lambda *a: calls.append(a[0].shape) or real(*a))
+    return calls
+
+
+class TestKrylovPath:
+    """Matrices whose shorter side is at least 16 blocks take the Krylov path."""
+
+    @pytest.mark.parametrize("shape", [(320, 200), (200, 320), (260, 260)])
+    def test_agrees_with_full_svd_oracle(self, shape, full_svd_calls):
+        rng = np.random.default_rng(20)
+        for K in (2, 3, 4):
+            A = planted_plus_noise(rng, *shape, K)
+            U, s, Vt = np.linalg.svd(A, full_matrices=False)
+            t = top_k_svd(A, K)
+            assert full_svd_calls == []
+            np.testing.assert_allclose(t.singular_values, s[:K], rtol=0, atol=1e-9 * s[0])
+            assert abs(t.next_value - s[K]) <= 1e-9 * s[0]
+            assert subspace_gap(U[:, :K], t.left) <= 1e-7
+            assert subspace_gap(Vt[:K].T, t.right) <= 1e-7
+            np.testing.assert_allclose(t.left.T @ t.left, np.eye(K), atol=1e-12)
+            np.testing.assert_allclose(t.right.T @ t.right, np.eye(K), atol=1e-12)
+            for j in range(K):
+                assert t.left[np.argmax(np.abs(t.left[:, j])), j] > 0
+            # values past K lie in the noise bulk and need not settle within
+            # min(shape)/2 basis columns at these sizes; LAPACK then answers
+            np.testing.assert_allclose(singular_values(A, 10), s[:10], rtol=0, atol=1e-9 * s[0])
+            full_svd_calls.clear()
+
+    @pytest.mark.parametrize("shape", [(320, 200), (200, 320), (260, 260)])
+    def test_singular_values_of_rank_ten_signal(self, shape, full_svd_calls):
+        A = planted_plus_noise(np.random.default_rng(26), *shape, 10, scale=1000.0)
+        s = np.linalg.svd(A, compute_uv=False)
+        np.testing.assert_allclose(singular_values(A, 10), s[:10], rtol=0, atol=1e-9 * s[0])
+        assert full_svd_calls == []
+
+    def test_exact_rank_radius_vanishes(self, full_svd_calls):
+        # planted pure blocks repeat rows exactly, and the second Krylov
+        # block is then rounding noise inside the first: the deflation path
+        planted = ModelSpec(P=P1, rho=0.9, Pi_r=make_planted_memberships(300, 2, 100),
+                            Pi_c=make_planted_memberships(300, 2, 100),
+                            dist=EdgeDistribution.bernoulli())
+        for spec in (random_valid_spec(np.random.default_rng(21), 300, 300, 2), planted):
+            t = top_k_svd(build_omega(spec), 2)
+            assert t.next_value <= t.singular_values[0] * 300 * np.finfo(float).eps
+            fit = ideal_disp(spec)
+            assert error_rate(fit.Pi_r_hat, spec.Pi_r, fit.Pi_c_hat, spec.Pi_c) <= 1e-8
+        assert full_svd_calls == []
+
+    def test_zero_and_rank_one_match_lapack(self, full_svd_calls):
+        rng = np.random.default_rng(22)
+        u, v = rng.uniform(0.5, 1.0, 300), rng.uniform(0.5, 1.0, 240)
+        for A in (np.zeros((300, 240)), np.outer(u, v)):
+            U, s, Vt = np.linalg.svd(A, full_matrices=False)
+            t = top_k_svd(A, 2)
+            tol = max(s[0], 1.0) * 300 * np.finfo(float).eps
+            np.testing.assert_allclose(t.singular_values, s[:2], rtol=0, atol=tol)
+            assert t.next_value <= tol
+            np.testing.assert_allclose(t.left.T @ t.left, np.eye(2), atol=1e-12)
+            np.testing.assert_allclose(t.right.T @ t.right, np.eye(2), atol=1e-12)
+            np.testing.assert_allclose(t.reconstruct(), A, rtol=0, atol=tol)
+            np.testing.assert_allclose(singular_values(A, 10), s[:10], rtol=0, atol=tol)
+        # the one nonzero triple matches the oracle's, sign convention included
+        np.testing.assert_allclose(t.left[:, 0], np.abs(U[:, 0]), atol=1e-12)
+        np.testing.assert_allclose(t.right[:, 0], np.abs(Vt[0]), atol=1e-12)
+        assert full_svd_calls == []
+
+    def test_repeat_calls_bit_identical(self):
+        A = planted_plus_noise(np.random.default_rng(23), 280, 240, 3)
+        t1, t2 = top_k_svd(A, 3), top_k_svd(A, 3)
+        for a, b in ((t1.left, t2.left), (t1.right, t2.right),
+                     (t1.singular_values, t2.singular_values)):
+            np.testing.assert_array_equal(a, b)
+        assert t1.next_value == t2.next_value
+        np.testing.assert_array_equal(singular_values(A, 10), singular_values(A, 10))
+
+    def test_size_threshold(self, full_svd_calls):
+        # K=2 converges 3 values with blocks of 5: 80 rows take the Krylov
+        # path, 79 the full decomposition; exact rank converges in 2 blocks
+        A = build_omega(random_valid_spec(np.random.default_rng(24), 200, 80, 2))
+        top_k_svd(A, 2)
+        assert full_svd_calls == []
+        top_k_svd(A[:, :79], 2)
+        assert full_svd_calls == [(200, 79)]
+
+    def test_unconverged_basis_falls_back(self, full_svd_calls):
+        # a pure-noise matrix has no spectral gap: the Ritz values do not
+        # settle to 1e-10 within 8 blocks, so the full decomposition answers
+        A = np.random.default_rng(25).standard_normal((80, 80))
+        t = top_k_svd(A, 2)
+        assert full_svd_calls == [(80, 80)]
+        s = np.linalg.svd(A, full_matrices=False)[1]
+        np.testing.assert_array_equal(t.singular_values, s[:2])
+        assert t.next_value == s[2]
+
+
+def test_fit_imports_numpy_only():
+    # a fresh interpreter: scipy may already be loaded in this one
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import numpy as np; from bimix import disp; "
+        "disp(np.random.default_rng(0).random((200, 160)), 2); print('scipy' in sys.modules)"
+    )
+    src = str(Path(spectral.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 class TestSingularValues:
