@@ -39,8 +39,10 @@ class FitResult:
 
     ``next_singular_value`` is sigma_{K+1} (0 when K = min(n_r, n_c)).
     ``degenerate_rows`` and ``degenerate_cols`` count the nodes on each side
-    whose clamped weights vanished, so they got the uniform membership; a
-    rank-deficient ``A`` shows up there instead of raising.
+    whose clamped weights vanished, so they got the uniform membership (a
+    node with no edges, for one).  A rank-deficient ``A`` need not raise
+    them: its K-th singular vectors are arbitrary, and the deficiency shows
+    only in ``singular_values[K-1]`` and ``next_singular_value``.
     """
 
     Pi_r_hat: np.ndarray

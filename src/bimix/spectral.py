@@ -13,10 +13,12 @@ Rayleigh-Ritz step then takes the SVD of the projection of M onto the top-k
 Ritz vectors, so the returned values are not computed through their squares.
 
 A full LAPACK SVD is used instead when the shorter side has fewer than
-``KRYLOV_MIN_BLOCKS`` blocks' worth of rows, and when the basis would pass
-half that side without converging.  The start block comes from a fixed seed,
-so results are reproducible bit for bit at a fixed BLAS thread count; they
-agree with the full SVD to rounding and to the Krylov stopping tolerance.
+``KRYLOV_MIN_BLOCKS`` blocks' worth of rows (``KRYLOV_MIN_BLOCKS_VALUES``
+when no vectors are wanted), sizes at which it was measured to be faster,
+and when the basis would pass half that side without converging.  The start
+block comes from a fixed seed, so results are reproducible bit for bit at a
+fixed BLAS thread count; they agree with the full SVD to rounding and to the
+Krylov stopping tolerance.
 Left singular vectors are oriented so their largest absolute entry is
 positive, making serialized output reproducible.
 """
@@ -29,7 +31,12 @@ import numpy as np
 
 RATIO_FLOOR_RTOL = 1e-12
 KRYLOV_RTOL = 1e-10  # stop once no Ritz value moves by more than this times sigma_1
-KRYLOV_MIN_BLOCKS = 16  # shorter side below this many blocks: full LAPACK SVD
+# Shorter sides below this many blocks take the full LAPACK SVD.  Measured on
+# sampled and planted networks (BENCH_5.json), the Krylov path wins from 32
+# blocks with vectors (K = 2..4), and from 43-73 blocks for values alone,
+# whose LAPACK SVD costs about half as much
+KRYLOV_MIN_BLOCKS = 32
+KRYLOV_MIN_BLOCKS_VALUES = 48
 REORTH_KEEP = 0.5  # a column keeping less norm under the second CGS pass is noise
 
 
@@ -105,7 +112,7 @@ def _top_k(A: np.ndarray, k: int, compute_uv: bool):
     """
     b = k + 2
     p, q = min(A.shape), max(A.shape)
-    if p < KRYLOV_MIN_BLOCKS * b:
+    if p < (KRYLOV_MIN_BLOCKS if compute_uv else KRYLOV_MIN_BLOCKS_VALUES) * b:
         return _full_svd(A, k, compute_uv)
     M = A if A.shape[0] == p else A.T  # the basis lives in the shorter dimension
     blocks = p // 2 // b

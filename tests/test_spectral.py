@@ -121,9 +121,9 @@ def full_svd_calls(monkeypatch):
 
 
 class TestKrylovPath:
-    """Matrices whose shorter side is at least 16 blocks take the Krylov path."""
+    """Shorter sides of at least 32 blocks (48 for values alone) take the Krylov path."""
 
-    @pytest.mark.parametrize("shape", [(320, 200), (200, 320), (260, 260)])
+    @pytest.mark.parametrize("shape", [(360, 240), (240, 360), (280, 280)])
     def test_agrees_with_full_svd_oracle(self, shape, full_svd_calls):
         rng = np.random.default_rng(20)
         for K in (2, 3, 4):
@@ -139,12 +139,11 @@ class TestKrylovPath:
             np.testing.assert_allclose(t.right.T @ t.right, np.eye(K), atol=1e-12)
             for j in range(K):
                 assert t.left[np.argmax(np.abs(t.left[:, j])), j] > 0
-            # values past K lie in the noise bulk and need not settle within
-            # min(shape)/2 basis columns at these sizes; LAPACK then answers
+            # values alone take LAPACK below 48 blocks of 12 rows
             np.testing.assert_allclose(singular_values(A, 10), s[:10], rtol=0, atol=1e-9 * s[0])
             full_svd_calls.clear()
 
-    @pytest.mark.parametrize("shape", [(320, 200), (200, 320), (260, 260)])
+    @pytest.mark.parametrize("shape", [(720, 600), (600, 720), (600, 600)])
     def test_singular_values_of_rank_ten_signal(self, shape, full_svd_calls):
         A = planted_plus_noise(np.random.default_rng(26), *shape, 10, scale=1000.0)
         s = np.linalg.svd(A, compute_uv=False)
@@ -166,11 +165,11 @@ class TestKrylovPath:
 
     def test_zero_and_rank_one_match_lapack(self, full_svd_calls):
         rng = np.random.default_rng(22)
-        u, v = rng.uniform(0.5, 1.0, 300), rng.uniform(0.5, 1.0, 240)
-        for A in (np.zeros((300, 240)), np.outer(u, v)):
+        u, v = rng.uniform(0.5, 1.0, 620), rng.uniform(0.5, 1.0, 580)
+        for A in (np.zeros((620, 580)), np.outer(u, v)):
             U, s, Vt = np.linalg.svd(A, full_matrices=False)
             t = top_k_svd(A, 2)
-            tol = max(s[0], 1.0) * 300 * np.finfo(float).eps
+            tol = max(s[0], 1.0) * 620 * np.finfo(float).eps
             np.testing.assert_allclose(t.singular_values, s[:2], rtol=0, atol=tol)
             assert t.next_value <= tol
             np.testing.assert_allclose(t.left.T @ t.left, np.eye(2), atol=1e-12)
@@ -183,7 +182,7 @@ class TestKrylovPath:
         assert full_svd_calls == []
 
     def test_repeat_calls_bit_identical(self):
-        A = planted_plus_noise(np.random.default_rng(23), 280, 240, 3)
+        A = planted_plus_noise(np.random.default_rng(23), 620, 580, 3)
         t1, t2 = top_k_svd(A, 3), top_k_svd(A, 3)
         for a, b in ((t1.left, t2.left), (t1.right, t2.right),
                      (t1.singular_values, t2.singular_values)):
@@ -192,20 +191,25 @@ class TestKrylovPath:
         np.testing.assert_array_equal(singular_values(A, 10), singular_values(A, 10))
 
     def test_size_threshold(self, full_svd_calls):
-        # K=2 converges 3 values with blocks of 5: 80 rows take the Krylov
-        # path, 79 the full decomposition; exact rank converges in 2 blocks
-        A = build_omega(random_valid_spec(np.random.default_rng(24), 200, 80, 2))
-        top_k_svd(A, 2)
+        # K=2 converges 3 values with blocks of 5: 160 rows take the Krylov
+        # path, 159 the full decomposition, and values alone need 240 rows;
+        # exact rank converges in 2 blocks
+        A = build_omega(random_valid_spec(np.random.default_rng(24), 300, 240, 2))
+        top_k_svd(A[:, :160], 2)
+        singular_values(A, 3)
         assert full_svd_calls == []
-        top_k_svd(A[:, :79], 2)
-        assert full_svd_calls == [(200, 79)]
+        top_k_svd(A[:, :159], 2)
+        singular_values(A[:, :239], 3)
+        assert full_svd_calls == [(300, 159), (300, 239)]
 
     def test_unconverged_basis_falls_back(self, full_svd_calls):
-        # a pure-noise matrix has no spectral gap: the Ritz values do not
-        # settle to 1e-10 within 8 blocks, so the full decomposition answers
-        A = np.random.default_rng(25).standard_normal((80, 80))
+        # evenly spread singular values leave no gap: the Ritz values do not
+        # settle to 1e-10 within 16 blocks, so the full decomposition answers
+        rng = np.random.default_rng(25)
+        Q1, Q2 = (np.linalg.qr(rng.standard_normal((160, 160)))[0] for _ in range(2))
+        A = (Q1 * np.linspace(1.0, 0.5, 160)) @ Q2.T
         t = top_k_svd(A, 2)
-        assert full_svd_calls == [(80, 80)]
+        assert full_svd_calls == [(160, 160)]
         s = np.linalg.svd(A, full_matrices=False)[1]
         np.testing.assert_array_equal(t.singular_values, s[:2])
         assert t.next_value == s[2]
