@@ -2,13 +2,16 @@
 
 Files are plain text with 2 or 3 columns per line (source, target, optional
 weight); comment lines starting with '%' or '#' are skipped.  Node ids are
-arbitrary tokens, interned in first-appearance order.
+arbitrary tokens, interned in first-appearance order.  An ``EdgeList`` holds
+each (source, target) pair once, so duplicates are resolved only at load.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 DUPLICATE_POLICIES = ("error", "sum")
 
@@ -22,26 +25,29 @@ class EdgeList:
     """Weighted edges over a declared node universe.
 
     ``nodes`` may list ids beyond those referenced by edges (declared but
-    isolated nodes); ``duplicate_policy`` says whether repeated (source,
-    target) pairs are an error or summed.
+    isolated nodes).  Each (source, target) pair appears at most once; a
+    repeated pair raises ``EdgeListError`` when the list is built.
     """
 
     edges: tuple = field(default_factory=tuple)
     nodes: tuple = field(default_factory=tuple)
-    duplicate_policy: str = "error"
 
     def __post_init__(self):
-        if self.duplicate_policy not in DUPLICATE_POLICIES:
-            raise ValueError(f"duplicate policy must be one of {DUPLICATE_POLICIES}")
         object.__setattr__(self, "edges", tuple(self.edges))
         object.__setattr__(self, "nodes", tuple(self.nodes))
+        seen = set()
+        for src, tgt, _ in self.edges:
+            if (src, tgt) in seen:
+                raise EdgeListError(f"duplicate edge {src!r} -> {tgt!r}")
+            seen.add((src, tgt))
 
 
 def _parse_token(token: str):
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
         return token
+    return value if str(value) == token else token
 
 
 def _fields(path, format: str, columns: tuple, header: str = ""):
@@ -90,22 +96,21 @@ def load_edge_list(
         raise ValueError(f"format must be 'tsv' or 'csv', got {format!r}")
     if duplicates not in DUPLICATE_POLICIES:
         raise ValueError(f"duplicates must be one of {DUPLICATE_POLICIES}")
-    nodes: dict = {}  # insertion-ordered set: first appearance as either endpoint
+    nodes: dict = {}  # token -> node id by first appearance; distinct tokens, distinct ids
     weights: dict = {}
     for lineno, parts in _fields(path, format, (2, 3)):
-        src, tgt = _parse_token(parts[0]), _parse_token(parts[1])
+        for token in parts[:2]:
+            if token not in nodes:
+                nodes[token] = _parse_token(token)
+        src, tgt = nodes[parts[0]], nodes[parts[1]]
         weight = _weight(lineno, parts[2] if len(parts) == 3 else weight_default)
-        nodes[src] = None
-        nodes[tgt] = None
-        key = (src, tgt)
-        if key in weights:
+        if (src, tgt) in weights:
             if duplicates == "error":
                 raise EdgeListError(f"line {lineno}: duplicate edge {src!r} -> {tgt!r}")
-            weights[key] += weight
-        else:
-            weights[key] = weight
+            weight += weights[src, tgt]
+        weights[src, tgt] = weight
     edges = tuple((s, t, w) for (s, t), w in weights.items())
-    return EdgeList(edges=edges, nodes=tuple(nodes), duplicate_policy=duplicates)
+    return EdgeList(edges=edges, nodes=tuple(nodes.values()))
 
 
 def drop_isolated(edge_list: EdgeList) -> EdgeList:
@@ -114,12 +119,29 @@ def drop_isolated(edge_list: EdgeList) -> EdgeList:
     Idempotent; the surviving nodes keep their original relative order, so
     the next densification uses contiguous indices.
     """
-    touched = set()
-    for src, tgt, _ in edge_list.edges:
-        touched.add(src)
-        touched.add(tgt)
+    touched = {node for src, tgt, _ in edge_list.edges for node in (src, tgt)}
     nodes = tuple(n for n in edge_list.nodes if n in touched)
-    return EdgeList(edges=edge_list.edges, nodes=nodes, duplicate_policy=edge_list.duplicate_policy)
+    return EdgeList(edges=edge_list.edges, nodes=nodes)
+
+
+def _cells(edge_list: EdgeList, square: bool):
+    """Row and column index of each edge and the shape, numbered as ``to_dense`` says."""
+    if square:
+        row_index = col_index = {node: i for i, node in enumerate(edge_list.nodes)}
+        shape = (len(edge_list.nodes), len(edge_list.nodes))
+    else:
+        row_index, col_index = {}, {}
+        for src, tgt, _ in edge_list.edges:
+            row_index.setdefault(src, len(row_index))
+            col_index.setdefault(tgt, len(col_index))
+        shape = (len(row_index), len(col_index))
+    rows, cols = [], []
+    for src, tgt, _ in edge_list.edges:
+        if src not in row_index or tgt not in col_index:
+            raise EdgeListError(f"edge {src!r} -> {tgt!r} references an undeclared node")
+        rows.append(row_index[src])
+        cols.append(col_index[tgt])
+    return rows, cols, shape
 
 
 def to_dense(edge_list: EdgeList, square: bool = True):
@@ -129,47 +151,28 @@ def to_dense(edge_list: EdgeList, square: bool = True):
     Otherwise sources and targets are interned separately, in first
     appearance order, and only referenced ids get an index.
     """
-    import numpy as np
-
-    if square:
-        index = {node: i for i, node in enumerate(edge_list.nodes)}
-        row_index = col_index = index
-        shape = (len(edge_list.nodes), len(edge_list.nodes))
-    else:
-        row_index, col_index = {}, {}
-        for src, tgt, _ in edge_list.edges:
-            if src not in row_index:
-                row_index[src] = len(row_index)
-            if tgt not in col_index:
-                col_index[tgt] = len(col_index)
-        shape = (len(row_index), len(col_index))
+    rows, cols, shape = _cells(edge_list, square)
     A = np.zeros(shape)
-    filled = set()
-    for src, tgt, weight in edge_list.edges:
-        if square and (src not in row_index or tgt not in col_index):
-            raise EdgeListError(f"edge {src!r} -> {tgt!r} references an undeclared node")
-        i, j = row_index[src], col_index[tgt]
-        if (i, j) in filled:
-            if edge_list.duplicate_policy == "error":
-                raise EdgeListError(f"duplicate edge {src!r} -> {tgt!r}")
-            A[i, j] += weight
-        else:
-            filled.add((i, j))
-            A[i, j] = weight
+    A[rows, cols] = [w for _, _, w in edge_list.edges]
     return A
 
 
 def summarize(edge_list: EdgeList, square: bool = True) -> dict:
-    """Node count, edge count, matrix-wide weight range, share of positive edges."""
-    A = to_dense(edge_list, square=square)
+    """Node count, edge count, matrix-wide weight range, share of positive edges.
+
+    The range is that of ``to_dense``'s matrix, read from the edge weights
+    (plus 0 if a cell is empty) without building it; a zero end reads 0.0.
+    """
+    _, _, (n_rows, n_cols) = _cells(edge_list, square)
     n_edges = len(edge_list.edges)
     positive = sum(1 for _, _, w in edge_list.edges if w > 0)
+    weights = [w for _, _, w in edge_list.edges] + ([0.0] if n_edges < n_rows * n_cols else [])
     return {
         "n": len(edge_list.nodes) if square else None,
-        "n_rows": int(A.shape[0]),
-        "n_cols": int(A.shape[1]),
+        "n_rows": n_rows,
+        "n_cols": n_cols,
         "edges": n_edges,
-        "min_weight": float(A.min()) if A.size else 0.0,
-        "max_weight": float(A.max()) if A.size else 0.0,
+        "min_weight": float(np.min(weights)) + 0.0 if weights else 0.0,
+        "max_weight": float(np.max(weights)) + 0.0 if weights else 0.0,
         "pct_positive_edges": 100.0 * positive / n_edges if n_edges else 0.0,
     }

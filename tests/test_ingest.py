@@ -1,8 +1,14 @@
 """Edge-list parsing, isolated-node removal and densification tests."""
 
+import json
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from bimix import ingest
+from bimix.cli import main
 from bimix.ingest import (
     EdgeList,
     EdgeListError,
@@ -62,6 +68,23 @@ class TestLoadEdgeList:
         el = load_edge_list(write(tmp_path, "5\t3\t1\n2\t5\t1\n"))
         assert el.nodes == (5, 3, 2)
 
+    def test_tokens_spelling_one_int_stay_distinct(self, tmp_path):
+        # only a canonical integer token becomes an int: 07 is not 7, 1_0 is not 10
+        el = load_edge_list(write(tmp_path, "7 1 1\n07 2 1\n1_0 10 3\n-4 +4 1\n"))
+        assert el.nodes == (7, 1, "07", 2, "1_0", 10, -4, "+4")
+        assert el.edges == ((7, 1, 1.0), ("07", 2, 1.0), ("1_0", 10, 3.0), (-4, "+4", 1.0))
+        assert to_dense(el).shape == (8, 8)
+
+
+class TestEdgeList:
+    def test_manual_duplicates_rejected_when_built(self):
+        with pytest.raises(EdgeListError, match="duplicate edge 1 -> 2"):
+            EdgeList(edges=((1, 2, 1.0), (3, 1, 2.0), (1, 2, 5.0)), nodes=(1, 2, 3))
+
+    def test_reversed_pair_and_self_loop_are_distinct(self):
+        el = EdgeList(edges=((1, 2, 1.0), (2, 1, 2.0), (1, 1, 3.0)), nodes=(1, 2))
+        np.testing.assert_array_equal(to_dense(el), [[3.0, 1.0], [2.0, 0.0]])
+
 
 class TestDropIsolated:
     def test_unreferenced_declared_node_removed(self):
@@ -118,14 +141,18 @@ class TestToDense:
         el = EdgeList(edges=edges, nodes=tuple(range(8)))
         assert np.count_nonzero(to_dense(el)) == len(edges)
 
-    def test_manual_duplicates_error_at_densify(self):
-        el = EdgeList(edges=((1, 2, 1.0), (1, 2, 5.0)), nodes=(1, 2))
-        with pytest.raises(EdgeListError, match="duplicate"):
-            to_dense(el)
+    def test_empty_lists(self):
+        assert to_dense(EdgeList()).shape == (0, 0)
+        assert to_dense(EdgeList(nodes=(1, 2))).shape == (2, 2)
+        assert to_dense(EdgeList(), square=False).shape == (0, 0)
 
-    def test_manual_duplicates_summed_when_declared(self):
-        el = EdgeList(edges=((1, 2, 1.0), (1, 2, 5.0)), nodes=(1, 2), duplicate_policy="sum")
-        assert to_dense(el)[0, 1] == 6.0
+
+@pytest.mark.parametrize("densify", [to_dense, summarize], ids=["to_dense", "summarize"])
+def test_undeclared_node_rejected(densify):
+    el = EdgeList(edges=((1, 2, 1.0), (2, 3, 1.0)), nodes=(1, 2))
+    with pytest.raises(EdgeListError, match="edge 2 -> 3 references an undeclared node"):
+        densify(el)
+    densify(el, square=False)  # sources and targets are numbered from the edges
 
 
 class TestSummarize:
@@ -151,3 +178,120 @@ class TestSummarize:
         B = to_dense(el)
         # same multiset of weights lands in the dense matrix
         assert sorted(B[B != 0]) == sorted(A[A != 0])
+
+    def test_range_without_empty_cell(self):
+        # every cell holds an edge, so 0 is not in the range
+        el = EdgeList(edges=((1, 1, 3.0), (1, 2, 1.5), (2, 1, 2.0), (2, 2, 4.0)), nodes=(1, 2))
+        stats = summarize(el)
+        assert stats["min_weight"] == 1.5 and stats["max_weight"] == 4.0
+        el = EdgeList(edges=((1, 1, -3.0), (1, 2, -1.5), (2, 1, -2.0), (2, 2, -4.0)), nodes=(1, 2))
+        assert summarize(el)["max_weight"] == -1.5
+
+    def test_rectangular(self):
+        el = EdgeList(edges=(("u1", "v1", 1.0), ("u2", "v1", 2.0), ("u2", "v2", -1.0)),
+                      nodes=("u1", "v1", "u2", "v2"))
+        assert summarize(el, square=False) == {
+            "n": None, "n_rows": 2, "n_cols": 2, "edges": 3, "min_weight": -1.0,
+            "max_weight": 2.0, "pct_positive_edges": pytest.approx(100.0 * 2 / 3),
+        }
+        el = EdgeList(edges=(("u1", "v1", 1.0), ("u2", "v1", 2.0)), nodes=("u1", "v1", "u2"))
+        stats = summarize(el, square=False)
+        assert (stats["n_rows"], stats["n_cols"], stats["min_weight"]) == (2, 1, 1.0)
+
+    def test_empty_lists(self):
+        for el in (EdgeList(), EdgeList(nodes=(1, 2))):
+            stats = summarize(el)
+            assert (stats["min_weight"], stats["max_weight"]) == (0.0, 0.0)
+            assert stats["pct_positive_edges"] == 0.0
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            pytest.param(((1, 2, -0.0), (2, 1, 2.0)), id="empty-cells"),
+            pytest.param(((1, 1, 1.0), (1, 2, 1.0), (2, 1, -0.0), (2, 2, 2.0)), id="min-at-1-0"),
+            pytest.param(((1, 1, 1.0), (1, 2, -0.0), (2, 1, 1.0), (2, 2, 2.0)), id="min-at-0-1"),
+        ],
+    )
+    def test_zero_extreme_reads_positive_zero(self, edges):
+        stats = summarize(EdgeList(edges=edges, nodes=(1, 2)))
+        assert stats["min_weight"] == 0.0 and math.copysign(1.0, stats["min_weight"]) == 1.0
+        negative = tuple((s, t, -w) for s, t, w in edges)
+        stats = summarize(EdgeList(edges=negative, nodes=(1, 2)))
+        assert stats["max_weight"] == 0.0 and math.copysign(1.0, stats["max_weight"]) == 1.0
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_nan_weight_gives_nan_range(self, first):
+        # load_edge_list rejects non-finite weights; a hand-built list keeps them
+        edges = [(1, 2, float("nan")), (2, 1, 1.0)]
+        stats = summarize(EdgeList(edges=edges[first:] + edges[:first], nodes=(1, 2)))
+        assert math.isnan(stats["min_weight"]) and math.isnan(stats["max_weight"])
+
+    def test_matrix_not_built(self, monkeypatch):
+        # a 2000 x 2000 matrix would take 32 MB; the summary reads only the edges
+        def no_dense(*args, **kwargs):
+            raise AssertionError("summarize built the dense matrix")
+
+        monkeypatch.setattr(ingest, "to_dense", no_dense)
+        el = EdgeList(edges=((0, 1999, 2.0), (5, 5, -1.0)), nodes=tuple(range(2000)))
+        tracemalloc.start()
+        try:
+            stats = summarize(el)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (stats["n_rows"], stats["min_weight"], stats["max_weight"]) == (2000, -1.0, 2.0)
+        assert peak < 4_000_000
+
+
+# Recorded from `bimix ingest --sum-duplicates` before the duplicate rule moved
+# into EdgeList: negative and zero weights, a -0.0, self-loops, 2-column lines,
+# a 17-digit weight and two summed duplicates (a -> b and the self-loop c -> c).
+GOLDEN_EDGES = """\
+% golden fixture
+a\tb\t-1.5
+b\tc\t0
+c\tc\t2.25
+b\ta
+a\tb\t0.5
+d\td\t-3
+c\ta\t0.1234567890123456789
+d\tc\t-0.0
+d\tb
+c\tc\t0.125
+"""
+GOLDEN_DENSE = """\
+0,-1,0,0
+1,0,0,0
+0.12345678901234568,0,2.375,0
+0,1,-0,-3
+"""
+GOLDEN_SUMMARY = """\
+{
+  "n": 4,
+  "n_rows": 4,
+  "n_cols": 4,
+  "edges": 8,
+  "min_weight": -3.0,
+  "max_weight": 2.375,
+  "pct_positive_edges": 50.0
+}
+"""
+
+
+def test_ingest_golden_bytes(tmp_path):
+    edges, dense, summary = write(tmp_path, GOLDEN_EDGES), tmp_path / "A.csv", tmp_path / "s.json"
+    argv = ["ingest", str(edges), "--dense", str(dense), "--summary", str(summary)]
+    assert main(argv + ["--sum-duplicates"]) == 0
+    assert dense.read_text() == GOLDEN_DENSE
+    assert summary.read_text() == GOLDEN_SUMMARY
+    assert main(argv) == 1  # a -> b repeats
+
+
+def test_ingest_signed_zero_summary(tmp_path):
+    # the only deliberate byte change: a zero extreme is written as 0.0, never -0.0
+    edges = write(tmp_path, "1 1 1\n1 2 1\n2 1 -0.0\n2 2 2\n")
+    dense, summary = tmp_path / "A.csv", tmp_path / "s.json"
+    assert main(["ingest", str(edges), "--dense", str(dense), "--summary", str(summary)]) == 0
+    assert dense.read_text() == "1,1\n-0,2\n"
+    assert '"min_weight": 0.0,' in summary.read_text()
+    assert json.loads(summary.read_text())["max_weight"] == 2.0
