@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -31,21 +32,10 @@ def _cmd_fit(args) -> int:
     prefix = args.out_prefix
     save_matrix_csv(result.Pi_r_hat, f"{prefix}rows.csv")
     save_matrix_csv(result.Pi_c_hat, f"{prefix}cols.csv")
-    diagnostics = {
-        "k": args.k,
-        "n_r": int(A.shape[0]),
-        "n_c": int(A.shape[1]),
-        "singular_values": [float(s) for s in result.singular_values],
-        "pure_rows": list(result.pure_rows),
-        "pure_cols": list(result.pure_cols),
-        "cond_row_vertices": result.cond_row_vertices,
-        "cond_col_vertices": result.cond_col_vertices,
-        "next_singular_value": result.next_singular_value,
-        "degenerate_rows": result.degenerate_rows,
-        "degenerate_cols": result.degenerate_cols,
-    }
+    diagnostics = {"k": args.k, "n_r": int(A.shape[0]), "n_c": int(A.shape[1])}
+    diagnostics.update((f.name, getattr(result, f.name)) for f in fields(result)[2:])  # past Pi_*_hat
     with open(f"{prefix}diagnostics.json", "w") as fh:
-        json.dump(diagnostics, fh, indent=2)
+        json.dump(diagnostics, fh, indent=2, default=np.ndarray.tolist)
         fh.write("\n")
     print(f"wrote {prefix}rows.csv, {prefix}cols.csv, {prefix}diagnostics.json")
     return 0

@@ -37,6 +37,9 @@ class IllPosedFitError(RuntimeError):
 class FitResult:
     """Estimated memberships plus fit diagnostics.
 
+    The fields after the two membership matrices are the schema of ``bimix
+    fit``'s ``diagnostics.json``, in order, after ``k``, ``n_r`` and ``n_c``.
+
     ``next_singular_value`` is sigma_{K+1} (0 when K = min(n_r, n_c)).
     ``degenerate_rows`` and ``degenerate_cols`` count the nodes on each side
     whose clamped weights vanished, so they got the uniform membership (a
@@ -63,14 +66,9 @@ def memberships_from_embedding(X: np.ndarray, K: int | None = None, radius: floa
     SPA selects K vertex rows; each vertex is then the mean of the rows
     within ``radius`` of SPA's pick (radius 0 keeps the picks as they are).
     Returns (memberships, SPA's selected rows, condition number of the
-    refined vertex matrix).  Rows whose clamped weights sum below ``1e-12``
-    get the uniform vector, since they carry no usable sign information.
+    refined vertex matrix, count of rows given the uniform vector): rows whose
+    clamped weights sum below ``1e-12`` carry no usable sign information.
     """
-    return _memberships(X, K, radius)[:3]
-
-
-def _memberships(X: np.ndarray, K: int | None, radius: float):
-    """``memberships_from_embedding`` plus the count of uniform-fallback rows."""
     X = np.asarray(X, dtype=float)
     k = X.shape[1] if K is None else int(K)
     idx = spa(X, k)
@@ -110,8 +108,8 @@ def disp(A: np.ndarray, K: int) -> FitResult:
     tsvd = top_k_svd(A, K)
     n_r, n_c = len(tsvd.left), len(tsvd.right)
     ratio = _noise_ratio(tsvd)
-    pi_r, pure_rows, cond_r, degenerate_r = _memberships(tsvd.left, K, ratio * np.sqrt(K / n_r))
-    pi_c, pure_cols, cond_c, degenerate_c = _memberships(tsvd.right, K, ratio * np.sqrt(K / n_c))
+    pi_r, pure_rows, cond_r, degenerate_r = memberships_from_embedding(tsvd.left, K, ratio * np.sqrt(K / n_r))
+    pi_c, pure_cols, cond_c, degenerate_c = memberships_from_embedding(tsvd.right, K, ratio * np.sqrt(K / n_c))
     return FitResult(
         Pi_r_hat=pi_r,
         Pi_c_hat=pi_c,

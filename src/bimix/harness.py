@@ -330,12 +330,9 @@ def plan_from_json(data: dict) -> SweepPlan:
     """Build a plan from a JSON document: a scenario reference or a full plan."""
     from .io import spec_from_dict
 
+    given = {key: data[key] for key in ("replicates", "master_seed") if key in data}
     if "scenario" in data:
-        return scenario(
-            data["scenario"],
-            replicates=data.get("replicates", 50),
-            master_seed=data.get("master_seed", 0),
-        )
+        return scenario(data["scenario"], **given)
     base = spec_from_dict(data["base"])
     axis = data["axis"]
     grid = data["grid"]
@@ -347,10 +344,9 @@ def plan_from_json(data: dict) -> SweepPlan:
         base=base,
         axis=axis,
         grid=grid,
-        replicates=data.get("replicates", 50),
-        master_seed=data.get("master_seed", 0),
         scenario=data.get("name", "custom"),
         param=data.get("param"),
+        **given,
     )
 
 

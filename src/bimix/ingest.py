@@ -25,8 +25,8 @@ class EdgeList:
     """Weighted edges over a declared node universe.
 
     ``nodes`` may list ids beyond those referenced by edges (declared but
-    isolated nodes).  Each (source, target) pair appears at most once; a
-    repeated pair raises ``EdgeListError`` when the list is built.
+    isolated nodes).  Each node and each (source, target) pair appears at
+    most once; a repeat raises ``EdgeListError`` when the list is built.
     """
 
     edges: tuple = field(default_factory=tuple)
@@ -35,11 +35,17 @@ class EdgeList:
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(self.edges))
         object.__setattr__(self, "nodes", tuple(self.nodes))
-        seen = set()
-        for src, tgt, _ in self.edges:
-            if (src, tgt) in seen:
-                raise EdgeListError(f"duplicate edge {src!r} -> {tgt!r}")
-            seen.add((src, tgt))
+        pairs = [(src, tgt) for src, tgt, _ in self.edges]
+        if len(set(pairs)) < len(pairs):
+            src, tgt = _first_repeat(pairs)
+            raise EdgeListError(f"duplicate edge {src!r} -> {tgt!r}")
+        if len(set(self.nodes)) < len(self.nodes):
+            raise EdgeListError(f"duplicate node {_first_repeat(self.nodes)!r}")
+
+
+def _first_repeat(items):
+    seen = set()
+    return next(item for item in items if item in seen or seen.add(item))  # add() gives None
 
 
 def _parse_token(token: str):

@@ -40,8 +40,6 @@ def block_sign_class(P: np.ndarray) -> str:
 
 def _rank_deficient(M: np.ndarray, k: int) -> bool:
     sv = np.linalg.svd(M, compute_uv=False)
-    if sv[0] == 0.0:
-        return True
     return len(sv) < k or sv[k - 1] <= RANK_RTOL * sv[0]
 
 

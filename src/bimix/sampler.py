@@ -228,11 +228,6 @@ class EdgeDistribution:
     def signed(cls) -> "EdgeDistribution":
         return cls("signed")
 
-    def label(self) -> str:
-        """Short human-readable tag, e.g. ``binomial(m=7)``."""
-        param = _LAWS[self.kind].param
-        return f"{self.kind}({param}={getattr(self, param)})" if param else self.kind
-
     def to_dict(self) -> dict:
         param = _LAWS[self.kind].param
         return {"kind": self.kind, param: getattr(self, param)} if param else {"kind": self.kind}
@@ -265,9 +260,6 @@ class RandomSource:
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         return np.random.Generator(np.random.PCG64(ss))
-
-    def substream(self, offset: int) -> "RandomSource":
-        return RandomSource(self.seed, self.stream + offset)
 
 
 def admissible_rho_interval(dist: EdgeDistribution) -> RhoInterval:

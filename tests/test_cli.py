@@ -60,6 +60,25 @@ class TestFit:
         assert diag["degenerate_rows"] == int(np.all(pi_r == 0.5, axis=1).sum()) > 0
         assert isinstance(diag["degenerate_cols"], int)
 
+    def test_diagnostics_golden_bytes(self, tmp_path):
+        # recorded from the hand-written diagnostics dict; row 4 has no edges
+        A = np.array([[3, 2, 2, 3, 2, 3, 3, 0], [0, 1, 1, 3, 3, 0, 1, 3], [0, 3, 0, 1, 3, 1, 1, 1],
+                      [2, 1, 3, 1, 1, 2, 2, 2], [0, 0, 0, 0, 0, 0, 0, 0], [1, 0, 3, 0, 3, 2, 0, 0],
+                      [1, 0, 0, 2, 3, 1, 3, 3], [3, 2, 1, 2, 1, 1, 1, 0], [3, 0, 0, 0, 3, 2, 3, 0]],
+                     dtype=float)
+        save_matrix_csv(A, tmp_path / "a.csv")
+        prefix = str(tmp_path / "fit_")
+        assert main(["fit", str(tmp_path / "a.csv"), "--k", "2", "--out-prefix", prefix]) == 0
+        assert (tmp_path / "fit_diagnostics.json").read_bytes() == (
+            b'{\n  "k": 2,\n  "n_r": 9,\n  "n_c": 8,\n  "singular_values": [\n'
+            b'    12.880150146192161,\n    5.199631549735536\n  ],\n'
+            b'  "pure_rows": [\n    1,\n    0\n  ],\n  "pure_cols": [\n    7,\n    0\n  ],\n'
+            b'  "cond_row_vertices": 1.4859076596267744,\n'
+            b'  "cond_col_vertices": 1.3161229526437666,\n'
+            b'  "next_singular_value": 3.7868484459029665,\n'
+            b'  "degenerate_rows": 1,\n  "degenerate_cols": 0\n}\n'
+        )
+
     def test_bad_input_returns_nonzero(self, tmp_path):
         missing = tmp_path / "nope.csv"
         assert main(["fit", str(missing), "--k", "2"]) == 1

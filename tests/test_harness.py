@@ -12,6 +12,8 @@ from bimix.harness import (
     SCENARIO_NAMES,
     STREAM_STRIDE,
     SweepPlan,
+    SweepPoint,
+    SweepResult,
     alpha_grid_matrix,
     plan_from_json,
     run_replicates,
@@ -94,6 +96,19 @@ class TestRunSweep:
         result = run_sweep(plan)
         assert not result.points[0].skipped
         assert "interval" in result.points[1].skipped
+        # the reason's comma is written as a semicolon, keeping the row's field count
+        last = result.to_csv_text().encode().split(b"\n")[-2]
+        assert last == b"custom,1.0,,,0,rho=1.0 outside admissible interval (0; 1) for signed,0"
+
+    def test_failed_replicate_raises_not_skipped(self, monkeypatch):
+        # a ValueError inside a replicate is a failure, not an invalid point
+        def fail(A, K):
+            raise ValueError("boom")
+
+        monkeypatch.setattr("bimix.harness.disp", fail)
+        plan = SweepPlan(noiseless_spec(), "rho", (0.5, 1.0), replicates=2)
+        with pytest.raises(RuntimeError, match="^replicate 0 failed: boom$"):
+            run_sweep(plan)
 
     def test_all_invalid_raises(self):
         base = noiseless_spec(12, 12)
@@ -219,6 +234,17 @@ class TestSweepPointContract:
 
 
 class TestCSV:
+    def test_skip_reason_commas_become_semicolons(self):
+        result = SweepResult("demo", "rho", ("rho",), 4, (
+            SweepPoint({"rho": 0.5}, 0.25, 0.0625, 3),
+            SweepPoint({"rho": 2.0}, None, None, 0, skipped="outside (0, 1], for a, b"),
+        ))
+        assert result.to_csv_text().encode() == (
+            b"scenario,rho,mean_error,std_error,replicates,skipped,seed\n"
+            b"demo,0.5,0.25,0.0625,3,,4\n"
+            b"demo,2.0,,,0,outside (0; 1]; for a; b,4\n"
+        )
+
     def test_header_and_shape(self, tmp_path):
         plan = SweepPlan(noiseless_spec(), "rho", (0.5, 1.0), replicates=2, master_seed=9,
                          scenario="demo")
@@ -398,3 +424,23 @@ class TestPlanJSON:
         assert plan.scenario == "custom-check"
         result = run_sweep(plan)
         assert all(pt.mean_error <= 1e-8 for pt in result.points)
+
+    def test_full_alpha_grid_plan(self):
+        base = noiseless_spec(12, 12)
+        plan = plan_from_json({"base": spec_to_dict(base), "axis": "alpha_grid",
+                               "grid": [[1, 2], [3, 4.5]]})
+        assert plan.axis == "alpha_grid" and plan.param is None
+        assert plan.grid == ((1.0, 2.0), (3.0, 4.5))
+        assert all(type(v) is float for pair in plan.grid for v in pair)
+        assert (plan.replicates, plan.master_seed, plan.scenario) == (50, 0, "custom")
+
+    @pytest.mark.parametrize("given, expected", [
+        ({"replicates": 7}, (7, 0)),
+        ({"master_seed": 3}, (50, 3)),
+        ({}, (50, 0)),
+    ])
+    def test_missing_keys_take_plan_defaults(self, given, expected):
+        full = {"base": spec_to_dict(noiseless_spec()), "axis": "rho", "grid": [0.5]}
+        for data in ({"scenario": "sim6a"}, full):
+            plan = plan_from_json({**data, **given})
+            assert (plan.replicates, plan.master_seed) == expected

@@ -85,6 +85,17 @@ class TestEdgeList:
         el = EdgeList(edges=((1, 2, 1.0), (2, 1, 2.0), (1, 1, 3.0)), nodes=(1, 2))
         np.testing.assert_array_equal(to_dense(el), [[3.0, 1.0], [2.0, 0.0]])
 
+    def test_repeated_node_rejected_when_built(self):
+        # a repeated id would densify to a phantom node with no edges
+        with pytest.raises(EdgeListError, match="^duplicate node 1$"):
+            EdgeList(edges=((1, 2, 5.0),), nodes=(1, 1, 2))
+
+    def test_first_repeat_named(self):
+        with pytest.raises(EdgeListError, match="^duplicate node 'b'$"):
+            EdgeList(nodes=("a", "b", "c", "b", "a"))
+        with pytest.raises(EdgeListError, match="^duplicate edge 3 -> 1$"):
+            EdgeList(edges=((1, 2, 1.0), (3, 1, 1.0), (3, 1, 2.0), (1, 2, 3.0)), nodes=(1, 2, 3))
+
 
 class TestDropIsolated:
     def test_unreferenced_declared_node_removed(self):

@@ -255,7 +255,7 @@ class TestSeparationMargins:
         }
         for dist, magnitude in expected.items():
             m = separation_margins(dist, 0.0, 0.0, n, tau=1.0)
-            assert m.magnitude_margin == pytest.approx(magnitude - 1.0), dist.label()
+            assert m.magnitude_margin == pytest.approx(magnitude - 1.0), dist
             assert m.gap_margin == 0.0
 
     def test_alpha_domain_enforced(self):

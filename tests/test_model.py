@@ -100,6 +100,15 @@ class TestPlantedMemberships:
         with pytest.raises(InvalidModelError, match="exceeds"):
             make_planted_memberships(5, 2, 3)
 
+    def test_rank_deficient_named(self):
+        # rows that are valid memberships but span only one direction
+        assert membership_violations(np.full((4, 2), 0.5), K=2) == [
+            "membership: rank below the community count 2"
+        ]
+        assert "membership: rank below the community count 2" in membership_violations(
+            np.zeros((3, 2))
+        )
+
 
 class TestStandardTwoBlock:
     def test_positive_pair(self):
@@ -194,3 +203,6 @@ class TestSignClass:
         assert any("maximum absolute" in m for m in block_violations(P1 * 0.5))
         singular = np.array([[1.0, 1.0], [1.0, 1.0]])
         assert any("rank" in m for m in block_violations(singular))
+
+    def test_block_violations_zero_matrix(self):
+        assert "block matrix: rank below 2" in block_violations(np.zeros((2, 2)))

@@ -32,10 +32,6 @@ class TestRandomSource:
         b = sample_adjacency(OMEGA, d, RandomSource(123, 1))
         assert not np.array_equal(a, b)
 
-    def test_substream_offset(self):
-        src = RandomSource(9, 2)
-        assert src.substream(5) == RandomSource(9, 7)
-
     def test_seed_bounds(self):
         with pytest.raises(ValueError):
             RandomSource(-1)
