@@ -18,16 +18,14 @@ from .metrics import error_rate, hamm_rc, mixed_proportion
 from .spectral import estimate_k_eigengap, singular_values
 
 
-def _load_adjacency(path: str, format: str | None) -> np.ndarray:
-    if format is None:
-        format = "tsv" if str(path).endswith((".tsv", ".txt")) else "csv"
-    if format == "tsv":
+def _load_adjacency(path: str) -> np.ndarray:
+    if str(path).endswith((".tsv", ".txt")):
         return load_edges_tsv(path)
     return load_matrix_csv(path)
 
 
 def _cmd_fit(args) -> int:
-    A = _load_adjacency(args.adjacency, args.format)
+    A = _load_adjacency(args.adjacency)
     result = disp(A, args.k)
     prefix = args.out_prefix
     save_matrix_csv(result.Pi_r_hat, f"{prefix}rows.csv")
@@ -67,7 +65,7 @@ def _cmd_sweep(args) -> int:
         plan = load_plan(args.config)
     else:
         plan = scenario(args.scenario, **given)
-    result = run_sweep(plan, n_jobs=args.jobs)
+    result = run_sweep(plan)
     result.to_csv(args.out)
     ran = sum(1 for pt in result.points if not pt.skipped)
     skipped = len(result.points) - ran
@@ -77,10 +75,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_ingest(args) -> int:
     edges = load_edge_list(
-        args.edges,
-        format=args.format,
-        weight_default=args.weight_default,
-        duplicates="sum" if args.sum_duplicates else "error",
+        args.edges, format=args.format, duplicates="sum" if args.sum_duplicates else "error"
     )
     A = to_dense(edges, square=True)
     save_matrix_csv(A, args.dense)
@@ -93,7 +88,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_estimate_k(args) -> int:
-    A = _load_adjacency(args.adjacency, args.format)
+    A = _load_adjacency(args.adjacency)
     sv = singular_values(A, min(args.k_max, min(A.shape)))
     print(",".join(repr(float(s)) for s in sv))
     print(f"difference,{estimate_k_eigengap(sv, 'difference')}")
@@ -110,9 +105,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="estimate row/column memberships from an adjacency matrix")
-    p.add_argument("adjacency", help="dense CSV or TSV edge-list file")
+    p.add_argument("adjacency", help="TSV edge list if named *.tsv or *.txt, else dense CSV")
     p.add_argument("--k", type=int, required=True, help="number of communities")
-    p.add_argument("--format", choices=["csv", "tsv"], default=None)
     p.add_argument("--out-prefix", default="fit_", help="prefix for output files")
     p.set_defaults(func=_cmd_fit)
 
@@ -130,23 +124,20 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--config", help="JSON sweep plan")
     p.add_argument("--seed", type=int, help="--scenario master seed (default 0)")
     p.add_argument("--replicates", type=int, help="--scenario replicate count (default 50)")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("ingest", help="edge list to dense adjacency plus summary")
     p.add_argument("edges", help="edge-list file")
     p.add_argument("--format", choices=["tsv", "csv"], default="tsv")
-    p.add_argument("--weight-default", type=float, default=1.0)
     p.add_argument("--sum-duplicates", action="store_true")
     p.add_argument("--dense", required=True, help="output dense CSV path")
     p.add_argument("--summary", required=True, help="output summary JSON path")
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("estimate-k", help="singular values and eigengap community count")
-    p.add_argument("adjacency", help="dense CSV or TSV edge-list file")
+    p.add_argument("adjacency", help="TSV edge list if named *.tsv or *.txt, else dense CSV")
     p.add_argument("--k-max", type=int, default=10)
-    p.add_argument("--format", choices=["csv", "tsv"], default=None)
     p.set_defaults(func=_cmd_estimate_k)
     return parser
 

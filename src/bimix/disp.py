@@ -60,17 +60,18 @@ class FitResult:
     degenerate_cols: int
 
 
-def memberships_from_embedding(X: np.ndarray, K: int | None = None, radius: float = 0.0):
+def memberships_from_embedding(X: np.ndarray, radius: float = 0.0):
     """Vertex hunting plus simplex inversion on the rows of an embedding.
 
-    SPA selects K vertex rows; each vertex is then the mean of the rows
-    within ``radius`` of SPA's pick (radius 0 keeps the picks as they are).
+    SPA selects one vertex row per column of ``X`` (K = ``X.shape[1]``); each
+    vertex is then the mean of the rows within ``radius`` of SPA's pick
+    (radius 0 keeps the picks as they are).
     Returns (memberships, SPA's selected rows, condition number of the
     refined vertex matrix, count of rows given the uniform vector): rows whose
     clamped weights sum below ``1e-12`` carry no usable sign information.
     """
     X = np.asarray(X, dtype=float)
-    k = X.shape[1] if K is None else int(K)
+    k = X.shape[1]
     idx = spa(X, k)
     B = vertex_matrix(X, idx, radius)
     cond = float(np.linalg.cond(B))
@@ -108,8 +109,8 @@ def disp(A: np.ndarray, K: int) -> FitResult:
     tsvd = top_k_svd(A, K)
     n_r, n_c = len(tsvd.left), len(tsvd.right)
     ratio = _noise_ratio(tsvd)
-    pi_r, pure_rows, cond_r, degenerate_r = memberships_from_embedding(tsvd.left, K, ratio * np.sqrt(K / n_r))
-    pi_c, pure_cols, cond_c, degenerate_c = memberships_from_embedding(tsvd.right, K, ratio * np.sqrt(K / n_c))
+    pi_r, pure_rows, cond_r, degenerate_r = memberships_from_embedding(tsvd.left, ratio * np.sqrt(K / n_r))
+    pi_c, pure_cols, cond_c, degenerate_c = memberships_from_embedding(tsvd.right, ratio * np.sqrt(K / n_c))
     return FitResult(
         Pi_r_hat=pi_r,
         Pi_c_hat=pi_c,

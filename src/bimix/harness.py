@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -70,6 +70,7 @@ class SweepPlan:
         object.__setattr__(self, "grid", tuple(self.grid))
         object.__setattr__(self, "replicates", int(self.replicates))
         object.__setattr__(self, "master_seed", int(self.master_seed))
+        RandomSource(self.master_seed)  # reject a seed that no replicate can use
         if self.axis == "dist_param":
             if self.param not in DIST_PARAMS:
                 raise ValueError(f"dist_param axis needs param in {DIST_PARAMS}, got {self.param!r}")
@@ -103,33 +104,28 @@ class SweepPoint:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """One record per grid point, in grid order, plus sweep metadata."""
+    """The plan that was run and one record per grid point, in grid order."""
 
-    scenario: str
-    axis: str
-    axis_columns: tuple[str, ...]
-    master_seed: int
-    points: tuple[SweepPoint, ...] = field(default_factory=tuple)
+    plan: SweepPlan
+    points: tuple[SweepPoint, ...]
 
     def to_csv_text(self) -> str:
-        header = (
-            ["scenario"]
-            + list(self.axis_columns)
-            + ["mean_error", "std_error", "replicates", "skipped", "seed"]
-        )
+        columns = self.plan.axis_columns()
+        seed = str(self.plan.master_seed)
+        header = ["scenario", *columns, "mean_error", "std_error", "replicates", "skipped", "seed"]
         lines = [",".join(header)]
         for pt in self.points:
-            row = [self.scenario]
-            row += [repr(float(pt.values[c])) for c in self.axis_columns]
+            row = [self.plan.scenario]
+            row += [repr(float(pt.values[c])) for c in columns]
             if pt.skipped:
-                row += ["", "", "0", pt.skipped.replace(",", ";"), str(self.master_seed)]
+                row += ["", "", "0", pt.skipped.replace(",", ";"), seed]
             else:
                 row += [
                     repr(float(pt.mean_error)),
                     repr(float(pt.std_error)),
                     str(pt.replicates),
                     "",
-                    str(self.master_seed),
+                    seed,
                 ]
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
@@ -197,13 +193,7 @@ def run_sweep(plan: SweepPlan, n_jobs: int = 1) -> SweepResult:
             points = list(pool.map(lambda i: _run_point(plan, i), indices))
     if all(pt.skipped for pt in points):
         raise InvalidModelError("every grid point is invalid: " + points[0].skipped)
-    return SweepResult(
-        scenario=plan.scenario,
-        axis=plan.axis,
-        axis_columns=plan.axis_columns(),
-        master_seed=plan.master_seed,
-        points=tuple(points),
-    )
+    return SweepResult(plan, tuple(points))
 
 
 def alpha_grid_matrix(result: SweepResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -212,7 +202,7 @@ def alpha_grid_matrix(result: SweepResult) -> tuple[np.ndarray, np.ndarray, np.n
     Rows are alpha_in ascending, columns alpha_out ascending; skipped points
     hold NaN.  Returns (matrix, alpha_in values, alpha_out values).
     """
-    if result.axis != "alpha_grid":
+    if result.plan.axis != "alpha_grid":
         raise ValueError("alpha_grid_matrix needs an alpha_grid sweep result")
     a_in = np.array(sorted({pt.values["alpha_in"] for pt in result.points}))
     a_out = np.array(sorted({pt.values["alpha_out"] for pt in result.points}))

@@ -1,9 +1,10 @@
 """Edge-list ingestion for real-world directed weighted networks.
 
 Files are plain text with 2 or 3 columns per line (source, target, optional
-weight); comment lines starting with '%' or '#' are skipped.  Node ids are
-arbitrary tokens, interned in first-appearance order.  An ``EdgeList`` holds
-each (source, target) pair once, so duplicates are resolved only at load.
+weight; a 2-column line weighs 1); comment lines starting with '%' or '#'
+are skipped.  Node ids are arbitrary tokens, interned in first-appearance
+order.  An ``EdgeList`` holds each (source, target) pair once, so
+duplicates are resolved only at load.
 """
 
 from __future__ import annotations
@@ -90,10 +91,8 @@ def _weight(lineno: int, token) -> float:
     return weight
 
 
-def load_edge_list(
-    path, format: str = "tsv", weight_default: float = 1.0, duplicates: str = "error"
-) -> EdgeList:
-    """Parse an edge-list file; 2-column lines take ``weight_default``.
+def load_edge_list(path, format: str = "tsv", duplicates: str = "error") -> EdgeList:
+    """Parse an edge-list file; a 2-column line is an edge of weight 1.
 
     ``format='tsv'`` splits on whitespace, ``'csv'`` on commas.  Duplicate
     (source, target) pairs are resolved here per the declared policy.
@@ -109,7 +108,7 @@ def load_edge_list(
             if token not in nodes:
                 nodes[token] = _parse_token(token)
         src, tgt = nodes[parts[0]], nodes[parts[1]]
-        weight = _weight(lineno, parts[2] if len(parts) == 3 else weight_default)
+        weight = _weight(lineno, parts[2] if len(parts) == 3 else 1.0)
         if (src, tgt) in weights:
             if duplicates == "error":
                 raise EdgeListError(f"line {lineno}: duplicate edge {src!r} -> {tgt!r}")

@@ -1,4 +1,4 @@
-"""Serialization: dense CSV matrices, sparse TSV edge lists, model JSON.
+"""Serialization: dense CSV matrices, sparse TSV edge lists, model dicts.
 
 Matrices round-trip through 17-significant-digit decimals; edge lists store
 1-indexed (row, col, weight) triples with zeros omitted and a shape header
@@ -6,8 +6,6 @@ so empty trailing rows or columns survive the round trip.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 
@@ -107,14 +105,3 @@ def spec_from_dict(data: dict) -> ModelSpec:
         Pi_c=np.asarray(data["Pi_c"], dtype=float),
         dist=EdgeDistribution.from_dict(data["dist"]),
     )
-
-
-def save_spec_json(spec: ModelSpec, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        json.dump(spec_to_dict(spec), fh, indent=2)
-        fh.write("\n")
-
-
-def load_spec_json(path) -> ModelSpec:
-    with open(path) as fh:
-        return spec_from_dict(json.load(fh))

@@ -67,7 +67,7 @@ def membership_violations(
     off = np.abs(sums - 1.0)
     if np.any(off > ROW_SUM_ATOL):
         i = int(np.argmax(off))
-        out.append(f"{name}: row {i} sums to {sums[i]!r}, must be 1 within {ROW_SUM_ATOL:g}")
+        out.append(f"{name}: row {i} sums to {float(sums[i])!r}, must be 1 within {ROW_SUM_ATOL:g}")
     if _rank_deficient(pi, k):
         out.append(f"{name}: rank below the community count {k}")
     if ground_truth:
@@ -87,7 +87,7 @@ def block_violations(P: np.ndarray, name: str = "block matrix") -> list[str]:
         out.append(f"{name}: contains non-finite entries")
         return out
     if abs(np.max(np.abs(P)) - 1.0) > UNIT_MAX_ATOL:
-        out.append(f"{name}: maximum absolute entry is {np.max(np.abs(P))!r}, must equal 1")
+        out.append(f"{name}: maximum absolute entry is {float(np.max(np.abs(P)))!r}, must equal 1")
     if _rank_deficient(P, P.shape[0]):
         out.append(f"{name}: rank below {P.shape[0]}")
     return out

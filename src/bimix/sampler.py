@@ -301,7 +301,7 @@ def _check_domain(omega: np.ndarray, dist: EdgeDistribution) -> None:
     if bad.any():
         i, j = np.argwhere(bad)[0]
         raise SamplingDomainError(
-            f"{dist.kind} mean at entry ({i}, {j}) is {omega[i, j]!r}, outside {bound}"
+            f"{dist.kind} mean at entry ({i}, {j}) is {float(omega[i, j])!r}, outside {bound}"
         )
 
 

@@ -44,6 +44,22 @@ class TestFit:
         pi_r = load_matrix_csv(prefix + "rows.csv")
         assert pi_r.shape == (20, 2)
 
+    def test_reader_follows_file_name(self, tmp_path, spec, capsys):
+        # a .txt file is an edge list like .tsv; any other name is dense CSV
+        omega = build_omega(spec)
+        save_edges_tsv(omega, tmp_path / "a.txt")
+        save_matrix_csv(omega, tmp_path / "a.csv")
+        outputs = {}
+        for name in ("a.txt", "a.csv"):
+            prefix = str(tmp_path / f"{name}_")
+            assert main(["fit", str(tmp_path / name), "--k", "2", "--out-prefix", prefix]) == 0
+            capsys.readouterr()
+            assert main(["estimate-k", str(tmp_path / name), "--k-max", "6"]) == 0
+            files = [(tmp_path / f"{name}_{part}").read_bytes()
+                     for part in ("rows.csv", "cols.csv", "diagnostics.json")]
+            outputs[name] = (files, capsys.readouterr().out)
+        assert outputs["a.txt"] == outputs["a.csv"]
+
     def test_rank_one_input_diagnostics(self, tmp_path):
         # one row node linked to every column: rank 1 < K = 2; the fit still
         # succeeds and its diagnostics show the uniform-fallback rows
@@ -144,6 +160,15 @@ class TestSweep:
         out = tmp_path / "r.csv"
         assert main(["sweep", "--config", str(config), *flag, "--out", str(out)]) == 1
         assert "--config" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_unusable_seed_rejected_before_any_point(self, tmp_path, capsys, seed):
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--scenario", "setup1", "--seed", seed, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: seed must be a 64-bit unsigned integer, got {seed}\n"
+        )
         assert not out.exists()
 
     def test_scenario_defaults(self, tmp_path):

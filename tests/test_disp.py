@@ -59,9 +59,9 @@ class TestInvariances:
         from bimix.spectral import top_k_svd
 
         t = top_k_svd(build_omega(spec), 3)
-        pi, idx, _, _ = memberships_from_embedding(t.left, 3)
+        pi, idx, _, _ = memberships_from_embedding(t.left)
         flips = np.diag([1.0, -1.0, -1.0])
-        pi_f, idx_f, _, _ = memberships_from_embedding(t.left @ flips, 3)
+        pi_f, idx_f, _, _ = memberships_from_embedding(t.left @ flips)
         assert idx == idx_f
         np.testing.assert_allclose(pi_f, pi, atol=1e-12)
 
@@ -88,7 +88,7 @@ class TestInvariances:
 
 def plain_spa_memberships(A, K):
     t = top_k_svd(A, K)
-    return memberships_from_embedding(t.left, K)[0], memberships_from_embedding(t.right, K)[0]
+    return memberships_from_embedding(t.left)[0], memberships_from_embedding(t.right)[0]
 
 
 class TestVertexRefinement:
@@ -124,7 +124,7 @@ class TestVertexRefinement:
         assert fit.pure_rows == spa(t.left, 2)
         pi_r, _ = plain_spa_memberships(A, 2)
         assert not np.array_equal(fit.Pi_r_hat, pi_r)
-        _, _, cond, _ = memberships_from_embedding(t.left, 2, radius)
+        _, _, cond, _ = memberships_from_embedding(t.left, radius)
         assert cond == fit.cond_row_vertices
 
 
@@ -151,14 +151,14 @@ class TestOutputContract:
     def test_degenerate_row_gets_uniform(self):
         # third row inverts to all-negative weights, clamping wipes it out
         X = np.array([[1.0, 0.0], [0.0, 1.0], [-0.5, -0.5]])
-        pi, _, _, degenerate = memberships_from_embedding(X, 2)
+        pi, _, _, degenerate = memberships_from_embedding(X)
         np.testing.assert_allclose(pi[2], [0.5, 0.5])
         assert degenerate == 1
 
     def test_ill_conditioned_vertices_raise(self):
         X = np.array([[1.0, 0.0], [1.0, 1.6e-12]])
         with pytest.raises(IllPosedFitError, match="condition number"):
-            memberships_from_embedding(X, 2)
+            memberships_from_embedding(X)
 
 
 class TestRankDeficientInput:

@@ -154,7 +154,7 @@ class TestRunSweep:
                          dist=EdgeDistribution.binomial(2))
         plan = SweepPlan(base, "dist_param", (2.0, 4.0, 8.0), replicates=2, param="m")
         result = run_sweep(plan)
-        assert result.axis_columns == ("m",)
+        assert result.plan.axis_columns() == ("m",)
         assert len(result.points) == 3
 
 
@@ -235,7 +235,8 @@ class TestSweepPointContract:
 
 class TestCSV:
     def test_skip_reason_commas_become_semicolons(self):
-        result = SweepResult("demo", "rho", ("rho",), 4, (
+        plan = SweepPlan(noiseless_spec(), "rho", (0.5, 2.0), master_seed=4, scenario="demo")
+        result = SweepResult(plan, (
             SweepPoint({"rho": 0.5}, 0.25, 0.0625, 3),
             SweepPoint({"rho": 2.0}, None, None, 0, skipped="outside (0, 1], for a, b"),
         ))
@@ -433,6 +434,17 @@ class TestPlanJSON:
         assert plan.grid == ((1.0, 2.0), (3.0, 4.5))
         assert all(type(v) is float for pair in plan.grid for v in pair)
         assert (plan.replicates, plan.master_seed, plan.scenario) == (50, 0, "custom")
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_unusable_seed_rejected_when_built(self, seed):
+        # no replicate could draw from it, so the plan must not build
+        message = f"^seed must be a 64-bit unsigned integer, got {seed}$"
+        full = {"base": spec_to_dict(noiseless_spec()), "axis": "rho", "grid": [0.5]}
+        with pytest.raises(ValueError, match=message):
+            scenario("sim1a", master_seed=seed)
+        for data in ({"scenario": "sim1a"}, full):
+            with pytest.raises(ValueError, match=message):
+                plan_from_json({**data, "master_seed": seed})
 
     @pytest.mark.parametrize("given, expected", [
         ({"replicates": 7}, (7, 0)),

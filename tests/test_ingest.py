@@ -32,7 +32,7 @@ class TestLoadEdgeList:
         assert el.nodes == ("a", "b")
 
     def test_two_columns_take_default_weight(self, tmp_path):
-        el = load_edge_list(write(tmp_path, "1 2\n"), weight_default=1.0)
+        el = load_edge_list(write(tmp_path, "1 2\n"))
         assert el.edges == ((1, 2, 1.0),)
 
     def test_csv_format(self, tmp_path):

@@ -109,6 +109,13 @@ class TestPlantedMemberships:
             np.zeros((3, 2))
         )
 
+    def test_row_sum_printed_as_plain_float(self):
+        # numpy 2 scalars repr as np.float64(...); the message, a sweep skip
+        # reason, must print the bare number
+        assert "membership: row 0 sums to 0.0, must be 1 within 1e-12" in membership_violations(
+            np.zeros((3, 2))
+        )
+
 
 class TestStandardTwoBlock:
     def test_positive_pair(self):
@@ -206,3 +213,6 @@ class TestSignClass:
 
     def test_block_violations_zero_matrix(self):
         assert "block matrix: rank below 2" in block_violations(np.zeros((2, 2)))
+        assert "block matrix: maximum absolute entry is 0.0, must equal 1" in block_violations(
+            np.zeros((2, 2))
+        )
