@@ -19,7 +19,7 @@ from .spectral import estimate_k_eigengap, singular_values
 
 
 def _load_adjacency(path: str) -> np.ndarray:
-    if str(path).endswith((".tsv", ".txt")):
+    if str(path).lower().endswith((".tsv", ".txt")):
         return load_edges_tsv(path)
     return load_matrix_csv(path)
 
@@ -105,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="estimate row/column memberships from an adjacency matrix")
-    p.add_argument("adjacency", help="TSV edge list if named *.tsv or *.txt, else dense CSV")
+    p.add_argument("adjacency", help="TSV edge list if *.tsv or *.txt (any case), else dense CSV")
     p.add_argument("--k", type=int, required=True, help="number of communities")
     p.add_argument("--out-prefix", default="fit_", help="prefix for output files")
     p.set_defaults(func=_cmd_fit)
@@ -136,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("estimate-k", help="singular values and eigengap community count")
-    p.add_argument("adjacency", help="TSV edge list if named *.tsv or *.txt, else dense CSV")
+    p.add_argument("adjacency", help="TSV edge list if *.tsv or *.txt (any case), else dense CSV")
     p.add_argument("--k-max", type=int, default=10)
     p.set_defaults(func=_cmd_estimate_k)
     return parser

@@ -1,7 +1,9 @@
 """Replicated simulation sweeps over model parameter grids.
 
-A sweep plan pins a base model, one grid axis (rho, a two-community alpha
-grid, or a distribution parameter), a replicate count and a master seed.
+A sweep plan pins a base model, one grid axis (``rho``, ``alpha_grid``, or
+the base law's shape parameter ``m``, ``sigma2`` or ``beta``), a replicate
+count and a master seed.  It checks its grid when built: an (alpha_in,
+alpha_out) pair per point on ``alpha_grid``, one number on any other axis.
 Every replicate's randomness derives from (master seed, grid index,
 replicate index), so at a fixed BLAS thread count a sweep's records are
 identical under any ``n_jobs``.  The BLAS thread count itself can move the
@@ -10,13 +12,14 @@ last digit of a mean, because the SVD's rounding depends on it.
 The scenario catalogue is one table, ``_SCENARIOS``, with a row per
 scenario: edge law, swept quantity, network shape, grid values, and P and
 rho where the sweep does not set them.  ``scenario`` builds a plan from a
-row, and ``SCENARIO_NAMES`` is the table's key order.  The distribution
-parameters a sweep can vary come from the edge-law records in ``sampler``.
+row, and ``SCENARIO_NAMES`` is the table's key order.  The law parameters
+a sweep can vary come from the edge-law records in ``sampler``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -34,8 +37,7 @@ from .model import (
 )
 from .sampler import PARAM_KINDS, EdgeDistribution, RandomSource, sample_adjacency
 
-AXES = ("rho", "alpha_grid", "dist_param")
-DIST_PARAMS = tuple(PARAM_KINDS)
+AXES = ("rho", "alpha_grid", *PARAM_KINDS)
 
 # grid points are spaced this far apart in substream index space, so a point
 # can host up to STREAM_STRIDE replicates without colliding with its neighbor
@@ -48,9 +50,30 @@ _P_POS_ALT = np.array([[1.0, 0.2], [0.1, 0.9]])
 _P_MIXED_ALT = np.array([[1.0, -0.2], [0.1, -0.9]])
 
 
+# module constants: the check runs once per grid point, 900 times for sim1b
+_NUMBER = (int, float, np.integer, np.floating)
+_SEQUENCE = (tuple, list, np.ndarray)
+
+
+def _finite_number(value) -> bool:
+    return isinstance(value, _NUMBER) and math.isfinite(value)
+
+
+def _grid_point(axis: str, value):
+    """``value`` as a point on ``axis``: an (alpha_in, alpha_out) tuple, else one number."""
+    if axis != "alpha_grid":
+        if _finite_number(value):
+            return value
+        raise ValueError(f"{axis} grid value must be one finite number, got {value!r}")
+    point = tuple(value) if isinstance(value, _SEQUENCE) else ()
+    if len(point) == 2 and _finite_number(point[0]) and _finite_number(point[1]):
+        return point
+    raise ValueError(f"alpha_grid grid value must be a pair of finite numbers, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SweepPlan:
-    """Base model, grid axis, grid points, replicate count and master seed."""
+    """Base model, grid axis (one of ``AXES``), grid points, replicate count and master seed."""
 
     base: ModelSpec
     axis: str
@@ -58,25 +81,22 @@ class SweepPlan:
     replicates: int = 50
     master_seed: int = 0
     scenario: str = "custom"
-    param: str | None = None  # dist_param axis only: one of m, sigma2, beta
 
     def __post_init__(self):
         if self.axis not in AXES:
             raise ValueError(f"unknown axis {self.axis!r}; expected one of {AXES}")
         if len(self.grid) == 0:
             raise ValueError("grid must be nonempty")
-        if not 1 <= int(self.replicates) < STREAM_STRIDE:
-            raise ValueError(f"replicates must lie in [1, {STREAM_STRIDE})")
-        object.__setattr__(self, "grid", tuple(self.grid))
+        if int(self.replicates) != self.replicates or not 1 <= self.replicates < STREAM_STRIDE:
+            raise ValueError(
+                f"replicates must be an integer in [1, {STREAM_STRIDE}), got {self.replicates!r}"
+            )
+        RandomSource(self.master_seed)  # reject a seed that no replicate can use
+        object.__setattr__(self, "grid", tuple(_grid_point(self.axis, v) for v in self.grid))
         object.__setattr__(self, "replicates", int(self.replicates))
         object.__setattr__(self, "master_seed", int(self.master_seed))
-        RandomSource(self.master_seed)  # reject a seed that no replicate can use
-        if self.axis == "dist_param":
-            if self.param not in DIST_PARAMS:
-                raise ValueError(f"dist_param axis needs param in {DIST_PARAMS}, got {self.param!r}")
-            expected = PARAM_KINDS[self.param]
-            if self.base.dist.kind != expected:
-                raise ValueError(f"param {self.param!r} requires a {expected} base distribution")
+        if self.axis in PARAM_KINDS and self.base.dist.kind != PARAM_KINDS[self.axis]:
+            raise ValueError(f"axis {self.axis!r} requires a {PARAM_KINDS[self.axis]} base distribution")
         if self.axis == "alpha_grid":
             if self.base.n_r != self.base.n_c:
                 raise ValueError("alpha_grid sweeps need n_r == n_c")
@@ -84,11 +104,7 @@ class SweepPlan:
                 raise ValueError("alpha_grid sweeps need K == 2")
 
     def axis_columns(self) -> tuple[str, ...]:
-        if self.axis == "rho":
-            return ("rho",)
-        if self.axis == "alpha_grid":
-            return ("alpha_in", "alpha_out")
-        return (self.param,)
+        return ("alpha_in", "alpha_out") if self.axis == "alpha_grid" else (self.axis,)
 
 
 @dataclass(frozen=True)
@@ -98,7 +114,6 @@ class SweepPoint:
     values: dict
     mean_error: float | None
     std_error: float | None
-    replicates: int
     skipped: str = ""
 
 
@@ -123,7 +138,7 @@ class SweepResult:
                 row += [
                     repr(float(pt.mean_error)),
                     repr(float(pt.std_error)),
-                    str(pt.replicates),
+                    str(self.plan.replicates),
                     "",
                     seed,
                 ]
@@ -161,11 +176,10 @@ def run_replicates(
 def _point_spec(plan: SweepPlan, value) -> ModelSpec:
     if plan.axis == "rho":
         return replace(plan.base, rho=float(value))
-    if plan.axis == "dist_param":
-        return replace(plan.base, dist=replace(plan.base.dist, **{plan.param: value}))
-    a_in, a_out = value
-    P, rho = make_standard_two_block(plan.base.n_r, a_in, a_out)
-    return replace(plan.base, P=P, rho=rho)
+    if plan.axis == "alpha_grid":
+        P, rho = make_standard_two_block(plan.base.n_r, *value)
+        return replace(plan.base, P=P, rho=rho)
+    return replace(plan.base, dist=replace(plan.base.dist, **{plan.axis: value}))
 
 
 def _run_point(plan: SweepPlan, index: int) -> SweepPoint:
@@ -175,8 +189,8 @@ def _run_point(plan: SweepPlan, index: int) -> SweepPoint:
         spec = _point_spec(plan, value)
         mean, std = run_replicates(spec, plan.replicates, plan.master_seed, index * STREAM_STRIDE)
     except ValueError as exc:  # an invalid point; a failed replicate raises RuntimeError
-        return SweepPoint(values, None, None, 0, skipped=str(exc))
-    return SweepPoint(values, mean, std, plan.replicates)
+        return SweepPoint(values, None, None, skipped=str(exc))
+    return SweepPoint(values, mean, std)
 
 
 def run_sweep(plan: SweepPlan, n_jobs: int = 1) -> SweepResult:
@@ -241,14 +255,14 @@ _SGN = EdgeDistribution.signed()
 class _Scenario(NamedTuple):
     """One catalogue row: two communities, planted memberships, one swept quantity.
 
-    ``swept`` is ``rho``, ``alpha_grid`` or the law's parameter name.  An
+    ``axis`` is ``rho``, ``alpha_grid`` or the law's parameter name.  An
     alpha_grid row pairs every value with every value and takes P and rho
     from its first pair of unequal magnitudes; a rho row starts at its first
     value; a parameter row holds ``rho`` fixed.
     """
 
     dist: EdgeDistribution
-    swept: str
+    axis: str
     shape: tuple
     values: tuple
     P: np.ndarray | None = None
@@ -301,8 +315,8 @@ def scenario(name: str, replicates: int = 50, master_seed: int = 0) -> SweepPlan
     """Catalogued sweep plan by name (sim1a..sim8c, setup1..setup8)."""
     if name not in _SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}")
-    dist, swept, (n_r, n_c, pure_r, pure_c), grid, P, rho = _SCENARIOS[name]
-    if swept == "alpha_grid":
+    dist, axis, (n_r, n_c, pure_r, pure_c), grid, P, rho = _SCENARIOS[name]
+    if axis == "alpha_grid":
         grid = tuple((a, b) for a in grid for b in grid)  # row-major: alpha_in outer
         P, rho = make_standard_two_block(n_r, *next(p for p in grid if abs(p[0]) != abs(p[1])))
     base = ModelSpec(
@@ -312,8 +326,7 @@ def scenario(name: str, replicates: int = 50, master_seed: int = 0) -> SweepPlan
         Pi_c=make_planted_memberships(n_c, 2, pure_c),
         dist=dist,
     )
-    axis, param = ("dist_param", swept) if swept in PARAM_KINDS else (swept, None)
-    return SweepPlan(base, axis, grid, replicates, master_seed, scenario=name, param=param)
+    return SweepPlan(base, axis, grid, replicates, master_seed, scenario=name)
 
 
 def plan_from_json(data: dict) -> SweepPlan:
@@ -323,21 +336,9 @@ def plan_from_json(data: dict) -> SweepPlan:
     given = {key: data[key] for key in ("replicates", "master_seed") if key in data}
     if "scenario" in data:
         return scenario(data["scenario"], **given)
+    grid = [np.asarray(value, dtype=float).tolist() for value in data["grid"]]
     base = spec_from_dict(data["base"])
-    axis = data["axis"]
-    grid = data["grid"]
-    if axis == "alpha_grid":
-        grid = tuple((float(a), float(b)) for a, b in grid)
-    else:
-        grid = tuple(float(v) for v in grid)
-    return SweepPlan(
-        base=base,
-        axis=axis,
-        grid=grid,
-        scenario=data.get("name", "custom"),
-        param=data.get("param"),
-        **given,
-    )
+    return SweepPlan(base, data["axis"], grid, scenario=data.get("name", "custom"), **given)
 
 
 def load_plan(path) -> SweepPlan:

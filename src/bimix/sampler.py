@@ -250,10 +250,10 @@ class RandomSource:
     stream: int = 0
 
     def __post_init__(self):
-        if not (0 <= int(self.seed) < 2**64):
+        if int(self.seed) != self.seed or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if int(self.stream) < 0:
-            raise ValueError(f"stream index must be nonnegative, got {self.stream!r}")
+        if int(self.stream) != self.stream or self.stream < 0:
+            raise ValueError(f"stream index must be a nonnegative integer, got {self.stream!r}")
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "stream", int(self.stream))
 

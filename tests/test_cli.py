@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from bimix.cli import main
+from bimix.harness import STREAM_STRIDE
 from bimix.io import load_matrix_csv, save_edges_tsv, save_matrix_csv
 from bimix.metrics import error_rate
 from bimix.model import ModelSpec, build_omega, make_planted_memberships
@@ -45,12 +46,14 @@ class TestFit:
         assert pi_r.shape == (20, 2)
 
     def test_reader_follows_file_name(self, tmp_path, spec, capsys):
-        # a .txt file is an edge list like .tsv; any other name is dense CSV
+        # a .txt file is an edge list like .tsv, in any case; any other name is dense CSV
         omega = build_omega(spec)
-        save_edges_tsv(omega, tmp_path / "a.txt")
+        edge_lists = ("a.tsv", "a.txt", "A.TSV", "a.Txt")
+        for name in edge_lists:
+            save_edges_tsv(omega, tmp_path / name)
         save_matrix_csv(omega, tmp_path / "a.csv")
         outputs = {}
-        for name in ("a.txt", "a.csv"):
+        for name in (*edge_lists, "a.csv"):
             prefix = str(tmp_path / f"{name}_")
             assert main(["fit", str(tmp_path / name), "--k", "2", "--out-prefix", prefix]) == 0
             capsys.readouterr()
@@ -58,7 +61,8 @@ class TestFit:
             files = [(tmp_path / f"{name}_{part}").read_bytes()
                      for part in ("rows.csv", "cols.csv", "diagnostics.json")]
             outputs[name] = (files, capsys.readouterr().out)
-        assert outputs["a.txt"] == outputs["a.csv"]
+        for name in edge_lists:
+            assert outputs[name] == outputs["a.csv"], name
 
     def test_rank_one_input_diagnostics(self, tmp_path):
         # one row node linked to every column: rank 1 < K = 2; the fit still
@@ -169,6 +173,30 @@ class TestSweep:
         assert capsys.readouterr().err == (
             f"error: seed must be a 64-bit unsigned integer, got {seed}\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("given, message", [
+        ({"scenario": "setup1", "replicates": 2.7},
+         f"replicates must be an integer in [1, {STREAM_STRIDE}), got 2.7"),
+        ({"scenario": "setup1", "master_seed": 3.9}, "seed must be a 64-bit unsigned integer, got 3.9"),
+        ({"axis": "rho", "grid": [[1.0, 2.0]]}, "rho grid value must be one finite number, got [1.0, 2.0]"),
+        ({"axis": "alpha_grid", "grid": [2.0]},
+         "alpha_grid grid value must be a pair of finite numbers, got 2.0"),
+        ({"axis": "dist_param", "param": "sigma2", "grid": [1.0]},
+         "unknown axis 'dist_param'; expected one of ('rho', 'alpha_grid', 'm', 'sigma2', 'beta')"),
+    ])
+    def test_config_plan_checked_before_any_point(self, tmp_path, capsys, given, message):
+        from bimix.io import spec_to_dict
+
+        base = ModelSpec(P=P1, rho=2.0, Pi_r=make_planted_memberships(12, 2, 3),
+                         Pi_c=make_planted_memberships(12, 2, 3),
+                         dist=EdgeDistribution.normal(0.0))
+        data = given if "scenario" in given else {"base": spec_to_dict(base), **given}
+        config = tmp_path / "plan.json"
+        config.write_text(json.dumps(data))
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_scenario_defaults(self, tmp_path):

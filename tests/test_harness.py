@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import sys
 from dataclasses import replace
 
@@ -28,7 +29,7 @@ from bimix.model import (
     make_standard_two_block,
     validate_model,
 )
-from bimix.sampler import EdgeDistribution
+from bimix.sampler import PARAM_KINDS, EdgeDistribution
 
 from test_model import P1
 
@@ -142,7 +143,7 @@ class TestRunSweep:
         base = ModelSpec(P=P1, rho=1.0, Pi_r=make_planted_memberships(16, 2, 4),
                          Pi_c=make_planted_memberships(12, 2, 3),
                          dist=EdgeDistribution.binomial(2))
-        plan = plan_from_json({"base": spec_to_dict(base), "axis": "dist_param", "param": "m",
+        plan = plan_from_json({"base": spec_to_dict(base), "axis": "m",
                                "grid": [2.0, 2.5], "replicates": 2})
         first, second = run_sweep(plan).points
         assert not first.skipped
@@ -152,7 +153,7 @@ class TestRunSweep:
         base = ModelSpec(P=P1, rho=1.0, Pi_r=make_planted_memberships(16, 2, 4),
                          Pi_c=make_planted_memberships(12, 2, 3),
                          dist=EdgeDistribution.binomial(2))
-        plan = SweepPlan(base, "dist_param", (2.0, 4.0, 8.0), replicates=2, param="m")
+        plan = SweepPlan(base, "m", (2.0, 4.0, 8.0), replicates=2)
         result = run_sweep(plan)
         assert result.plan.axis_columns() == ("m",)
         assert len(result.points) == 3
@@ -206,7 +207,6 @@ class TestSweepPointContract:
             skipped, mean, std = reference_point(spec_for, value, index, plan.replicates,
                                                  plan.master_seed)
             assert (pt.skipped, pt.mean_error, pt.std_error) == (skipped, mean, std)
-            assert pt.replicates == (0 if skipped else plan.replicates)
         assert {bool(pt.skipped) for pt in points} == {True, False}
 
     @pytest.mark.parametrize("which", ["alpha_plan", "rho_plan"])
@@ -235,10 +235,11 @@ class TestSweepPointContract:
 
 class TestCSV:
     def test_skip_reason_commas_become_semicolons(self):
-        plan = SweepPlan(noiseless_spec(), "rho", (0.5, 2.0), master_seed=4, scenario="demo")
+        plan = SweepPlan(noiseless_spec(), "rho", (0.5, 2.0), replicates=3, master_seed=4,
+                         scenario="demo")
         result = SweepResult(plan, (
-            SweepPoint({"rho": 0.5}, 0.25, 0.0625, 3),
-            SweepPoint({"rho": 2.0}, None, None, 0, skipped="outside (0, 1], for a, b"),
+            SweepPoint({"rho": 0.5}, 0.25, 0.0625),
+            SweepPoint({"rho": 2.0}, None, None, skipped="outside (0, 1], for a, b"),
         ))
         assert result.to_csv_text().encode() == (
             b"scenario,rho,mean_error,std_error,replicates,skipped,seed\n"
@@ -265,7 +266,9 @@ class TestCSV:
 
 # SHA-256 of json.dumps([axis, param, grid, spec_to_dict(base)]) for every
 # catalogued plan, recorded from the hand-written catalogue: any edit to a
-# scenario's model or grid shows here
+# scenario's model or grid shows here.  They were recorded when a law
+# parameter sweep had axis "dist_param" and named the parameter in param
+# (None on the other axes), so the test rebuilds that pair
 CATALOGUE_DIGESTS = {
     "sim1a": "35939afe9cfba2fe45f08191965815c39b7331bb0eca552878ab46e52add7dc1",
     "sim1b": "2fc7fb591f8457e492b63b1fb2d2c1ae14f4cb6e7133ea314b0bbc8c96fe71f9",
@@ -310,7 +313,8 @@ class TestScenarioCatalogue:
         assert SCENARIO_NAMES == tuple(CATALOGUE_DIGESTS)
         for name in SCENARIO_NAMES:
             plan = scenario(name)
-            doc = json.dumps([plan.axis, plan.param, plan.grid, spec_to_dict(plan.base)])
+            axis = ("dist_param", plan.axis) if plan.axis in PARAM_KINDS else (plan.axis, None)
+            doc = json.dumps([*axis, plan.grid, spec_to_dict(plan.base)])
             assert hashlib.sha256(doc.encode()).hexdigest() == CATALOGUE_DIGESTS[name], name
 
     def test_all_names_build(self):
@@ -335,7 +339,7 @@ class TestScenarioCatalogue:
 
     def test_sim3b_binomial_m_grid(self):
         plan = scenario("sim3b")
-        assert plan.axis == "dist_param" and plan.param == "m"
+        assert plan.axis == "m"
         assert plan.grid == (2.0, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0)
         assert plan.base.dist.kind == "binomial"
         assert plan.base.rho == 2.0
@@ -361,7 +365,7 @@ class TestScenarioCatalogue:
 
     def test_sim7b_beta_grid(self):
         plan = scenario("sim7b")
-        assert plan.param == "beta"
+        assert plan.axis == "beta"
         assert plan.grid == (0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4)
         assert plan.base.rho == 0.5
 
@@ -430,12 +434,12 @@ class TestPlanJSON:
         base = noiseless_spec(12, 12)
         plan = plan_from_json({"base": spec_to_dict(base), "axis": "alpha_grid",
                                "grid": [[1, 2], [3, 4.5]]})
-        assert plan.axis == "alpha_grid" and plan.param is None
+        assert plan.axis == "alpha_grid"
         assert plan.grid == ((1.0, 2.0), (3.0, 4.5))
         assert all(type(v) is float for pair in plan.grid for v in pair)
         assert (plan.replicates, plan.master_seed, plan.scenario) == (50, 0, "custom")
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 3.9])
     def test_unusable_seed_rejected_when_built(self, seed):
         # no replicate could draw from it, so the plan must not build
         message = f"^seed must be a 64-bit unsigned integer, got {seed}$"
@@ -456,3 +460,72 @@ class TestPlanJSON:
         for data in ({"scenario": "sim6a"}, full):
             plan = plan_from_json({**data, **given})
             assert (plan.replicates, plan.master_seed) == expected
+
+    @pytest.mark.parametrize("replicates", [0, 2.7, STREAM_STRIDE])
+    def test_unusable_replicate_count_rejected_when_built(self, replicates):
+        # a fractional count is not truncated to a smaller one
+        message = re.escape(f"replicates must be an integer in [1, {STREAM_STRIDE}), got {replicates}")
+        full = {"base": spec_to_dict(noiseless_spec()), "axis": "rho", "grid": [0.5]}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            scenario("sim1a", replicates=replicates)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SweepPlan(noiseless_spec(), "rho", (0.5,), replicates=replicates)
+        for data in ({"scenario": "sim1a"}, full):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                plan_from_json({**data, "replicates": replicates})
+
+
+class TestPlanAxis:
+    """A plan names its axis as the CSV header does and checks its grid when built."""
+
+    def binomial_spec(self):
+        return ModelSpec(P=P1, rho=1.0, Pi_r=make_planted_memberships(16, 2, 4),
+                         Pi_c=make_planted_memberships(12, 2, 3),
+                         dist=EdgeDistribution.binomial(2))
+
+    def test_old_dist_param_axis_rejected(self):
+        message = re.escape(
+            "unknown axis 'dist_param'; expected one of ('rho', 'alpha_grid', 'm', 'sigma2', 'beta')"
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SweepPlan(self.binomial_spec(), "dist_param", (2.0,))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            plan_from_json({"base": spec_to_dict(self.binomial_spec()), "axis": "dist_param",
+                            "param": "m", "grid": [2.0]})
+
+    @pytest.mark.parametrize("axis, law", [("m", "binomial"), ("sigma2", "normal"),
+                                           ("beta", "logistic")])
+    def test_law_parameter_needs_its_law(self, axis, law):
+        base = noiseless_spec() if axis == "m" else self.binomial_spec()  # normal, binomial
+        with pytest.raises(ValueError, match=f"^axis '{axis}' requires a {law} base distribution$"):
+            SweepPlan(base, axis, (2.0,))
+
+    @pytest.mark.parametrize("axis, value, shape", [
+        ("alpha_grid", 2.0, "a pair of finite numbers"),
+        ("alpha_grid", (1.0, 2.0, 3.0), "a pair of finite numbers"),
+        ("alpha_grid", (1.0, float("nan")), "a pair of finite numbers"),
+        ("rho", (1.0, 2.0), "one finite number"),
+        ("rho", "0.5", "one finite number"),
+    ])
+    def test_grid_value_shape_checked_when_built(self, axis, value, shape):
+        first = (1.0, 2.0) if axis == "alpha_grid" else 0.5
+        message = re.escape(f"{axis} grid value must be {shape}, got {value!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SweepPlan(noiseless_spec(12, 12), axis, (first, value))
+
+    @pytest.mark.parametrize("axis, value, shown", [
+        ("alpha_grid", 2, "2.0"),
+        ("alpha_grid", [1, 2, 3], "[1.0, 2.0, 3.0]"),
+        ("rho", [1, 2], "[1.0, 2.0]"),
+        ("rho", None, "nan"),
+    ])
+    def test_plan_document_grid_checked(self, axis, value, shown):
+        first = [1.0, 2.0] if axis == "alpha_grid" else 0.5
+        data = {"base": spec_to_dict(noiseless_spec(12, 12)), "axis": axis, "grid": [first, value]}
+        with pytest.raises(ValueError, match=rf"^{axis} grid value must be .*, got {re.escape(shown)}$"):
+            plan_from_json(data)
+
+    def test_alpha_pairs_stored_as_tuples_keeping_element_types(self):
+        plan = SweepPlan(noiseless_spec(12, 12), "alpha_grid", [[1, 2], (3, 4.5)])
+        assert plan.grid == ((1, 2), (3, 4.5))
+        assert [type(v) for pair in plan.grid for v in pair] == [int, int, int, float]

@@ -38,6 +38,14 @@ class TestRandomSource:
         with pytest.raises(ValueError):
             RandomSource(2**64)
 
+    def test_fractional_seed_and_stream_rejected(self):
+        # 1.5 is not truncated to seed 1 or stream 1
+        with pytest.raises(ValueError, match="^seed must be a 64-bit unsigned integer, got 1.5$"):
+            RandomSource(1.5)
+        with pytest.raises(ValueError, match="^stream index must be a nonnegative integer, got 1.5$"):
+            RandomSource(1, 1.5)
+        assert RandomSource(3.0, 2.0) == RandomSource(3, 2)
+
 
 class TestDegenerateCases:
     def test_bernoulli_zero_and_one(self):
