@@ -57,6 +57,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     options = (("replicates", args.replicates), ("master_seed", args.seed))
     given = {key: value for key, value in options if value is not None}
     if args.config:
@@ -65,7 +67,7 @@ def _cmd_sweep(args) -> int:
         plan = load_plan(args.config)
     else:
         plan = scenario(args.scenario, **given)
-    result = run_sweep(plan)
+    result = run_sweep(plan, n_jobs=args.jobs)
     result.to_csv(args.out)
     ran = sum(1 for pt in result.points if not pt.skipped)
     skipped = len(result.points) - ran
@@ -124,6 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--config", help="JSON sweep plan")
     p.add_argument("--seed", type=int, help="--scenario master seed (default 0)")
     p.add_argument("--replicates", type=int, help="--scenario replicate count (default 50)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_sweep)
 

@@ -9,6 +9,16 @@ replicate index), so at a fixed BLAS thread count a sweep's records are
 identical under any ``n_jobs``.  The BLAS thread count itself can move the
 last digit of a mean, because the SVD's rounding depends on it.
 
+``run_sweep(plan, n_jobs)`` with ``n_jobs > 1`` maps grid points over a
+pool of worker processes.  The workers run BLAS at one thread, so their
+records equal the serial records at ``OPENBLAS_NUM_THREADS=1``; at
+catalogue sizes they also equal the serial records at 2 threads.  The pool
+starts on the first such call and persists for the life of the process;
+it is shut down, with its forkserver and resource tracker, at exit.  The
+workers are forked from a forkserver and import the caller's main module,
+so a script that calls ``run_sweep(n_jobs>1)`` at top level needs an
+``if __name__ == "__main__":`` guard.
+
 The scenario catalogue is one table, ``_SCENARIOS``, with a row per
 scenario: edge law, swept quantity, network shape, grid values, and P and
 rho where the sweep does not set them.  ``scenario`` builds a plan from a
@@ -20,8 +30,9 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -196,18 +207,94 @@ def _run_point(plan: SweepPlan, index: int) -> SweepPoint:
 def run_sweep(plan: SweepPlan, n_jobs: int = 1) -> SweepResult:
     """Run every grid point; invalid points are recorded as skipped.
 
-    At a fixed BLAS thread count the records are a pure function of the
-    plan: any ``n_jobs`` produces identical records in identical order.
+    ``n_jobs > 1`` runs the points in that many worker processes, which run
+    BLAS at one thread: the records equal the serial records at
+    ``OPENBLAS_NUM_THREADS=1``, and at catalogue sizes also those at 2
+    threads.  The pool persists for the life of the process.  Its workers
+    import the main module, so a script that calls this at top level needs
+    an ``if __name__ == "__main__":`` guard.
     """
     indices = range(len(plan.grid))
     if n_jobs <= 1:
         points = [_run_point(plan, i) for i in indices]
     else:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            points = list(pool.map(lambda i: _run_point(plan, i), indices))
+        points = _run_points_in_pool(plan, n_jobs)
     if all(pt.skipped for pt in points):
         raise InvalidModelError("every grid point is invalid: " + points[0].skipped)
     return SweepResult(plan, tuple(points))
+
+
+# the run_sweep worker pool and its size; made on first use, kept until exit
+_pool = None
+_pool_jobs = 0
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _run_points_in_pool(plan: SweepPlan, n_jobs: int) -> list[SweepPoint]:
+    """The points in grid order from the worker pool; a pool found broken is replaced once."""
+    from concurrent.futures import BrokenExecutor
+
+    points = []
+    for last_try in (False, True):
+        remaining = range(len(points), len(plan.grid))
+        try:
+            for point in _worker_pool(n_jobs).map(_run_point, repeat(plan), remaining):
+                points.append(point)
+            return points
+        except BrokenExecutor:  # a worker died: run the missing points on a new pool, once
+            _shut_down_pool()
+            if last_try:
+                raise
+
+
+def _worker_pool(n_jobs: int):
+    """The ``n_jobs``-process pool, started on first use with BLAS pinned to one thread.
+
+    Workers fork from a forkserver that preloads this module, so numpy
+    loads there once with the pinned thread count; the caller's
+    environment is restored once the server runs.
+    """
+    global _pool, _pool_jobs
+    if _pool is not None and _pool_jobs == n_jobs:
+        return _pool
+    _shut_down_pool()
+    import atexit
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import forkserver
+
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload([__name__])
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        forkserver.ensure_running()
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name)
+            else:
+                os.environ[name] = value
+    _pool, _pool_jobs = ProcessPoolExecutor(n_jobs, mp_context=context), n_jobs
+    atexit.unregister(_stop_workers)
+    atexit.register(_stop_workers)
+    return _pool
+
+
+def _shut_down_pool() -> None:
+    global _pool
+    if _pool is not None:
+        _pool.shutdown(wait=True, cancel_futures=True)
+        _pool = None
+
+
+def _stop_workers() -> None:
+    """Shut the pool down, then stop the forkserver and the resource tracker and wait for both."""
+    from multiprocessing import forkserver, resource_tracker
+
+    _shut_down_pool()
+    forkserver._forkserver._stop()
+    resource_tracker._resource_tracker._stop()
 
 
 def alpha_grid_matrix(result: SweepResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -330,15 +417,27 @@ def scenario(name: str, replicates: int = 50, master_seed: int = 0) -> SweepPlan
 
 
 def plan_from_json(data: dict) -> SweepPlan:
-    """Build a plan from a JSON document: a scenario reference or a full plan."""
+    """Build a plan from a JSON document: a scenario reference or a full plan.
+
+    A key the document's kind does not read is an error.  Values are checked
+    first, so a document in an old layout is told what is wrong with its axis.
+    """
     from .io import spec_from_dict
 
     given = {key: data[key] for key in ("replicates", "master_seed") if key in data}
     if "scenario" in data:
-        return scenario(data["scenario"], **given)
-    grid = [np.asarray(value, dtype=float).tolist() for value in data["grid"]]
-    base = spec_from_dict(data["base"])
-    return SweepPlan(base, data["axis"], grid, scenario=data.get("name", "custom"), **given)
+        plan, kind = scenario(data["scenario"], **given), "a scenario reference"
+        known = ("scenario", "replicates", "master_seed")
+    else:
+        grid = [np.asarray(value, dtype=float).tolist() for value in data["grid"]]
+        base = spec_from_dict(data["base"])
+        plan = SweepPlan(base, data["axis"], grid, scenario=data.get("name", "custom"), **given)
+        kind, known = "a plan", ("base", "axis", "grid", "replicates", "master_seed", "name")
+    unknown = [key for key in data if key not in known]
+    if unknown:
+        shown = ", ".join(map(repr, unknown))
+        raise ValueError(f"{kind} takes only the keys {', '.join(known)}; got {shown}")
+    return plan
 
 
 def load_plan(path) -> SweepPlan:

@@ -294,10 +294,11 @@ class TestCriterion9:
 
 class TestCriterion10:
     def test_thread_count_invariance(self, tmp_path):
-        """Sweep CSV bytes identical for n_jobs 1 vs 4 sweep workers at a fixed BLAS thread count.
+        """Sweep CSV bytes identical for n_jobs 1 vs 4 worker processes at a fixed BLAS thread count.
 
         The BLAS thread count itself is held fixed, not varied: it can move
-        the last digit of a mean.
+        the last digit of a mean.  The worker processes run BLAS at one
+        thread; at these sizes the records are the same at 1 and 2 threads.
         """
         base = ModelSpec(P=np.array([[1.0, 0.2], [0.3, 0.8]]), rho=1.0,
                          Pi_r=make_planted_memberships(40, 2, 10),

@@ -199,6 +199,31 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_jobs_write_the_serial_bytes(self, tmp_path):
+        # 300 nodes a side: every fit takes the block Krylov SVD
+        from bimix.harness import scenario
+        from bimix.io import spec_to_dict
+
+        full = scenario("sim1b", replicates=2, master_seed=11)
+        config = tmp_path / "plan.json"
+        config.write_text(json.dumps({
+            "base": spec_to_dict(full.base), "axis": "alpha_grid", "grid": full.grid[7::150],
+            "replicates": 2, "master_seed": 11, "name": "sim1b",
+        }))
+        written = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.csv"
+            assert main(["sweep", "--config", str(config), "--jobs", jobs, "--out", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert len(written[0].splitlines()) == 7  # the header and six points
+
+    def test_jobs_below_one_rejected(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--scenario", "setup1", "--jobs", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --jobs must be at least 1, got 0\n"
+        assert not out.exists()
+
     def test_scenario_defaults(self, tmp_path):
         out = tmp_path / "r.csv"
         assert main(["sweep", "--scenario", "setup5", "--out", str(out)]) == 0

@@ -2,13 +2,18 @@
 
 import hashlib
 import json
+import os
 import re
+import signal
+import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bimix import harness
 from bimix.harness import (
     SCENARIO_NAMES,
     STREAM_STRIDE,
@@ -157,6 +162,75 @@ class TestRunSweep:
         result = run_sweep(plan)
         assert result.plan.axis_columns() == ("m",)
         assert len(result.points) == 3
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def krylov_slice():
+    """Six valid sim1b points; 300 nodes a side take the Krylov SVD."""
+    full = scenario("sim1b", replicates=2, master_seed=11)
+    return replace(full, grid=full.grid[7::150])
+
+
+def python_env(**variables):
+    """The environment of a child interpreter that imports bimix from this checkout."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **variables}
+
+
+def process_group(pgid):
+    """Pids of every process, zombies included, whose process group is ``pgid``."""
+    members = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rpartition(")")[2].split()
+        except OSError:  # the process ended while the table was read
+            continue
+        if int(fields[2]) == pgid:  # after the name: state, ppid, pgrp
+            members.append(int(stat.parent.name))
+    return members
+
+
+@pytest.fixture(scope="module")
+def pinned_serial_csv():
+    """``krylov_slice``'s serial CSV, run in a child with BLAS at one thread."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from test_harness import krylov_slice, run_sweep; "
+            "sys.stdout.write(run_sweep(krylov_slice()).to_csv_text())")
+    done = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent)],
+                          env=python_env(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                                         MKL_NUM_THREADS="1"),
+                          capture_output=True, text=True, timeout=300, check=True)
+    return done.stdout
+
+
+class TestWorkerPool:
+    """``n_jobs > 1`` runs points in worker processes with BLAS pinned to one thread."""
+
+    def test_records_equal_serial_at_one_blas_thread(self, pinned_serial_csv):
+        assert run_sweep(krylov_slice(), n_jobs=2).to_csv_text() == pinned_serial_csv
+
+    def test_killed_worker_is_replaced(self, pinned_serial_csv):
+        plan = krylov_slice()
+        run_sweep(plan, n_jobs=2)
+        broken = harness._pool
+        os.kill(next(iter(broken._processes)), signal.SIGKILL)
+        assert run_sweep(plan, n_jobs=2).to_csv_text() == pinned_serial_csv
+        assert harness._pool is not broken
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs a /proc file system")
+    def test_no_process_outlives_the_caller(self, tmp_path):
+        code = ("from dataclasses import replace; from bimix.harness import run_sweep, scenario; "
+                "plan = scenario('sim6a', replicates=1); "
+                "run_sweep(replace(plan, grid=plan.grid[:8]), n_jobs=2)")
+        with open(tmp_path / "err", "w") as err:
+            child = subprocess.Popen([sys.executable, "-c", code], env=python_env(),
+                                     stderr=err, start_new_session=True)
+            assert child.wait(timeout=300) == 0
+        left = process_group(child.pid)  # read at once: a slow exit must not hide a leftover
+        assert left == []
+        assert (tmp_path / "err").read_text() == ""
 
 
 def reference_point(spec_for, value, index, replicates, seed):
@@ -473,6 +547,25 @@ class TestPlanJSON:
         for data in ({"scenario": "sim1a"}, full):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 plan_from_json({**data, "replicates": replicates})
+
+    def test_misspelled_plan_key_rejected(self):
+        # "replicate" once ran silently with the default 50 replicates
+        data = {"base": spec_to_dict(noiseless_spec()), "axis": "rho", "grid": [0.5], "replicate": 5}
+        message = re.escape("a plan takes only the keys base, axis, grid, replicates, master_seed, "
+                            "name; got 'replicate'")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            plan_from_json(data)
+
+    @pytest.mark.parametrize("extra, shown", [
+        ({"axis": "rho", "grid": [0.1, 0.2]}, "'axis', 'grid'"),  # once ran setup1's own grid
+        ({"base": {}}, "'base'"),
+        ({"name": "x"}, "'name'"),
+    ])
+    def test_scenario_reference_rejects_plan_body(self, extra, shown):
+        message = re.escape("a scenario reference takes only the keys scenario, replicates, "
+                            f"master_seed; got {shown}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            plan_from_json({"scenario": "setup1", **extra})
 
 
 class TestPlanAxis:
