@@ -9,7 +9,7 @@
 #   moreno_sampson.tsv     18 nodes,    189 edges, weights in [-1, 1]
 #   moreno_highschool.tsv  70 nodes,    366 edges, weights in [0, 2]
 #   opsahl_ucsocial.tsv    1302 nodes*, 19044 edges, weights in [0, 98]
-#   (* after removing isolated nodes from the declared 1899)
+#   (* the nodes its edges touch, of the 1899 the source declares)
 #
 # Record the printed sha256 sums alongside your copy of the data.
 

@@ -13,18 +13,16 @@ from .harness import (
     SweepPlan,
     SweepPoint,
     SweepResult,
-    alpha_grid_matrix,
     run_replicates,
     run_sweep,
     scenario,
 )
-from .ingest import EdgeList, EdgeListError, drop_isolated, load_edge_list, summarize, to_dense
+from .ingest import EdgeList, EdgeListError, load_edge_list, summarize, to_dense
 from .metrics import (
     SeparationMargins,
     empirical_tau_gamma,
     error_rate,
     hamm_rc,
-    home_base,
     mixed_proportion,
     separation_margins,
     theoretical_rate,
@@ -71,18 +69,15 @@ __all__ = [
     "SweepResult",
     "TruncatedSVD",
     "admissible_rho_interval",
-    "alpha_grid_matrix",
     "block_sign_class",
     "block_violations",
     "build_omega",
     "disp",
     "distribution_gamma",
-    "drop_isolated",
     "empirical_tau_gamma",
     "error_rate",
     "estimate_k_eigengap",
     "hamm_rc",
-    "home_base",
     "ideal_disp",
     "load_edge_list",
     "make_planted_memberships",

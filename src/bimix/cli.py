@@ -79,9 +79,9 @@ def _cmd_ingest(args) -> int:
     edges = load_edge_list(
         args.edges, format=args.format, duplicates="sum" if args.sum_duplicates else "error"
     )
-    A = to_dense(edges, square=True)
+    A = to_dense(edges)
     save_matrix_csv(A, args.dense)
-    stats = summarize(edges, square=True)
+    stats = summarize(edges)
     with open(args.summary, "w") as fh:
         json.dump(stats, fh, indent=2)
         fh.write("\n")

@@ -297,25 +297,6 @@ def _stop_workers() -> None:
     resource_tracker._resource_tracker._stop()
 
 
-def alpha_grid_matrix(result: SweepResult) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean errors as a heatmap-ready matrix over an alpha grid.
-
-    Rows are alpha_in ascending, columns alpha_out ascending; skipped points
-    hold NaN.  Returns (matrix, alpha_in values, alpha_out values).
-    """
-    if result.plan.axis != "alpha_grid":
-        raise ValueError("alpha_grid_matrix needs an alpha_grid sweep result")
-    a_in = np.array(sorted({pt.values["alpha_in"] for pt in result.points}))
-    a_out = np.array(sorted({pt.values["alpha_out"] for pt in result.points}))
-    grid = np.full((len(a_in), len(a_out)), np.nan)
-    row = {v: i for i, v in enumerate(a_in)}
-    col = {v: j for j, v in enumerate(a_out)}
-    for pt in result.points:
-        if not pt.skipped:
-            grid[row[pt.values["alpha_in"]], col[pt.values["alpha_out"]]] = pt.mean_error
-    return grid, a_in, a_out
-
-
 def _float_grid(first: float, last: float, step: float) -> tuple[float, ...]:
     count = int(round((last - first) / step)) + 1
     return tuple(round(first + i * step, 10) for i in range(count))
@@ -422,17 +403,21 @@ def plan_from_json(data: dict) -> SweepPlan:
     A key the document's kind does not read is an error.  Values are checked
     first, so a document in an old layout is told what is wrong with its axis.
     """
-    from .io import spec_from_dict
+    from .io import json_field, json_value, spec_from_dict
 
+    json_value(data, dict, "a plan document")
     given = {key: data[key] for key in ("replicates", "master_seed") if key in data}
     if "scenario" in data:
-        plan, kind = scenario(data["scenario"], **given), "a scenario reference"
-        known = ("scenario", "replicates", "master_seed")
+        kind, known = "a scenario reference", ("scenario", "replicates", "master_seed")
+        plan = scenario(json_field(data, "scenario", str, kind), **given)
     else:
-        grid = [np.asarray(value, dtype=float).tolist() for value in data["grid"]]
-        base = spec_from_dict(data["base"])
-        plan = SweepPlan(base, data["axis"], grid, scenario=data.get("name", "custom"), **given)
         kind, known = "a plan", ("base", "axis", "grid", "replicates", "master_seed", "name")
+        grid = json_field(data, "grid", list, kind)
+        grid = [np.asarray(value, dtype=float).tolist() for value in grid]
+        base = spec_from_dict(json_field(data, "base", dict, kind))
+        axis = json_field(data, "axis", str, kind)
+        name = json_value(data.get("name", "custom"), str, f"{kind}'s 'name'")
+        plan = SweepPlan(base, axis, grid, scenario=name, **given)
     unknown = [key for key in data if key not in known]
     if unknown:
         shown = ", ".join(map(repr, unknown))

@@ -2,15 +2,16 @@
 
 Files are plain text with 2 or 3 columns per line (source, target, optional
 weight; a 2-column line weighs 1); comment lines starting with '%' or '#'
-are skipped.  Node ids are arbitrary tokens, interned in first-appearance
-order.  An ``EdgeList`` holds each (source, target) pair once, so
-duplicates are resolved only at load.
+are skipped.  Node ids are arbitrary tokens.  An ``EdgeList`` holds each
+(source, target) pair once, so duplicates are resolved only at load.  Its
+nodes are its edges' endpoints in first-appearance order, so no node is
+isolated and rows and columns share one numbering.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,25 +24,25 @@ class EdgeListError(ValueError):
 
 @dataclass(frozen=True)
 class EdgeList:
-    """Weighted edges over a declared node universe.
+    """Weighted (source, target, weight) edges; the nodes are their endpoints.
 
-    ``nodes`` may list ids beyond those referenced by edges (declared but
-    isolated nodes).  Each node and each (source, target) pair appears at
-    most once; a repeat raises ``EdgeListError`` when the list is built.
+    Each (source, target) pair appears at most once; a repeat raises
+    ``EdgeListError`` when the list is built.
     """
 
-    edges: tuple = field(default_factory=tuple)
-    nodes: tuple = field(default_factory=tuple)
+    edges: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(self.edges))
-        object.__setattr__(self, "nodes", tuple(self.nodes))
         pairs = [(src, tgt) for src, tgt, _ in self.edges]
         if len(set(pairs)) < len(pairs):
             src, tgt = _first_repeat(pairs)
             raise EdgeListError(f"duplicate edge {src!r} -> {tgt!r}")
-        if len(set(self.nodes)) < len(self.nodes):
-            raise EdgeListError(f"duplicate node {_first_repeat(self.nodes)!r}")
+
+    @property
+    def nodes(self) -> tuple:
+        """Every endpoint once, source before target, in edge order."""
+        return tuple(dict.fromkeys(node for src, tgt, _ in self.edges for node in (src, tgt)))
 
 
 def _first_repeat(items):
@@ -101,13 +102,13 @@ def load_edge_list(path, format: str = "tsv", duplicates: str = "error") -> Edge
         raise ValueError(f"format must be 'tsv' or 'csv', got {format!r}")
     if duplicates not in DUPLICATE_POLICIES:
         raise ValueError(f"duplicates must be one of {DUPLICATE_POLICIES}")
-    nodes: dict = {}  # token -> node id by first appearance; distinct tokens, distinct ids
+    ids: dict = {}  # token -> node id; distinct tokens, distinct ids
     weights: dict = {}
     for lineno, parts in _fields(path, format, (2, 3)):
         for token in parts[:2]:
-            if token not in nodes:
-                nodes[token] = _parse_token(token)
-        src, tgt = nodes[parts[0]], nodes[parts[1]]
+            if token not in ids:
+                ids[token] = _parse_token(token)
+        src, tgt = ids[parts[0]], ids[parts[1]]
         weight = _weight(lineno, parts[2] if len(parts) == 3 else 1.0)
         if (src, tgt) in weights:
             if duplicates == "error":
@@ -115,67 +116,35 @@ def load_edge_list(path, format: str = "tsv", duplicates: str = "error") -> Edge
             weight += weights[src, tgt]
         weights[src, tgt] = weight
     edges = tuple((s, t, w) for (s, t), w in weights.items())
-    return EdgeList(edges=edges, nodes=tuple(nodes.values()))
+    return EdgeList(edges)
 
 
-def drop_isolated(edge_list: EdgeList) -> EdgeList:
-    """Remove declared nodes that no edge touches as either endpoint.
-
-    Idempotent; the surviving nodes keep their original relative order, so
-    the next densification uses contiguous indices.
-    """
-    touched = {node for src, tgt, _ in edge_list.edges for node in (src, tgt)}
-    nodes = tuple(n for n in edge_list.nodes if n in touched)
-    return EdgeList(edges=edge_list.edges, nodes=nodes)
-
-
-def _cells(edge_list: EdgeList, square: bool):
-    """Row and column index of each edge and the shape, numbered as ``to_dense`` says."""
-    if square:
-        row_index = col_index = {node: i for i, node in enumerate(edge_list.nodes)}
-        shape = (len(edge_list.nodes), len(edge_list.nodes))
-    else:
-        row_index, col_index = {}, {}
-        for src, tgt, _ in edge_list.edges:
-            row_index.setdefault(src, len(row_index))
-            col_index.setdefault(tgt, len(col_index))
-        shape = (len(row_index), len(col_index))
-    rows, cols = [], []
-    for src, tgt, _ in edge_list.edges:
-        if src not in row_index or tgt not in col_index:
-            raise EdgeListError(f"edge {src!r} -> {tgt!r} references an undeclared node")
-        rows.append(row_index[src])
-        cols.append(col_index[tgt])
-    return rows, cols, shape
-
-
-def to_dense(edge_list: EdgeList, square: bool = True):
+def to_dense(edge_list: EdgeList):
     """Dense adjacency matrix with A[i, j] = weight of edge i -> j, else 0.
 
-    With ``square=True`` rows and columns share the declared node universe.
-    Otherwise sources and targets are interned separately, in first
-    appearance order, and only referenced ids get an index.
+    Rows and columns are both numbered in ``edge_list.nodes`` order.
     """
-    rows, cols, shape = _cells(edge_list, square)
-    A = np.zeros(shape)
+    index = {node: i for i, node in enumerate(edge_list.nodes)}
+    A = np.zeros((len(index), len(index)))
+    rows = [index[src] for src, _, _ in edge_list.edges]
+    cols = [index[tgt] for _, tgt, _ in edge_list.edges]
     A[rows, cols] = [w for _, _, w in edge_list.edges]
     return A
 
 
-def summarize(edge_list: EdgeList, square: bool = True) -> dict:
+def summarize(edge_list: EdgeList) -> dict:
     """Node count, edge count, matrix-wide weight range, share of positive edges.
 
     The range is that of ``to_dense``'s matrix, read from the edge weights
     (plus 0 if a cell is empty) without building it; a zero end reads 0.0.
     """
-    _, _, (n_rows, n_cols) = _cells(edge_list, square)
-    n_edges = len(edge_list.edges)
+    n, n_edges = len(edge_list.nodes), len(edge_list.edges)
     positive = sum(1 for _, _, w in edge_list.edges if w > 0)
-    weights = [w for _, _, w in edge_list.edges] + ([0.0] if n_edges < n_rows * n_cols else [])
+    weights = [w for _, _, w in edge_list.edges] + ([0.0] if n_edges < n * n else [])
     return {
-        "n": len(edge_list.nodes) if square else None,
-        "n_rows": n_rows,
-        "n_cols": n_cols,
+        "n": n,
+        "n_rows": n,
+        "n_cols": n,
         "edges": n_edges,
         "min_weight": float(np.min(weights)) + 0.0 if weights else 0.0,
         "max_weight": float(np.max(weights)) + 0.0 if weights else 0.0,

@@ -59,13 +59,15 @@ def load_edges_tsv(path) -> np.ndarray:
 
     The shape header is honored when present; otherwise the matrix is sized
     by the largest indices encountered.  A position below 1 or outside the
-    shape, a repeated position, and a malformed header or weight each raise
-    ``EdgeListError`` naming the line.
+    shape, a repeated position, a second header, and a malformed header or
+    weight each raise ``EdgeListError`` naming the line.
     """
     shape = None
     cells = {}
     for lineno, fields in _fields(path, "tsv", (3,), header=SHAPE_HEADER):
         if fields[0] == SHAPE_HEADER:
+            if shape is not None:
+                raise EdgeListError(f"line {lineno}: a second shape header")
             shape = _int_pair(lineno, fields[1:], "shape", minimum=0)
             continue
         position = _int_pair(lineno, fields[:2], "position", minimum=1)
@@ -97,11 +99,42 @@ def spec_to_dict(spec: ModelSpec) -> dict:
     }
 
 
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "a number",
+               float: "a number", bool: "a boolean", type(None): "null"}
+
+
+def json_value(value, kind: type, what: str):
+    """``value`` if its JSON type is that of ``kind``; else ``ValueError`` naming both types."""
+    got = _JSON_TYPES.get(type(value), type(value).__name__)
+    if got != _JSON_TYPES[kind]:
+        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, got {got}")
+    return value
+
+
+def json_field(data: dict, key: str, kind: type, where: str):
+    """``data[key]``, checked by ``json_value``; a missing key raises ``ValueError`` naming it."""
+    if key not in data:
+        raise ValueError(f"{where} has no key {key!r}")
+    return json_value(data[key], kind, f"{where}'s {key!r}")
+
+
 def spec_from_dict(data: dict) -> ModelSpec:
-    return ModelSpec(
-        P=np.asarray(data["P"], dtype=float),
-        rho=float(data["rho"]),
-        Pi_r=np.asarray(data["Pi_r"], dtype=float),
-        Pi_c=np.asarray(data["Pi_c"], dtype=float),
-        dist=EdgeDistribution.from_dict(data["dist"]),
+    """Model spec from ``spec_to_dict``'s layout; ``n_r``, ``n_c`` and ``K`` may be left out.
+
+    A missing key, a value of the wrong JSON type, and an ``n_r``, ``n_c`` or
+    ``K`` that contradicts ``P``, ``Pi_r`` and ``Pi_c`` raise ``ValueError``.
+    """
+    where = "the model spec"
+    dist = json_field(data, "dist", dict, where)
+    json_field(dist, "kind", str, f"{where}'s 'dist'")
+    matrices = {key: np.asarray(json_field(data, key, list, where), dtype=float)
+                for key in ("P", "Pi_r", "Pi_c")}
+    spec = ModelSpec(
+        rho=json_field(data, "rho", float, where),
+        dist=EdgeDistribution.from_dict(dist),
+        **matrices,
     )
+    for key, size in (("n_r", spec.n_r), ("n_c", spec.n_c), ("K", spec.K)):
+        if key in data and data[key] != size:
+            raise ValueError(f"{where}'s {key}={data[key]!r} contradicts its matrices' {size}")
+    return spec

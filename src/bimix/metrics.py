@@ -68,12 +68,6 @@ def hamm_rc(Pi_r_hat: np.ndarray, Pi_c_hat: np.ndarray) -> float:
     return _min_permutation_l1(Pi_r_hat, Pi_c_hat) / Pi_r_hat.shape[0]
 
 
-def home_base(Pi_hat: np.ndarray) -> np.ndarray:
-    """Per-node community of largest weight; ties break toward the smaller label."""
-    Pi_hat = np.asarray(Pi_hat, dtype=float)
-    return np.argmax(Pi_hat, axis=1)
-
-
 def mixed_proportion(Pi_hat: np.ndarray, threshold: float = 0.8) -> float:
     """Fraction of nodes whose largest membership weight is at most ``threshold``."""
     Pi_hat = np.asarray(Pi_hat, dtype=float)

@@ -16,7 +16,7 @@ import pytest
 
 from bimix.disp import disp, ideal_disp
 from bimix.harness import SweepPlan, run_replicates, run_sweep, scenario
-from bimix.ingest import drop_isolated, load_edge_list, to_dense
+from bimix.ingest import load_edge_list, to_dense
 from bimix.metrics import error_rate, hamm_rc, mixed_proportion
 from bimix.model import (
     ModelSpec,
@@ -267,13 +267,13 @@ class TestCriterion9:
             pytest.skip("reference dataset files not supplied")
         problems = []
         for name, (fname, n, edges, lo, hi) in DATASETS.items():
-            el = drop_isolated(load_edge_list(DATA_DIR / fname))
-            A = to_dense(el, square=True)
+            el = load_edge_list(DATA_DIR / fname)
+            A = to_dense(el)
             if len(el.nodes) != n or len(el.edges) != edges:
                 problems.append(f"{name} size ({len(el.nodes)}, {len(el.edges)})")
             if float(A.min()) != lo or float(A.max()) != hi:
                 problems.append(f"{name} weight range ({A.min()}, {A.max()})")
-        crisis = to_dense(drop_isolated(load_edge_list(DATA_DIR / DATASETS["crisis"][0])))
+        crisis = to_dense(load_edge_list(DATA_DIR / DATASETS["crisis"][0]))
         sv = singular_values(crisis, 10)
         k_hat = estimate_k_eigengap(sv, "difference")
         if k_hat != 2:

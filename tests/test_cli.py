@@ -6,13 +6,20 @@ import numpy as np
 import pytest
 
 from bimix.cli import main
-from bimix.harness import STREAM_STRIDE
-from bimix.io import load_matrix_csv, save_edges_tsv, save_matrix_csv
+from bimix.harness import STREAM_STRIDE, scenario
+from bimix.io import load_matrix_csv, save_edges_tsv, save_matrix_csv, spec_to_dict
 from bimix.metrics import error_rate
 from bimix.model import ModelSpec, build_omega, make_planted_memberships
 from bimix.sampler import EdgeDistribution
 
 from test_model import P1
+
+
+def setup1_plan(**changes):
+    """A rho plan on setup1's base, with base keys changed (None removes the key)."""
+    base = {**spec_to_dict(scenario("setup1").base), **changes}
+    base = {key: value for key, value in base.items() if value is not None}
+    return {"base": base, "axis": "rho", "grid": [0.5], "replicates": 2}
 
 
 @pytest.fixture
@@ -142,8 +149,6 @@ class TestSweep:
         assert len(lines) == 2
 
     def test_config_plan(self, tmp_path):
-        from bimix.io import spec_to_dict
-
         base = ModelSpec(P=P1, rho=2.0, Pi_r=make_planted_memberships(12, 2, 3),
                          Pi_c=make_planted_memberships(10, 2, 2),
                          dist=EdgeDistribution.normal(0.0))
@@ -186,8 +191,6 @@ class TestSweep:
          "unknown axis 'dist_param'; expected one of ('rho', 'alpha_grid', 'm', 'sigma2', 'beta')"),
     ])
     def test_config_plan_checked_before_any_point(self, tmp_path, capsys, given, message):
-        from bimix.io import spec_to_dict
-
         base = ModelSpec(P=P1, rho=2.0, Pi_r=make_planted_memberships(12, 2, 3),
                          Pi_c=make_planted_memberships(12, 2, 3),
                          dist=EdgeDistribution.normal(0.0))
@@ -199,11 +202,31 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("data, message", [
+        ([setup1_plan()], "a plan document must be an object, got a list"),
+        ({"scenario": ["setup1"]}, "a scenario reference's 'scenario' must be a string, got a list"),
+        (setup1_plan(Pi_r=None), "the model spec has no key 'Pi_r'"),
+        (setup1_plan(K=5, n_r=999), "the model spec's n_r=999 contradicts its matrices' 16"),
+        (setup1_plan(n_c=15), "the model spec's n_c=15 contradicts its matrices' 14"),
+        (setup1_plan(K=5), "the model spec's K=5 contradicts its matrices' 2"),
+        (setup1_plan(dist="bernoulli"), "the model spec's 'dist' must be an object, got a string"),
+        ({**setup1_plan(), "grid": None}, "a plan's 'grid' must be a list, got null"),
+        ({**setup1_plan(), "base": 3}, "a plan's 'base' must be an object, got a number"),
+        ({key: value for key, value in setup1_plan().items() if key != "grid"},
+         "a plan has no key 'grid'"),
+        ({**setup1_plan(), "name": ["x"]}, "a plan's 'name' must be a string, got a list"),
+    ], ids=["list", "scenario-list", "no-Pi_r", "K-and-n_r", "n_c", "K", "dist-string",
+            "null-grid", "base-number", "no-grid", "name-list"])
+    def test_unreadable_plan_document_named(self, tmp_path, capsys, data, message):
+        config = tmp_path / "plan.json"
+        config.write_text(json.dumps(data))
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_jobs_write_the_serial_bytes(self, tmp_path):
         # 300 nodes a side: every fit takes the block Krylov SVD
-        from bimix.harness import scenario
-        from bimix.io import spec_to_dict
-
         full = scenario("sim1b", replicates=2, master_seed=11)
         config = tmp_path / "plan.json"
         config.write_text(json.dumps({

@@ -20,7 +20,6 @@ from bimix.harness import (
     SweepPlan,
     SweepPoint,
     SweepResult,
-    alpha_grid_matrix,
     plan_from_json,
     run_replicates,
     run_sweep,
@@ -462,26 +461,6 @@ def replace_rho(spec, rho):
     from dataclasses import replace
 
     return replace(spec, rho=float(rho))
-
-
-class TestAlphaGridMatrix:
-    def test_orientation(self):
-        base = ModelSpec(P=P1, rho=0.5, Pi_r=make_planted_memberships(12, 2, 3),
-                         Pi_c=make_planted_memberships(12, 2, 3),
-                         dist=EdgeDistribution.normal(0.0))
-        pairs = tuple((a, b) for a in (1.0, 2.0) for b in (1.0, 2.0))
-        result = run_sweep(SweepPlan(base, "alpha_grid", pairs, replicates=2))
-        grid, a_in, a_out = alpha_grid_matrix(result)
-        assert grid.shape == (2, 2)
-        np.testing.assert_array_equal(a_in, [1.0, 2.0])
-        # diagonal pairs were skipped, off-diagonal ran noiselessly
-        assert np.isnan(grid[0, 0]) and np.isnan(grid[1, 1])
-        assert grid[0, 1] <= 1e-8 and grid[1, 0] <= 1e-8
-
-    def test_wrong_axis_rejected(self):
-        plan = SweepPlan(noiseless_spec(), "rho", (0.5,), replicates=2)
-        with pytest.raises(ValueError):
-            alpha_grid_matrix(run_sweep(plan))
 
 
 class TestPlanJSON:

@@ -1,4 +1,4 @@
-"""Edge-list parsing, isolated-node removal and densification tests."""
+"""Edge-list parsing, node derivation, densification and summary tests."""
 
 import json
 import math
@@ -9,14 +9,7 @@ import pytest
 
 from bimix import ingest
 from bimix.cli import main
-from bimix.ingest import (
-    EdgeList,
-    EdgeListError,
-    drop_isolated,
-    load_edge_list,
-    summarize,
-    to_dense,
-)
+from bimix.ingest import EdgeList, EdgeListError, load_edge_list, summarize, to_dense
 
 
 def write(tmp_path, text, name="edges.tsv"):
@@ -79,37 +72,19 @@ class TestLoadEdgeList:
 class TestEdgeList:
     def test_manual_duplicates_rejected_when_built(self):
         with pytest.raises(EdgeListError, match="duplicate edge 1 -> 2"):
-            EdgeList(edges=((1, 2, 1.0), (3, 1, 2.0), (1, 2, 5.0)), nodes=(1, 2, 3))
+            EdgeList(edges=((1, 2, 1.0), (3, 1, 2.0), (1, 2, 5.0)))
 
     def test_reversed_pair_and_self_loop_are_distinct(self):
-        el = EdgeList(edges=((1, 2, 1.0), (2, 1, 2.0), (1, 1, 3.0)), nodes=(1, 2))
+        el = EdgeList(edges=((1, 2, 1.0), (2, 1, 2.0), (1, 1, 3.0)))
         np.testing.assert_array_equal(to_dense(el), [[3.0, 1.0], [2.0, 0.0]])
 
-    def test_repeated_node_rejected_when_built(self):
-        # a repeated id would densify to a phantom node with no edges
-        with pytest.raises(EdgeListError, match="^duplicate node 1$"):
-            EdgeList(edges=((1, 2, 5.0),), nodes=(1, 1, 2))
-
     def test_first_repeat_named(self):
-        with pytest.raises(EdgeListError, match="^duplicate node 'b'$"):
-            EdgeList(nodes=("a", "b", "c", "b", "a"))
         with pytest.raises(EdgeListError, match="^duplicate edge 3 -> 1$"):
-            EdgeList(edges=((1, 2, 1.0), (3, 1, 1.0), (3, 1, 2.0), (1, 2, 3.0)), nodes=(1, 2, 3))
+            EdgeList(edges=((1, 2, 1.0), (3, 1, 1.0), (3, 1, 2.0), (1, 2, 3.0)))
 
 
 class TestDropIsolated:
-    def test_unreferenced_declared_node_removed(self):
-        el = EdgeList(edges=((1, 2, 1.0),), nodes=(1, 2, 3))
-        assert drop_isolated(el).nodes == (1, 2)
-
-    def test_idempotent(self):
-        el = EdgeList(edges=((1, 2, 1.0), (2, 1, 2.0)), nodes=(1, 2, 9, 10))
-        once = drop_isolated(el)
-        assert drop_isolated(once) == once
-
-    def test_dense_list_unchanged(self):
-        el = EdgeList(edges=((1, 2, 1.0), (2, 3, 1.0)), nodes=(1, 2, 3))
-        assert drop_isolated(el) == el
+    """The nodes are the edges' endpoints, so no list holds an isolated node."""
 
     @pytest.mark.parametrize(
         "text, duplicates",
@@ -121,49 +96,36 @@ class TestDropIsolated:
         ],
     )
     def test_loaded_lists_have_no_isolated_nodes(self, tmp_path, text, duplicates):
-        # the reader adds a node only as an edge endpoint
-        el = load_edge_list(write(tmp_path, text), duplicates=duplicates)
-        assert drop_isolated(el) == el
+        # the derived nodes are the file's node tokens in first-appearance order
+        path = write(tmp_path, text)
+        el = load_edge_list(path, duplicates=duplicates)
+        tokens = [token for line in path.read_text().splitlines() for token in line.split()[:2]]
+        assert el.nodes == tuple(ingest._parse_token(t) for t in dict.fromkeys(tokens))
 
 
 class TestToDense:
     def test_small_square(self):
-        el = EdgeList(edges=(("a", "b", 2.0), ("c", "a", -1.0)), nodes=("a", "b", "c"))
-        A = to_dense(el, square=True)
+        el = EdgeList(edges=(("a", "b", 2.0), ("c", "a", -1.0)))
+        A = to_dense(el)
         assert A.shape == (3, 3)
         assert np.count_nonzero(A) == 2
         assert A[0, 1] == 2.0 and A[2, 0] == -1.0
 
     def test_self_loops_kept(self):
-        el = EdgeList(edges=((1, 1, 3.0),), nodes=(1,))
+        el = EdgeList(edges=((1, 1, 3.0),))
         A = to_dense(el)
         assert A[0, 0] == 3.0
-
-    def test_bipartite_separate_spaces(self):
-        el = EdgeList(edges=(("u1", "v1", 1.0), ("u2", "v1", 2.0)), nodes=("u1", "v1", "u2"))
-        A = to_dense(el, square=False)
-        assert A.shape == (2, 1)
-        np.testing.assert_array_equal(A, [[1.0], [2.0]])
 
     def test_nonzero_count_matches_edges(self):
         rng = np.random.default_rng(0)
         pairs = {(int(a), int(b)) for a, b in rng.integers(0, 8, size=(30, 2))}
         edges = tuple((a, b, 1.0) for a, b in pairs)
-        el = EdgeList(edges=edges, nodes=tuple(range(8)))
+        el = EdgeList(edges=edges)
         assert np.count_nonzero(to_dense(el)) == len(edges)
 
     def test_empty_lists(self):
         assert to_dense(EdgeList()).shape == (0, 0)
-        assert to_dense(EdgeList(nodes=(1, 2))).shape == (2, 2)
-        assert to_dense(EdgeList(), square=False).shape == (0, 0)
-
-
-@pytest.mark.parametrize("densify", [to_dense, summarize], ids=["to_dense", "summarize"])
-def test_undeclared_node_rejected(densify):
-    el = EdgeList(edges=((1, 2, 1.0), (2, 3, 1.0)), nodes=(1, 2))
-    with pytest.raises(EdgeListError, match="edge 2 -> 3 references an undeclared node"):
-        densify(el)
-    densify(el, square=False)  # sources and targets are numbered from the edges
+        assert EdgeList().nodes == ()
 
 
 class TestSummarize:
@@ -185,35 +147,34 @@ class TestSummarize:
             f"{i}\t{j}\t{A[i, j]}" for i in range(5) for j in range(5) if A[i, j] != 0
         ]
         el = load_edge_list(write(tmp_path, "\n".join(lines) + "\n"))
-        el = drop_isolated(el)
         B = to_dense(el)
         # same multiset of weights lands in the dense matrix
         assert sorted(B[B != 0]) == sorted(A[A != 0])
 
     def test_range_without_empty_cell(self):
         # every cell holds an edge, so 0 is not in the range
-        el = EdgeList(edges=((1, 1, 3.0), (1, 2, 1.5), (2, 1, 2.0), (2, 2, 4.0)), nodes=(1, 2))
+        el = EdgeList(edges=((1, 1, 3.0), (1, 2, 1.5), (2, 1, 2.0), (2, 2, 4.0)))
         stats = summarize(el)
         assert stats["min_weight"] == 1.5 and stats["max_weight"] == 4.0
-        el = EdgeList(edges=((1, 1, -3.0), (1, 2, -1.5), (2, 1, -2.0), (2, 2, -4.0)), nodes=(1, 2))
+        el = EdgeList(edges=((1, 1, -3.0), (1, 2, -1.5), (2, 1, -2.0), (2, 2, -4.0)))
         assert summarize(el)["max_weight"] == -1.5
 
     def test_rectangular(self):
-        el = EdgeList(edges=(("u1", "v1", 1.0), ("u2", "v1", 2.0), ("u2", "v2", -1.0)),
-                      nodes=("u1", "v1", "u2", "v2"))
-        assert summarize(el, square=False) == {
-            "n": None, "n_rows": 2, "n_cols": 2, "edges": 3, "min_weight": -1.0,
+        # sources and targets of a bipartite list share one node numbering
+        el = EdgeList(edges=(("u1", "v1", 1.0), ("u2", "v1", 2.0), ("u2", "v2", -1.0)))
+        assert summarize(el) == {
+            "n": 4, "n_rows": 4, "n_cols": 4, "edges": 3, "min_weight": -1.0,
             "max_weight": 2.0, "pct_positive_edges": pytest.approx(100.0 * 2 / 3),
         }
-        el = EdgeList(edges=(("u1", "v1", 1.0), ("u2", "v1", 2.0)), nodes=("u1", "v1", "u2"))
-        stats = summarize(el, square=False)
-        assert (stats["n_rows"], stats["n_cols"], stats["min_weight"]) == (2, 1, 1.0)
+        el = EdgeList(edges=(("u1", "v1", 1.0), ("u2", "v1", 2.0)))
+        stats = summarize(el)
+        assert (stats["n_rows"], stats["n_cols"], stats["min_weight"]) == (3, 3, 0.0)
+        assert to_dense(el).shape == (3, 3)
 
     def test_empty_lists(self):
-        for el in (EdgeList(), EdgeList(nodes=(1, 2))):
-            stats = summarize(el)
-            assert (stats["min_weight"], stats["max_weight"]) == (0.0, 0.0)
-            assert stats["pct_positive_edges"] == 0.0
+        stats = summarize(EdgeList())
+        assert (stats["n"], stats["min_weight"], stats["max_weight"]) == (0, 0.0, 0.0)
+        assert stats["pct_positive_edges"] == 0.0
 
     @pytest.mark.parametrize(
         "edges",
@@ -224,17 +185,17 @@ class TestSummarize:
         ],
     )
     def test_zero_extreme_reads_positive_zero(self, edges):
-        stats = summarize(EdgeList(edges=edges, nodes=(1, 2)))
+        stats = summarize(EdgeList(edges=edges))
         assert stats["min_weight"] == 0.0 and math.copysign(1.0, stats["min_weight"]) == 1.0
         negative = tuple((s, t, -w) for s, t, w in edges)
-        stats = summarize(EdgeList(edges=negative, nodes=(1, 2)))
+        stats = summarize(EdgeList(edges=negative))
         assert stats["max_weight"] == 0.0 and math.copysign(1.0, stats["max_weight"]) == 1.0
 
     @pytest.mark.parametrize("first", [0, 1])
     def test_nan_weight_gives_nan_range(self, first):
         # load_edge_list rejects non-finite weights; a hand-built list keeps them
         edges = [(1, 2, float("nan")), (2, 1, 1.0)]
-        stats = summarize(EdgeList(edges=edges[first:] + edges[:first], nodes=(1, 2)))
+        stats = summarize(EdgeList(edges=edges[first:] + edges[:first]))
         assert math.isnan(stats["min_weight"]) and math.isnan(stats["max_weight"])
 
     def test_matrix_not_built(self, monkeypatch):
@@ -243,7 +204,8 @@ class TestSummarize:
             raise AssertionError("summarize built the dense matrix")
 
         monkeypatch.setattr(ingest, "to_dense", no_dense)
-        el = EdgeList(edges=((0, 1999, 2.0), (5, 5, -1.0)), nodes=tuple(range(2000)))
+        # a chain through 2000 nodes, plus a self-loop
+        el = EdgeList(edges=tuple((i, i + 1, 2.0) for i in range(1999)) + ((5, 5, -1.0),))
         tracemalloc.start()
         try:
             stats = summarize(el)

@@ -95,6 +95,7 @@ class TestEdgesTSVErrors:
             pytest.param("1\tx\t1.0\n", 1, id="non-integer-position"),
             pytest.param("1\t1\tabc\n", 1, id="unparsable-weight"),
             pytest.param("1\t1\t1.0\n2\t1\n", 2, id="two-columns"),
+            pytest.param("% shape: 2 2\n1\t1\t1.0\n% shape: 3 3\n", 3, id="second-header"),
         ],
     )
     def test_rejected_naming_the_line(self, tmp_path, text, lineno):
@@ -120,6 +121,9 @@ class TestSpecJSON:
         np.testing.assert_array_equal(loaded.P, spec.P)
         np.testing.assert_array_equal(loaded.Pi_r, spec.Pi_r)
         np.testing.assert_array_equal(loaded.Pi_c, spec.Pi_c)
+        # the sizes are read from the matrices; their keys may be left out
+        data = {k: v for k, v in spec_to_dict(spec).items() if k not in ("n_r", "n_c", "K")}
+        assert (spec_from_dict(data).n_r, spec_from_dict(data).K) == (8, 2)
 
     def test_dimension_fields_present(self):
         spec = ModelSpec(P=P1, rho=0.5, Pi_r=make_planted_memberships(8, 2, 2),

@@ -13,7 +13,6 @@ from bimix.metrics import (
     empirical_tau_gamma,
     error_rate,
     hamm_rc,
-    home_base,
     mixed_proportion,
     separation_margins,
     theoretical_rate,
@@ -118,26 +117,6 @@ class TestHammRC:
         pi = random_stochastic(rng, n, k)
         perm = rng.permutation(k)
         assert hamm_rc(pi, pi[:, perm]) == 0.0
-
-
-class TestHomeBase:
-    def test_pure_rows(self):
-        pi = make_planted_memberships(6, 3, 2)
-        np.testing.assert_array_equal(home_base(pi), [0, 0, 1, 1, 2, 2])
-
-    def test_tie_goes_to_smaller_label(self):
-        assert home_base(np.array([[0.5, 0.5]]))[0] == 0
-
-    def test_agrees_with_linear_scan(self):
-        rng = np.random.default_rng(4)
-        pi = random_stochastic(rng, 20, 4)
-        labels = home_base(pi)
-        for i in range(20):
-            best, arg = -1.0, None
-            for k in range(4):
-                if pi[i, k] > best:
-                    best, arg = pi[i, k], k
-            assert labels[i] == arg
 
 
 class TestMixedProportion:
