@@ -2,17 +2,19 @@
 
 Pipeline: top-K SVD of A; vertex hunting (SPA) on the rows of each
 singular-vector matrix; each vertex refined to the mean of the embedding rows
-within r = (sigma_{K+1}/sigma_K) * sqrt(K/n) of SPA's pick; inversion
+within r = (noise_edge/sigma_K) * sqrt(K/n) of SPA's pick; inversion
 against the refined vertices; clamp negatives to zero; normalize each row to
 sum 1.
 
 r is the noise scale of the singular-vector rows: sqrt(K/n) is their typical
-norm and sigma_{K+1}/sigma_K the relative size of the noise.  Plain SPA takes
-the single noisiest extreme row as a vertex, which pulls every estimated
-membership toward the middle; the ball mean removes that bias.  When A has
-numerical rank K, or K = min(n_r, n_c), r is 0 and the fit is plain SPA, so
-running it on the exact expectation matrix recovers the planted memberships
-up to a column permutation.
+norm and noise_edge/sigma_K the relative size of the noise, where
+noise_edge, the bulk edge of the residual noise (see ``spectral``), stands in
+for sigma_{K+1} so that the SVD converges only the top K triples.  Plain SPA
+takes the single noisiest extreme row as a vertex, which pulls every
+estimated membership toward the middle; the ball mean removes that bias.
+When A has numerical rank K, or K = min(n_r, n_c), r is 0 and the fit is
+plain SPA, so running it on the exact expectation matrix recovers the
+planted memberships up to a column permutation.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .model import ModelSpec, build_omega
 from .spa import spa, vertex_matrix
-from .spectral import TruncatedSVD, top_k_svd
+from .spectral import top_k_svd
 
 COND_LIMIT = 1e12
 DEGENERATE_ROW_TOL = 1e-12
@@ -40,12 +42,16 @@ class FitResult:
     The fields after the two membership matrices are the schema of ``bimix
     fit``'s ``diagnostics.json``, in order, after ``k``, ``n_r`` and ``n_c``.
 
-    ``next_singular_value`` is sigma_{K+1} (0 when K = min(n_r, n_c)).
+    ``noise_edge`` is the SVD's bulk-edge noise scale, which sets the ball
+    radius (0 when A has numerical rank K, or K = min(n_r, n_c)); sigma_{K+1}
+    itself is ``spectral.singular_values(A, K + 1)[K]``.
     ``degenerate_rows`` and ``degenerate_cols`` count the nodes on each side
     whose clamped weights vanished, so they got the uniform membership (a
     node with no edges, for one).  A rank-deficient ``A`` need not raise
-    them: its K-th singular vectors are arbitrary, and the deficiency shows
-    only in ``singular_values[K-1]`` and ``next_singular_value``.
+    them: its K-th singular vectors are arbitrary.  ``rank_deficient`` flags
+    it: sigma_K is at most ``sigma_1 * max(n_r, n_c) * eps``, numpy's
+    ``matrix_rank`` tolerance, so A has numerical rank below K.  The fit
+    still returns memberships; nothing raises.
     """
 
     Pi_r_hat: np.ndarray
@@ -55,9 +61,10 @@ class FitResult:
     pure_cols: tuple[int, ...]
     cond_row_vertices: float
     cond_col_vertices: float
-    next_singular_value: float
+    noise_edge: float
     degenerate_rows: int
     degenerate_cols: int
+    rank_deficient: bool
 
 
 def memberships_from_embedding(X: np.ndarray, radius: float = 0.0):
@@ -91,37 +98,26 @@ def memberships_from_embedding(X: np.ndarray, radius: float = 0.0):
     return pi, idx, cond, int(degenerate.sum())
 
 
-def _noise_ratio(tsvd: TruncatedSVD) -> float:
-    """sigma_{K+1} / sigma_K, or 0 when A has numerical rank K.
-
-    The rank tolerance is numpy's ``matrix_rank`` default,
-    ``sigma_1 * max(n_r, n_c) * eps``.
-    """
-    sv = tsvd.singular_values
-    tol = sv[0] * max(len(tsvd.left), len(tsvd.right)) * np.finfo(float).eps
-    if tsvd.next_value <= tol:
-        return 0.0
-    return tsvd.next_value / sv[-1]
-
-
 def disp(A: np.ndarray, K: int) -> FitResult:
     """Estimate row and column memberships of a bipartite weighted network."""
     tsvd = top_k_svd(A, K)
     n_r, n_c = len(tsvd.left), len(tsvd.right)
-    ratio = _noise_ratio(tsvd)
+    sv = tsvd.singular_values
+    ratio = tsvd.noise_edge / sv[-1] if tsvd.noise_edge else 0.0
     pi_r, pure_rows, cond_r, degenerate_r = memberships_from_embedding(tsvd.left, ratio * np.sqrt(K / n_r))
     pi_c, pure_cols, cond_c, degenerate_c = memberships_from_embedding(tsvd.right, ratio * np.sqrt(K / n_c))
     return FitResult(
         Pi_r_hat=pi_r,
         Pi_c_hat=pi_c,
-        singular_values=tsvd.singular_values,
+        singular_values=sv,
         pure_rows=pure_rows,
         pure_cols=pure_cols,
         cond_row_vertices=cond_r,
         cond_col_vertices=cond_c,
-        next_singular_value=tsvd.next_value,
+        noise_edge=tsvd.noise_edge,
         degenerate_rows=degenerate_r,
         degenerate_cols=degenerate_c,
+        rank_deficient=bool(sv[-1] <= sv[0] * max(n_r, n_c) * np.finfo(float).eps),
     )
 
 

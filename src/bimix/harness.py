@@ -103,6 +103,9 @@ class SweepPlan:
                 f"replicates must be an integer in [1, {STREAM_STRIDE}), got {self.replicates!r}"
             )
         RandomSource(self.master_seed)  # reject a seed that no replicate can use
+        if any(c in self.scenario for c in ',"\r\n'):  # the CSV writes the name unquoted
+            raise ValueError("scenario name may not hold a comma, a double quote or a line break, "
+                             f"got {self.scenario!r}")
         object.__setattr__(self, "grid", tuple(_grid_point(self.axis, v) for v in self.grid))
         object.__setattr__(self, "replicates", int(self.replicates))
         object.__setattr__(self, "master_seed", int(self.master_seed))

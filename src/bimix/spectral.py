@@ -8,9 +8,11 @@ Q of span{MG, (MM^T)MG, (MM^T)^2 MG, ...}, one block at a time, each new
 block orthogonalized twice against the basis (CGS2).  After each block the
 top-k Ritz values (square roots of the top eigenvalues of the projected Gram
 matrix Q^T M M^T Q) are compared with the previous block's; the iteration
-stops once none moves by more than ``KRYLOV_RTOL`` times the largest.  A
-Rayleigh-Ritz step then takes the SVD of the projection of M onto the top-k
-Ritz vectors, so the returned values are not computed through their squares.
+stops once none moves by more than ``KRYLOV_RTOL`` times the largest
+(``KRYLOV_RTOL_VECTORS`` when vectors are wanted, since Ritz vectors
+converge about as the square root of their values).  A Rayleigh-Ritz step
+then takes the SVD of the projection of M onto the top-k Ritz vectors, so
+the returned values are not computed through their squares.
 
 A full LAPACK SVD is used instead when the shorter side has fewer than
 ``KRYLOV_MIN_BLOCKS`` blocks' worth of rows (``KRYLOV_MIN_BLOCKS_VALUES``
@@ -21,6 +23,15 @@ fixed BLAS thread count; they agree with the full SVD to rounding and to the
 Krylov stopping tolerance.
 Left singular vectors are oriented so their largest absolute entry is
 positive, making serialized output reproducible.
+
+``top_k_svd`` converges only the top K triples; the noise beyond them is
+summarized by the bulk edge of an i.i.d. noise matrix with the residual's
+mean square, s * (sqrt(n_r) + sqrt(n_c)) with s^2 = (||A||_F^2 -
+sum_{i<=K} sigma_i^2) / (n_r n_c) (Bai & Yin, Ann. Probab. 1988; Bandeira &
+van Handel, Ann. Probab. 2016 for unequal variances).  It takes one pass
+over A, where converging sigma_{K+1} as well took about twice the Krylov
+blocks of the top K (16-19 against 7-9 on sampled 300-node networks at
+K = 2).  ``singular_values(A, K + 1)[K]`` still gives sigma_{K+1}.
 """
 
 from __future__ import annotations
@@ -31,6 +42,10 @@ import numpy as np
 
 RATIO_FLOOR_RTOL = 1e-12
 KRYLOV_RTOL = 1e-10  # stop once no Ritz value moves by more than this times sigma_1
+# Ritz vectors converge about as the square root of their values: with only
+# the top K converged, 1e-10 left the K-th singular subspace up to 5e-7 away
+# from LAPACK's on planted-plus-noise matrices (K = 2..4), 1e-12 up to 2e-8
+KRYLOV_RTOL_VECTORS = 1e-12
 # Shorter sides below this many blocks take the full LAPACK SVD.  Measured on
 # sampled and planted networks (BENCH_5.json), the Krylov path wins from 32
 # blocks with vectors (K = 2..4), and from 43-73 blocks for values alone,
@@ -44,14 +59,17 @@ REORTH_KEEP = 0.5  # a column keeping less norm under the second CGS pass is noi
 class TruncatedSVD:
     """Top-K singular triple: orthonormal columns, nonincreasing values.
 
-    ``next_value`` is the first discarded singular value sigma_{K+1}, or 0
-    when K = min(n_r, n_c) leaves none.
+    ``noise_edge`` is the bulk edge s * (sqrt(n_r) + sqrt(n_c)) of the noise
+    left after the top K triples, the scale sigma_{K+1} has when A is a
+    low-rank signal plus i.i.d. noise.  It is 0 when A has numerical rank K
+    (the residual mean square s^2 is at most ``max(n_r, n_c) * eps`` times
+    ``||A||_F^2 / (n_r n_c)``), and so when K = min(n_r, n_c).
     """
 
     left: np.ndarray
     singular_values: np.ndarray
     right: np.ndarray
-    next_value: float = 0.0
+    noise_edge: float = 0.0
 
     def reconstruct(self) -> np.ndarray:
         """Best rank-K approximation ``left @ diag(values) @ right.T``."""
@@ -115,6 +133,7 @@ def _top_k(A: np.ndarray, k: int, compute_uv: bool):
     if p < (KRYLOV_MIN_BLOCKS if compute_uv else KRYLOV_MIN_BLOCKS_VALUES) * b:
         return _full_svd(A, k, compute_uv)
     M = A if A.shape[0] == p else A.T  # the basis lives in the shorter dimension
+    rtol = KRYLOV_RTOL_VECTORS if compute_uv else KRYLOV_RTOL
     blocks = p // 2 // b
     rng = np.random.default_rng(0)
     Q = np.empty((p, blocks * b))
@@ -130,7 +149,7 @@ def _top_k(A: np.ndarray, k: int, compute_uv: bool):
         gram[new, :m] = gram[:m, new].T
         lam = np.linalg.eigvalsh(gram[: m + b, : m + b])[::-1][:k]
         previous, ritz = ritz, np.sqrt(np.maximum(lam, 0.0))
-        if previous is not None and np.all(np.abs(ritz - previous) <= KRYLOV_RTOL * ritz[0]):
+        if previous is not None and np.all(np.abs(ritz - previous) <= rtol * ritz[0]):
             break
         Y = M @ W[:, new]
     else:
@@ -149,18 +168,24 @@ def _top_k(A: np.ndarray, k: int, compute_uv: bool):
 
 
 def top_k_svd(A: np.ndarray, K: int) -> TruncatedSVD:
-    """Top-K singular value decomposition of a dense matrix.
+    """Top-K singular value decomposition of a dense matrix, with its noise edge.
 
-    Converges K + 1 values, since sigma_{K+1} is reported as ``next_value``.
-    Raises on non-finite input or K outside [1, min(n_r, n_c)]; LAPACK
-    convergence failures propagate as LinAlgError.
+    Converges only the top K triples; ``noise_edge`` comes from the
+    Frobenius norm of A.  Raises on non-finite input or K outside
+    [1, min(n_r, n_c)]; LAPACK convergence failures propagate as LinAlgError.
     """
     A = _validate_input(A, K, "K")
-    U, sv, V = _top_k(A, min(K + 1, min(A.shape)), compute_uv=True)
-    U, V = U[:, :K].copy(), V[:, :K].copy()
+    U, sv, V = _top_k(A, K, compute_uv=True)
+    U, V = np.ascontiguousarray(U), np.ascontiguousarray(V)
     _apply_sign_convention(U, V)
-    next_value = float(sv[K]) if K < len(sv) else 0.0
-    return TruncatedSVD(left=U, singular_values=sv[:K].copy(), right=V, next_value=next_value)
+    n_r, n_c = A.shape
+    # numpy's own sum, so the edge does not depend on the BLAS thread count
+    total = float(np.einsum("ij,ij->", A, A))
+    residual = total - float(sv @ sv)
+    noise_edge = 0.0  # at K = min(n_r, n_c) the residual is rounding alone
+    if K < min(n_r, n_c) and residual > max(n_r, n_c) * np.finfo(float).eps * total:
+        noise_edge = np.sqrt(residual / (n_r * n_c)) * (np.sqrt(n_r) + np.sqrt(n_c))
+    return TruncatedSVD(left=U, singular_values=sv, right=V, noise_edge=float(noise_edge))
 
 
 def singular_values(A: np.ndarray, k_max: int) -> np.ndarray:

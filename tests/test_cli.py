@@ -83,12 +83,13 @@ class TestFit:
         diag = json.loads((tmp_path / "fit_diagnostics.json").read_text())
         pi_r = load_matrix_csv(prefix + "rows.csv")
         assert diag["singular_values"][1] <= 1e-12 * diag["singular_values"][0]
-        assert diag["next_singular_value"] <= 1e-12 * diag["singular_values"][0]
+        assert diag["noise_edge"] == 0.0 and diag["rank_deficient"] is True
         assert diag["degenerate_rows"] == int(np.all(pi_r == 0.5, axis=1).sum()) > 0
         assert isinstance(diag["degenerate_cols"], int)
 
     def test_diagnostics_golden_bytes(self, tmp_path):
-        # recorded from the hand-written diagnostics dict; row 4 has no edges
+        # recorded from `bimix fit`, whose radius comes from the noise edge;
+        # row 4 has no edges
         A = np.array([[3, 2, 2, 3, 2, 3, 3, 0], [0, 1, 1, 3, 3, 0, 1, 3], [0, 3, 0, 1, 3, 1, 1, 1],
                       [2, 1, 3, 1, 1, 2, 2, 2], [0, 0, 0, 0, 0, 0, 0, 0], [1, 0, 3, 0, 3, 2, 0, 0],
                       [1, 0, 0, 2, 3, 1, 3, 3], [3, 2, 1, 2, 1, 1, 1, 0], [3, 0, 0, 0, 3, 2, 3, 0]],
@@ -100,10 +101,10 @@ class TestFit:
             b'{\n  "k": 2,\n  "n_r": 9,\n  "n_c": 8,\n  "singular_values": [\n'
             b'    12.880150146192161,\n    5.199631549735536\n  ],\n'
             b'  "pure_rows": [\n    1,\n    0\n  ],\n  "pure_cols": [\n    7,\n    0\n  ],\n'
-            b'  "cond_row_vertices": 1.4859076596267744,\n'
-            b'  "cond_col_vertices": 1.3161229526437666,\n'
-            b'  "next_singular_value": 3.7868484459029665,\n'
-            b'  "degenerate_rows": 1,\n  "degenerate_cols": 0\n}\n'
+            b'  "cond_row_vertices": 1.2921525176485396,\n'
+            b'  "cond_col_vertices": 1.1300302269275473,\n'
+            b'  "noise_edge": 4.507650044880752,\n'
+            b'  "degenerate_rows": 1,\n  "degenerate_cols": 0,\n  "rank_deficient": false\n}\n'
         )
 
     def test_bad_input_returns_nonzero(self, tmp_path):
@@ -215,8 +216,12 @@ class TestSweep:
         ({key: value for key, value in setup1_plan().items() if key != "grid"},
          "a plan has no key 'grid'"),
         ({**setup1_plan(), "name": ["x"]}, "a plan's 'name' must be a string, got a list"),
+        *(({**setup1_plan(), "name": name},
+           f"scenario name may not hold a comma, a double quote or a line break, got {name!r}")
+          for name in ("a,b", 'a"b', "a\nb", "a\rb")),
     ], ids=["list", "scenario-list", "no-Pi_r", "K-and-n_r", "n_c", "K", "dist-string",
-            "null-grid", "base-number", "no-grid", "name-list"])
+            "null-grid", "base-number", "no-grid", "name-list",
+            "name-comma", "name-quote", "name-newline", "name-return"])
     def test_unreadable_plan_document_named(self, tmp_path, capsys, data, message):
         config = tmp_path / "plan.json"
         config.write_text(json.dumps(data))

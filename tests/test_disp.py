@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from bimix.disp import IllPosedFitError, disp, ideal_disp, memberships_from_embedding
+from bimix.harness import scenario
 from bimix.metrics import error_rate, hamm_rc
 from bimix.model import ModelSpec, build_omega, make_planted_memberships, make_standard_two_block
 from bimix.sampler import EdgeDistribution, RandomSource, sample_adjacency
 from bimix.spa import spa
-from bimix.spectral import top_k_svd
+from bimix.spectral import singular_values, top_k_svd
 
 from test_model import P1, random_valid_spec
 
@@ -120,7 +121,7 @@ class TestVertexRefinement:
         A = sample_adjacency(build_omega(spec), spec.dist, RandomSource(7))
         t = top_k_svd(A, 2)
         fit = disp(A, 2)
-        radius = t.next_value / t.singular_values[-1] * np.sqrt(2 / 200)
+        radius = t.noise_edge / t.singular_values[-1] * np.sqrt(2 / 200)
         assert fit.pure_rows == spa(t.left, 2)
         pi_r, _ = plain_spa_memberships(A, 2)
         assert not np.array_equal(fit.Pi_r_hat, pi_r)
@@ -170,7 +171,8 @@ class TestRankDeficientInput:
         A[0] = 1.0
         fit = disp(A, 2)
         tol = fit.singular_values[0] * n * np.finfo(float).eps
-        assert fit.singular_values[1] <= tol and fit.next_singular_value <= tol
+        assert fit.singular_values[1] <= tol and singular_values(A, 3)[2] <= tol
+        assert fit.noise_edge == 0.0 and fit.rank_deficient
         uniform_rows = int(np.all(fit.Pi_r_hat == 0.5, axis=1).sum())
         assert fit.degenerate_rows == uniform_rows > 0
         assert 0 <= fit.degenerate_cols <= n
@@ -181,7 +183,24 @@ class TestRankDeficientInput:
         fit = ideal_disp(spec)
         assert (fit.degenerate_rows, fit.degenerate_cols) == (0, 0)
         # A has exact rank K, so sigma_{K+1} is rounding noise
-        assert 0.0 <= fit.next_singular_value <= fit.singular_values[0] * 12 * np.finfo(float).eps
+        sigma_3 = singular_values(build_omega(spec), 3)[2]
+        assert 0.0 <= sigma_3 <= fit.singular_values[0] * 12 * np.finfo(float).eps
+        assert fit.noise_edge == 0.0 and not fit.rank_deficient
+
+    @pytest.mark.parametrize("n", [20, 300])  # full-SVD and Krylov paths
+    def test_rank_one_outer_product_flagged(self, n):
+        # every row and column has edges, so no row falls back to uniform;
+        # only the flag shows that A has rank 1 < K = 2
+        rng = np.random.default_rng(17)
+        fit = disp(np.outer(rng.uniform(0.5, 1.0, n), rng.uniform(0.5, 1.0, n)), 2)
+        assert fit.rank_deficient
+        for pi in (fit.Pi_r_hat, fit.Pi_c_hat):
+            np.testing.assert_allclose(pi.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_sampled_network_not_flagged(self):
+        spec = scenario("sim1b").base  # 300 x 300 bernoulli, at the grid's first valid point
+        A = sample_adjacency(build_omega(spec), spec.dist, RandomSource(3))
+        assert not disp(A, 2).rank_deficient
 
 
 class TestSampledAccuracy:

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,10 @@ from hypothesis import strategies as st
 
 from bimix import spectral
 from bimix.disp import ideal_disp
+from bimix.harness import scenario
 from bimix.metrics import error_rate
-from bimix.model import ModelSpec, build_omega, make_planted_memberships
-from bimix.sampler import EdgeDistribution
+from bimix.model import ModelSpec, build_omega, make_planted_memberships, make_standard_two_block
+from bimix.sampler import EdgeDistribution, RandomSource, sample_adjacency
 from bimix.spectral import estimate_k_eigengap, singular_values, top_k_svd
 
 from test_model import P1, random_valid_spec
@@ -25,8 +27,8 @@ class TestTopKSVD:
         A[0, 0], A[1, 1], A[2, 2] = 3.0, 2.0, 1.0
         t = top_k_svd(A, 2)
         np.testing.assert_allclose(t.singular_values, [3.0, 2.0], atol=1e-12)
-        assert t.next_value == pytest.approx(1.0, abs=1e-12)
-        assert top_k_svd(A, 3).next_value == 0.0
+        assert singular_values(A, 3)[2] == pytest.approx(1.0, abs=1e-12)
+        assert top_k_svd(A, 3).noise_edge == 0.0
 
     def test_exact_rank_reconstruction(self):
         rng = np.random.default_rng(1)
@@ -100,6 +102,48 @@ class TestTopKSVD:
             top_k_svd(A, 1)
 
 
+def planted_poisson(rng, n, K, n_edges):
+    """Poisson network of ``n`` nodes from a planted model: 70% pure nodes, the rest Dirichlet(1)."""
+    n_pure = int(0.7 * n) // K
+    pi_r = np.zeros((n, K))
+    for k in range(K):
+        pi_r[k * n_pure : (k + 1) * n_pure, k] = 1.0
+    pi_r[K * n_pure :] = rng.dirichlet(np.ones(K), size=n - K * n_pure)
+    P = np.full((K, K), 0.02)
+    np.fill_diagonal(P, 1.0)
+    mean = pi_r @ P @ pi_r[rng.permutation(n)].T
+    return rng.poisson(mean * (n_edges / mean.sum())).astype(float)
+
+
+class TestNoiseEdge:
+    def test_vanishes_at_rank_k(self):
+        # an exact rank-K expectation matrix on the LAPACK path (the Krylov
+        # path is in TestKrylovPath), and K = min(n_r, n_c), where the
+        # residual of a 2 x 2 matrix exceeded the rank tolerance 11 times in 300
+        rng = np.random.default_rng(28)
+        assert top_k_svd(build_omega(random_valid_spec(rng, 40, 50, 3)), 3).noise_edge == 0.0
+        for shape in ((2, 2), (4, 3), (3, 4)):
+            for _ in range(300):
+                assert top_k_svd(rng.normal(size=shape), min(shape)).noise_edge == 0.0
+
+    @pytest.mark.parametrize("name, point", [("sim1b", (30.0, 1.0)), ("sim4c", (50.0, 5.0)),
+                                             ("sim8b", (30.0, 2.0))])
+    def test_near_next_singular_value_at_300(self, name, point):
+        # recorded over seeds 0-3: edge / sigma_3 - 1 from -1.9% to +2.0%
+        P, rho = make_standard_two_block(300, *point)
+        spec = replace(scenario(name).base, P=P, rho=rho)
+        omega = build_omega(spec)
+        for seed in range(4):
+            A = sample_adjacency(omega, spec.dist, RandomSource(seed))
+            assert abs(top_k_svd(A, 2).noise_edge / singular_values(A, 3)[2] - 1.0) <= 0.025
+
+    def test_near_next_singular_value_at_1302(self):
+        # the large-fit network size; recorded over seeds 0-3: edge / sigma_4
+        # - 1 from -3.6% to -2.5%, low because the Poisson variances vary
+        A = planted_poisson(np.random.default_rng(0), 1302, 3, 19000)
+        assert abs(top_k_svd(A, 3).noise_edge / singular_values(A, 4)[3] - 1.0) <= 0.045
+
+
 def planted_plus_noise(rng, n_r, n_c, K, scale=40.0):
     """Scaled exact-rank expectation matrix plus standard normal noise."""
     omega = build_omega(random_valid_spec(rng, n_r, n_c, K))
@@ -132,7 +176,7 @@ class TestKrylovPath:
             t = top_k_svd(A, K)
             assert full_svd_calls == []
             np.testing.assert_allclose(t.singular_values, s[:K], rtol=0, atol=1e-9 * s[0])
-            assert abs(t.next_value - s[K]) <= 1e-9 * s[0]
+            assert abs(singular_values(A, K + 1)[K] - s[K]) <= 1e-9 * s[0]
             assert subspace_gap(U[:, :K], t.left) <= 1e-7
             assert subspace_gap(Vt[:K].T, t.right) <= 1e-7
             np.testing.assert_allclose(t.left.T @ t.left, np.eye(K), atol=1e-12)
@@ -157,8 +201,10 @@ class TestKrylovPath:
                             Pi_c=make_planted_memberships(300, 2, 100),
                             dist=EdgeDistribution.bernoulli())
         for spec in (random_valid_spec(np.random.default_rng(21), 300, 300, 2), planted):
-            t = top_k_svd(build_omega(spec), 2)
-            assert t.next_value <= t.singular_values[0] * 300 * np.finfo(float).eps
+            omega = build_omega(spec)
+            t = top_k_svd(omega, 2)
+            assert singular_values(omega, 3)[2] <= t.singular_values[0] * 300 * np.finfo(float).eps
+            assert t.noise_edge == 0.0
             fit = ideal_disp(spec)
             assert error_rate(fit.Pi_r_hat, spec.Pi_r, fit.Pi_c_hat, spec.Pi_c) <= 1e-8
         assert full_svd_calls == []
@@ -171,7 +217,8 @@ class TestKrylovPath:
             t = top_k_svd(A, 2)
             tol = max(s[0], 1.0) * 620 * np.finfo(float).eps
             np.testing.assert_allclose(t.singular_values, s[:2], rtol=0, atol=tol)
-            assert t.next_value <= tol
+            assert singular_values(A, 3)[2] <= tol
+            assert t.noise_edge == 0.0
             np.testing.assert_allclose(t.left.T @ t.left, np.eye(2), atol=1e-12)
             np.testing.assert_allclose(t.right.T @ t.right, np.eye(2), atol=1e-12)
             np.testing.assert_allclose(t.reconstruct(), A, rtol=0, atol=tol)
@@ -187,24 +234,24 @@ class TestKrylovPath:
         for a, b in ((t1.left, t2.left), (t1.right, t2.right),
                      (t1.singular_values, t2.singular_values)):
             np.testing.assert_array_equal(a, b)
-        assert t1.next_value == t2.next_value
+        assert t1.noise_edge == t2.noise_edge
         np.testing.assert_array_equal(singular_values(A, 10), singular_values(A, 10))
 
     def test_size_threshold(self, full_svd_calls):
-        # K=2 converges 3 values with blocks of 5: 160 rows take the Krylov
-        # path, 159 the full decomposition, and values alone need 240 rows;
+        # K=2 converges 2 values with blocks of 4: 128 rows take the Krylov
+        # path, 127 the full decomposition, and 3 values alone need 240 rows;
         # exact rank converges in 2 blocks
         A = build_omega(random_valid_spec(np.random.default_rng(24), 300, 240, 2))
-        top_k_svd(A[:, :160], 2)
+        top_k_svd(A[:, :128], 2)
         singular_values(A, 3)
         assert full_svd_calls == []
-        top_k_svd(A[:, :159], 2)
+        top_k_svd(A[:, :127], 2)
         singular_values(A[:, :239], 3)
-        assert full_svd_calls == [(300, 159), (300, 239)]
+        assert full_svd_calls == [(300, 127), (300, 239)]
 
     def test_unconverged_basis_falls_back(self, full_svd_calls):
         # evenly spread singular values leave no gap: the Ritz values do not
-        # settle to 1e-10 within 16 blocks, so the full decomposition answers
+        # settle to 1e-12 within 20 blocks, so the full decomposition answers
         rng = np.random.default_rng(25)
         Q1, Q2 = (np.linalg.qr(rng.standard_normal((160, 160)))[0] for _ in range(2))
         A = (Q1 * np.linspace(1.0, 0.5, 160)) @ Q2.T
@@ -212,7 +259,9 @@ class TestKrylovPath:
         assert full_svd_calls == [(160, 160)]
         s = np.linalg.svd(A, full_matrices=False)[1]
         np.testing.assert_array_equal(t.singular_values, s[:2])
-        assert t.next_value == s[2]
+        # values alone come from LAPACK's values-only SVD, which can differ
+        # from the full one in the last bit
+        assert singular_values(A, 3)[2] == np.linalg.svd(A, compute_uv=False)[2]
 
 
 def test_fit_imports_numpy_only():
