@@ -40,6 +40,9 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if (args.true_rows is None) != (args.true_cols is None):  # checked before any file is read
+        given, missing = ("rows", "cols") if args.true_cols is None else ("cols", "rows")
+        raise ValueError(f"--true-{missing} is required with --true-{given}")
     est_rows = load_matrix_csv(args.est_rows)
     est_cols = load_matrix_csv(args.est_cols)
     out = {
@@ -48,7 +51,7 @@ def _cmd_eval(args) -> int:
     }
     if est_rows.shape == est_cols.shape:
         out["hamm_rc"] = hamm_rc(est_rows, est_cols)
-    if args.true_rows and args.true_cols:
+    if args.true_rows is not None:
         true_rows = load_matrix_csv(args.true_rows)
         true_cols = load_matrix_csv(args.true_cols)
         out["error_rate"] = error_rate(est_rows, true_rows, est_cols, true_cols)

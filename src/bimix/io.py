@@ -1,11 +1,15 @@
 """Serialization: dense CSV matrices, sparse TSV edge lists, model dicts.
 
-Matrices round-trip through 17-significant-digit decimals; edge lists store
+Matrices round-trip through 17-significant-digit decimals: the CSV bytes
+equal ``np.savetxt``'s with ``fmt="%.17g"``, but only the nonzero cells are
+formatted and the file is written one row at a time.  Edge lists store
 1-indexed (row, col, weight) triples with zeros omitted and a shape header
 so empty trailing rows or columns survive the round trip.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 
@@ -17,12 +21,33 @@ SHAPE_HEADER = "% shape:"
 
 
 def save_matrix_csv(M: np.ndarray, path) -> None:
+    """Write ``M`` (1-D as one row) as comma-separated ``"%.17g"`` decimals.
+
+    The bytes equal ``np.savetxt(path, M, fmt="%.17g", delimiter=",")``'s.
+    Only the nonzero cells are formatted (``nan`` and ``inf`` among them); a
+    zero is written ``0`` and a negative zero ``-0``.  The file is written
+    one row at a time, so the whole text is never held in memory.
+    """
     M = np.atleast_2d(np.asarray(M, dtype=float))
-    np.savetxt(path, M, fmt="%.17g", delimiter=",")
+    with open(path, "w", newline="\n") as fh:
+        for row in M:
+            cells = ["0"] * len(row)
+            for j in np.flatnonzero(np.signbit(row)).tolist():
+                cells[j] = "-0"  # a nonzero negative cell is overwritten below
+            nonzero = np.flatnonzero(row)
+            for j, value in zip(nonzero.tolist(), row[nonzero].tolist()):
+                cells[j] = "%.17g" % value
+            fh.write(",".join(cells) + "\n")
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)
+    """Read a dense CSV matrix; a file with no data rows raises ``ValueError`` naming it."""
+    with warnings.catch_warnings():  # numpy warns on an empty file; the error below says more
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        M = np.loadtxt(path, delimiter=",", ndmin=2)
+    if M.shape[0] == 0:
+        raise ValueError(f"{path} holds no matrix rows")
+    return M
 
 
 def save_edges_tsv(A: np.ndarray, path) -> None:

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from bimix.cli import main
+from bimix.disp import disp
 from bimix.harness import STREAM_STRIDE, scenario
+from bimix.ingest import load_edge_list, to_dense
 from bimix.io import load_matrix_csv, save_edges_tsv, save_matrix_csv, spec_to_dict
 from bimix.metrics import error_rate
 from bimix.model import ModelSpec, build_omega, make_planted_memberships
 from bimix.sampler import EdgeDistribution
 
+from test_io import savetxt_bytes
 from test_model import P1
 
 
@@ -138,6 +141,29 @@ class TestEval:
         assert main(["eval", "--est-rows", str(est_r), "--est-cols", str(est_c)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["hamm_rc"] == 0.0
+
+    @pytest.mark.parametrize("given, missing", [("--true-rows", "--true-cols"),
+                                                ("--true-cols", "--true-rows")])
+    def test_one_truth_flag_alone_rejected(self, tmp_path, capsys, given, missing):
+        # no file is read: the estimate paths do not exist either
+        absent = [str(tmp_path / name) for name in ("er.csv", "ec.csv", "truth.csv")]
+        assert main(["eval", "--est-rows", absent[0], "--est-cols", absent[1],
+                     given, absent[2]]) == 1
+        assert capsys.readouterr().err == f"error: {missing} is required with {given}\n"
+
+
+class TestEmptyMatrixCSV:
+    @pytest.mark.parametrize("text", ["", "# no data\n"], ids=["empty", "comments-only"])
+    @pytest.mark.parametrize("command", ["fit", "estimate-k", "eval"])
+    def test_rejected_naming_the_file(self, tmp_path, capsys, text, command):
+        empty = tmp_path / "m.csv"
+        empty.write_text(text)
+        argv = {"fit": ["fit", str(empty), "--k", "2", "--out-prefix", str(tmp_path / "f_")],
+                "estimate-k": ["estimate-k", str(empty)],
+                "eval": ["eval", "--est-rows", str(empty), "--est-cols", str(empty)]}[command]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {empty} holds no matrix rows\n"
+        assert not (tmp_path / "f_rows.csv").exists()
 
 
 class TestSweep:
@@ -289,6 +315,27 @@ class TestIngest:
         assert main(["ingest", str(edges), "--sum-duplicates", "--dense", str(dense),
                      "--summary", str(summary)]) == 0
         assert load_matrix_csv(dense)[0, 1] == 3.0
+
+    def test_sparse_network_bytes_equal_savetxt(self, tmp_path):
+        # a 300-node, 0.7%-dense network with integer, negative and 17-digit
+        # weights: ingest's A.csv and fit's memberships are np.savetxt's bytes
+        rng = np.random.default_rng(13)
+        pairs = np.unique(rng.integers(0, 300, size=(650, 2)), axis=0)
+        pairs = pairs[rng.permutation(len(pairs))]
+        weights = np.where(rng.random(len(pairs)) < 0.5, rng.integers(1, 6, len(pairs)),
+                           rng.normal(size=len(pairs)))
+        edges = tmp_path / "e.tsv"
+        edges.write_text("".join(f"{i}\t{j}\t{w!r}\n" for (i, j), w in zip(pairs, weights.tolist())))
+        dense, prefix = tmp_path / "A.csv", str(tmp_path / "f_")
+        assert main(["ingest", str(edges), "--dense", str(dense),
+                     "--summary", str(tmp_path / "s.json")]) == 0
+        A = to_dense(load_edge_list(edges))
+        assert A.shape[0] > 250 and np.count_nonzero(A) == len(pairs)
+        assert dense.read_bytes() == savetxt_bytes(A)
+        assert main(["fit", str(dense), "--k", "2", "--out-prefix", prefix]) == 0
+        result = disp(A, 2)
+        assert (tmp_path / "f_rows.csv").read_bytes() == savetxt_bytes(result.Pi_r_hat)
+        assert (tmp_path / "f_cols.csv").read_bytes() == savetxt_bytes(result.Pi_c_hat)
 
 
 class TestEstimateK:

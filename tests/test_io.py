@@ -1,9 +1,15 @@
 """Serialization round-trip tests for matrices, edge lists and model JSON."""
 
+import io
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bimix.ingest import EdgeListError
 from bimix.io import (
@@ -32,6 +38,73 @@ class TestMatrixCSV:
         path = tmp_path / "row.csv"
         save_matrix_csv(np.array([1.0, 0.25, -3.5]), path)
         np.testing.assert_array_equal(load_matrix_csv(path), [[1.0, 0.25, -3.5]])
+
+    @pytest.mark.parametrize("text", ["", "# no data\n\n# none here either\n"],
+                             ids=["empty", "comments-only"])
+    def test_no_rows_rejected_naming_the_file(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's own empty-input warning stays quiet
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))} holds no matrix rows$"):
+                load_matrix_csv(path)
+
+
+def savetxt_bytes(M) -> bytes:
+    """The oracle: ``np.savetxt``'s bytes at ``%.17g``, 1-D input taken as one row."""
+    buffer = io.BytesIO()
+    np.savetxt(buffer, np.atleast_2d(np.asarray(M, dtype=float)), fmt="%.17g", delimiter=",")
+    return buffer.getvalue()
+
+
+def _sparse(n, density, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, n)) * (rng.random((n, n)) < density)
+
+
+class TestMatrixCSVBytes:
+    """``save_matrix_csv`` writes ``np.savetxt``'s bytes, formatting only nonzero cells."""
+
+    @pytest.mark.parametrize(
+        "M",
+        [
+            pytest.param([[-0.0, 0.0, np.nan, np.inf, -np.inf]], id="signed-zeros-nan-inf"),
+            pytest.param([[1e-320, -1e-320, 5e-324, 2.2250738585072014e-308]], id="subnormals"),
+            pytest.param([[2.0**53 + 2, 2.0**60, -(2.0**63), 1e22, 3.0]], id="large-integers"),
+            pytest.param([[0.1, 1 / 3, -123456789.12345678, 1.2345678901234567e-5]],
+                         id="17-digit-values"),
+            pytest.param([[0.0, 0.0, 0.0], [1.5, 0.0, -2.0], [0.0, 0.0, 0.0]], id="all-zero-rows"),
+            pytest.param([[-0.0, -0.0, -0.0], [0.0, -0.0, 7.0]], id="all-negative-zero-row"),
+            pytest.param([1.0, -0.0, 0.0, 2.5], id="one-dimensional"),
+            pytest.param(np.zeros((1, 0)), id="one-row-no-columns"),
+            pytest.param(np.zeros((0, 3)), id="no-rows"),
+            pytest.param(_sparse(300, 0.01, 2), id="one-percent-dense-300"),
+            pytest.param(_sparse(300, 1.0, 3), id="fully-dense-300"),
+        ],
+    )
+    def test_bytes_equal_savetxt(self, tmp_path, M):
+        path = tmp_path / "m.csv"
+        save_matrix_csv(M, path)
+        assert path.read_bytes() == savetxt_bytes(M)
+
+    @pytest.mark.parametrize("M, expected", [([[0.0, -0.0, -1.0, np.nan]], b"0,-0,-1,nan\n"),
+                                             (np.zeros((1, 0)), b"\n"),
+                                             (np.zeros((0, 3)), b"")])
+    def test_literal_bytes(self, tmp_path, M, expected):
+        path = tmp_path / "m.csv"
+        save_matrix_csv(M, path)
+        assert path.read_bytes() == expected
+
+    @given(hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+        elements=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(allow_subnormal=True)),
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_equal_savetxt_property(self, tmp_path_factory, M):
+        path = tmp_path_factory.getbasetemp() / "property.csv"
+        save_matrix_csv(M, path)
+        assert path.read_bytes() == savetxt_bytes(M)
 
 
 class TestEdgesTSV:
