@@ -67,7 +67,7 @@ _SEQUENCE = (tuple, list, np.ndarray)
 
 
 def _finite_number(value) -> bool:
-    return isinstance(value, _NUMBER) and math.isfinite(value)
+    return isinstance(value, _NUMBER) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _grid_point(axis: str, value):
@@ -193,7 +193,8 @@ def _point_spec(plan: SweepPlan, value) -> ModelSpec:
     if plan.axis == "alpha_grid":
         P, rho = make_standard_two_block(plan.base.n_r, *value)
         return replace(plan.base, P=P, rho=rho)
-    return replace(plan.base, dist=replace(plan.base.dist, **{plan.axis: value}))
+    # as a float, so an integer grid value names a bad parameter as the float grid does
+    return replace(plan.base, dist=replace(plan.base.dist, **{plan.axis: float(value)}))
 
 
 def _run_point(plan: SweepPlan, index: int) -> SweepPoint:
@@ -409,14 +410,15 @@ def plan_from_json(data: dict) -> SweepPlan:
     from .io import json_field, json_value, spec_from_dict
 
     json_value(data, dict, "a plan document")
-    given = {key: data[key] for key in ("replicates", "master_seed") if key in data}
+    kind = "a scenario reference" if "scenario" in data else "a plan"
+    given = {key: json_value(data[key], int, f"{kind}'s {key!r}")
+             for key in ("replicates", "master_seed") if key in data}
     if "scenario" in data:
-        kind, known = "a scenario reference", ("scenario", "replicates", "master_seed")
+        known = ("scenario", "replicates", "master_seed")
         plan = scenario(json_field(data, "scenario", str, kind), **given)
     else:
-        kind, known = "a plan", ("base", "axis", "grid", "replicates", "master_seed", "name")
+        known = ("base", "axis", "grid", "replicates", "master_seed", "name")
         grid = json_field(data, "grid", list, kind)
-        grid = [np.asarray(value, dtype=float).tolist() for value in grid]
         base = spec_from_dict(json_field(data, "base", dict, kind))
         axis = json_field(data, "axis", str, kind)
         name = json_value(data.get("name", "custom"), str, f"{kind}'s 'name'")

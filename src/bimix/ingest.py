@@ -107,6 +107,8 @@ def load_edge_list(path, format: str = "tsv", duplicates: str = "error") -> Edge
     for lineno, parts in _fields(path, format, (2, 3)):
         for token in parts[:2]:
             if token not in ids:
+                if not token:
+                    raise EdgeListError(f"line {lineno}: empty node id")
                 ids[token] = _parse_token(token)
         src, tgt = ids[parts[0]], ids[parts[1]]
         weight = _weight(lineno, parts[2] if len(parts) == 3 else 1.0)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .ingest import EdgeListError, _fields, _weight
 from .model import ModelSpec
-from .sampler import EdgeDistribution
+from .sampler import PARAM_KINDS, EdgeDistribution
 
 SHAPE_HEADER = "% shape:"
 
@@ -143,16 +143,30 @@ def json_field(data: dict, key: str, kind: type, where: str):
     return json_value(data[key], kind, f"{where}'s {key!r}")
 
 
+def _json_numbers(value, what: str):
+    """``value``, nested lists whose every entry is a JSON number; else ``ValueError``."""
+    for item in value:
+        if isinstance(item, list):
+            _json_numbers(item, what)
+        else:
+            json_value(item, float, f"an entry of {what}")
+    return value
+
+
 def spec_from_dict(data: dict) -> ModelSpec:
     """Model spec from ``spec_to_dict``'s layout; ``n_r``, ``n_c`` and ``K`` may be left out.
 
-    A missing key, a value of the wrong JSON type, and an ``n_r``, ``n_c`` or
-    ``K`` that contradicts ``P``, ``Pi_r`` and ``Pi_c`` raise ``ValueError``.
+    A missing key, a value of the wrong JSON type (every matrix entry and
+    shape parameter must be a number), and an ``n_r``, ``n_c`` or ``K`` that
+    contradicts ``P``, ``Pi_r`` and ``Pi_c`` raise ``ValueError``.
     """
     where = "the model spec"
     dist = json_field(data, "dist", dict, where)
     json_field(dist, "kind", str, f"{where}'s 'dist'")
-    matrices = {key: np.asarray(json_field(data, key, list, where), dtype=float)
+    for param in PARAM_KINDS:
+        if param in dist:
+            json_field(dist, param, float, f"{where}'s 'dist'")
+    matrices = {key: _json_numbers(json_field(data, key, list, where), f"{where}'s {key!r}")
                 for key in ("P", "Pi_r", "Pi_c")}
     spec = ModelSpec(
         rho=json_field(data, "rho", float, where),

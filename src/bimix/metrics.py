@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelSpec
-from .sampler import _LAWS, EdgeDistribution, distribution_gamma
+from .sampler import _LAWS, EdgeDistribution, RhoInterval, _block, distribution_gamma
 
 PERMUTATION_LIMIT = 10
 SINGULAR_TOL = 1e-12
@@ -122,7 +122,8 @@ def separation_margins(
     max(alpha^2) * log(n) / n for exponential (divided by 3 for uniform),
     pi^2 beta^2 n / (3 log n) for logistic, and n / log(n) for the signed
     law.  Canonical tau values are 1 (bernoulli), m (binomial) and 2
-    (signed); for unbounded laws pass a plug-in estimate.
+    (signed); for unbounded laws pass a plug-in estimate.  Each alpha must
+    lie in the law's admissible rho * P entries times n / log(n).
     """
     n = int(n)
     if n < 3:
@@ -130,16 +131,16 @@ def separation_margins(
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     alpha_in, alpha_out = float(alpha_in), float(alpha_out)
-    law, log_n = _LAWS[dist.kind], math.log(n)
+    block, log_n = _block(dist), math.log(n)
     limit = n / log_n
-    interval = law.alpha(dist, limit)
+    interval = RhoInterval(block.lo * limit, block.hi * limit, block.lo_open, block.hi_open)
     for alpha in (alpha_in, alpha_out):
         if not interval.contains(alpha):
-            rule = law.alpha_rule.format(interval=interval, limit=limit)
-            raise ValueError(f"{dist.kind} alpha must {rule}, got {alpha}")
+            raise ValueError(f"{dist.kind} alpha must lie in {block} * n/log(n) = {interval}, "
+                             f"got {alpha}")
 
     rho = max(abs(alpha_in), abs(alpha_out)) * log_n / n
-    magnitude = law.variance(dist, rho) * n / log_n
+    magnitude = _LAWS[dist.kind].variance(dist, rho) * n / log_n
     return SeparationMargins(
         magnitude_margin=magnitude - tau**2,
         gap_margin=abs(abs(alpha_in) - abs(alpha_out)) / tau,

@@ -5,9 +5,9 @@ expectation equals the supplied mean matrix entry omega(i, j).  The mean
 matrix must lie inside the law's admissible domain, which is checked before
 any random draw happens.
 
-Each law is one record in ``_LAWS``: its sign class, its shape parameter,
-its admissible means, scales and grid alphas, its variance bound and its
-draw.  Every function below reads the record; none switches on the kind.
+Each law is one record in ``_LAWS``: its shape parameter, its admissible
+means and scaled connectivity entries, its variance bound and its draw.
+Every function below reads the record; none switches on the kind.
 """
 
 from __future__ import annotations
@@ -57,24 +57,21 @@ _NONNEGATIVE = RhoInterval(0.0, math.inf, lo_open=False, hi_open=True)
 class _Law:
     """One edge law's rules.
 
-    ``mean(dist)`` bounds the entries of the mean matrix and ``rho(dist)``
-    the scale; ``alpha(dist, limit)`` bounds a two-community grid alpha at
-    ``limit = n / log(n)``, and ``alpha_rule`` words that bound for error
-    messages.  ``variance(dist, rho)`` bounds Var[A(i, j)] at scale rho, so
-    the normalized noise level gamma is ``variance / rho``.  ``draw`` makes
-    the law's numpy calls for a whole mean matrix.  A law with a shape
-    parameter names it in ``param``; ``valid`` and ``rule`` check a value,
-    ``coerce`` normalizes it.  The defaults admit any finite mean and alpha
-    and any positive rho.
+    ``mean(dist)`` bounds the entries of the mean matrix, and ``block(dist)``
+    the entries of the scaled connectivity rho * P where they differ (it
+    defaults to ``mean``); the sign class P needs, the rho range and the
+    two-community grid alphas all follow from ``block``.
+    ``variance(dist, rho)`` bounds Var[A(i, j)] at scale rho, so the
+    normalized noise level gamma is ``variance / rho``.  ``draw`` makes the
+    law's numpy calls for a whole mean matrix.  A law with a shape parameter
+    names it in ``param``; ``valid`` and ``rule`` check a value, ``coerce``
+    normalizes it.  The default admits any finite mean.
     """
 
-    sign: str
     variance: Callable
     draw: Callable
     mean: Callable = lambda d: _ANY_MEAN
-    rho: Callable = lambda d: _POSITIVE
-    alpha: Callable = lambda d, limit: _ANY_MEAN
-    alpha_rule: str = "be finite"
+    block: Callable | None = None
     param: str | None = None
     valid: Callable | None = None
     rule: str = ""
@@ -83,28 +80,18 @@ class _Law:
 
 _LAWS = {
     "bernoulli": _Law(
-        sign="nonnegative",
         mean=lambda d: RhoInterval(0.0, 1.0, lo_open=False),
-        rho=lambda d: RhoInterval(0.0, 1.0),
-        alpha=lambda d, limit: RhoInterval(0.0, limit, lo_open=False),
-        alpha_rule="lie in [0, n/log(n)] = {interval}",
         variance=lambda d, rho: rho,
         draw=lambda g, omega, d: (g.random(omega.shape) < omega).astype(float),
     ),
     "poisson": _Law(
-        sign="strictly-positive",
         mean=lambda d: _NONNEGATIVE,
-        alpha=lambda d, limit: _POSITIVE,
-        alpha_rule="be positive",
+        block=lambda d: _POSITIVE,
         variance=lambda d, rho: rho,
         draw=lambda g, omega, d: g.poisson(omega).astype(float),
     ),
     "binomial": _Law(
-        sign="nonnegative",
         mean=lambda d: RhoInterval(0, d.m, lo_open=False),
-        rho=lambda d: RhoInterval(0.0, float(d.m)),
-        alpha=lambda d, limit: RhoInterval(0.0, d.m * limit),
-        alpha_rule="lie in (0, m*n/log(n)] = {interval}",
         variance=lambda d, rho: rho,
         draw=lambda g, omega, d: g.binomial(d.m, omega / d.m).astype(float),
         param="m",
@@ -113,7 +100,6 @@ _LAWS = {
         coerce=int,
     ),
     "normal": _Law(
-        sign="any-real",
         variance=lambda d, rho: d.sigma2,
         # scale 0 reproduces the mean exactly
         draw=lambda g, omega, d: g.normal(loc=omega, scale=math.sqrt(d.sigma2)),
@@ -123,23 +109,16 @@ _LAWS = {
         coerce=float,
     ),
     "exponential": _Law(
-        sign="strictly-positive",
         mean=lambda d: _POSITIVE,
-        alpha=lambda d, limit: _POSITIVE,
-        alpha_rule="be positive",
         variance=lambda d, rho: rho * rho,
         draw=lambda g, omega, d: g.exponential(scale=omega),
     ),
     "uniform": _Law(
-        sign="nonnegative",
         mean=lambda d: _NONNEGATIVE,
-        alpha=lambda d, limit: _NONNEGATIVE,
-        alpha_rule="be nonnegative",
         variance=lambda d, rho: rho * rho / 3.0,
         draw=lambda g, omega, d: g.uniform(low=0.0, high=2.0 * omega),
     ),
     "logistic": _Law(
-        sign="any-real",
         variance=lambda d, rho: math.pi**2 * d.beta**2 / 3.0,
         draw=lambda g, omega, d: g.logistic(loc=omega, scale=d.beta),
         param="beta",
@@ -148,11 +127,8 @@ _LAWS = {
         coerce=float,
     ),
     "signed": _Law(
-        sign="any-real",
         mean=lambda d: RhoInterval(-1.0, 1.0, lo_open=False),
-        rho=lambda d: RhoInterval(0.0, 1.0, hi_open=True),
-        alpha=lambda d, limit: RhoInterval(-limit, limit, hi_open=True),
-        alpha_rule="satisfy |alpha| < n/log(n) = {limit:g}",
+        block=lambda d: RhoInterval(-1.0, 1.0, hi_open=True),
         variance=lambda d, rho: 1.0,
         # +1 with probability (1 + omega) / 2, else -1
         draw=lambda g, omega, d: np.where(g.random(omega.shape) < (1.0 + omega) / 2.0, 1.0, -1.0),
@@ -262,19 +238,29 @@ class RandomSource:
         return np.random.Generator(np.random.PCG64(ss))
 
 
+def _block(dist: EdgeDistribution) -> RhoInterval:
+    """Admissible entries of the scaled connectivity rho * P under ``dist``."""
+    law = _LAWS[dist.kind]
+    return (law.block or law.mean)(dist)
+
+
 def admissible_rho_interval(dist: EdgeDistribution) -> RhoInterval:
-    """Range of scale parameters rho compatible with the edge law.
+    """Range of scale parameters rho compatible with the edge law: up to its top rho * P entry.
 
     Bernoulli means are probabilities so rho <= 1; binomial success
     probabilities cap rho at the trial count m; the signed law needs the
     two point probabilities (1 +/- omega)/2 to stay inside (0, 1).
     """
-    return _LAWS[dist.kind].rho(dist)
+    block = _block(dist)
+    return RhoInterval(0.0, block.hi, hi_open=block.hi_open)
 
 
 def required_sign_class(dist: EdgeDistribution) -> str:
     """Weakest sign pattern the connectivity matrix must satisfy for ``dist``."""
-    return _LAWS[dist.kind].sign
+    block = _block(dist)
+    if block.lo < 0:
+        return "any-real"
+    return "strictly-positive" if block.lo_open else "nonnegative"
 
 
 def distribution_gamma(dist: EdgeDistribution, rho: float) -> float:

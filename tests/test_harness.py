@@ -489,7 +489,6 @@ class TestPlanJSON:
                                "grid": [[1, 2], [3, 4.5]]})
         assert plan.axis == "alpha_grid"
         assert plan.grid == ((1.0, 2.0), (3.0, 4.5))
-        assert all(type(v) is float for pair in plan.grid for v in pair)
         assert (plan.replicates, plan.master_seed, plan.scenario) == (50, 0, "custom")
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 3.9])
@@ -526,6 +525,31 @@ class TestPlanJSON:
         for data in ({"scenario": "sim1a"}, full):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 plan_from_json({**data, "replicates": replicates})
+
+    @pytest.mark.parametrize("key", ["replicates", "master_seed"])
+    def test_boolean_count_or_seed_rejected(self, key):
+        # true once ran as 1
+        full = {"base": spec_to_dict(noiseless_spec()), "axis": "rho", "grid": [0.5]}
+        for kind, data in (("a scenario reference", {"scenario": "sim1a"}), ("a plan", full)):
+            with pytest.raises(ValueError, match=f"^{kind}'s '{key}' must be a number, got a boolean$"):
+                plan_from_json({**data, key: True})
+
+    @pytest.mark.parametrize("axis, base, ints, skipped", [
+        ("rho", noiseless_spec(), [1, 2], ""),
+        ("alpha_grid", noiseless_spec(12, 12), [[1, 2], [3, -3]], "singular"),
+        ("m", ModelSpec(P=P1, rho=1.0, Pi_r=make_planted_memberships(16, 2, 4),
+                        Pi_c=make_planted_memberships(12, 2, 3), dist=EdgeDistribution.binomial(2)),
+         [0, 2], "got 0.0"),
+    ], ids=["rho", "alpha_grid", "m"])
+    def test_integer_grid_writes_the_float_grid_bytes(self, axis, base, ints, skipped):
+        floats = np.asarray(ints, dtype=float).tolist()
+        texts = []
+        for grid in (ints, floats):
+            plan = plan_from_json({"base": spec_to_dict(base), "axis": axis, "grid": grid,
+                                   "replicates": 2, "master_seed": 5})
+            texts.append(run_sweep(plan).to_csv_text())
+        assert texts[0] == texts[1]
+        assert skipped in texts[0]
 
     def test_misspelled_plan_key_rejected(self):
         # "replicate" once ran silently with the default 50 replicates
@@ -586,10 +610,13 @@ class TestPlanAxis:
             SweepPlan(noiseless_spec(12, 12), axis, (first, value))
 
     @pytest.mark.parametrize("axis, value, shown", [
-        ("alpha_grid", 2, "2.0"),
-        ("alpha_grid", [1, 2, 3], "[1.0, 2.0, 3.0]"),
-        ("rho", [1, 2], "[1.0, 2.0]"),
-        ("rho", None, "nan"),
+        ("alpha_grid", 2, "2"),
+        ("alpha_grid", [1, 2, 3], "[1, 2, 3]"),
+        ("rho", [1, 2], "[1, 2]"),
+        ("rho", None, "None"),
+        ("rho", "0.5", "'0.5'"),  # once ran as 0.5
+        ("rho", True, "True"),  # once ran as 1.0
+        ("alpha_grid", [1, True], "[1, True]"),
     ])
     def test_plan_document_grid_checked(self, axis, value, shown):
         first = [1.0, 2.0] if axis == "alpha_grid" else 0.5

@@ -32,6 +32,12 @@ class TestLoadEdgeList:
         el = load_edge_list(write(tmp_path, "x, y, -3\ny, x, 4\n"), format="csv")
         assert el.edges == (("x", "y", -3.0), ("y", "x", 4.0))
 
+    @pytest.mark.parametrize("line", ["a,,1", ",b,1", "a, ,1", "a,"])
+    def test_csv_empty_node_rejected_naming_the_line(self, tmp_path, line):
+        # "a,,1" once made a node named ''
+        with pytest.raises(EdgeListError, match="^line 2: empty node id$"):
+            load_edge_list(write(tmp_path, f"x,y,1\n{line}\n"), format="csv")
+
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         text = "% header\n# another comment\n\n1\t2\t1\n"
         el = load_edge_list(write(tmp_path, text))

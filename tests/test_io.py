@@ -198,6 +198,24 @@ class TestSpecJSON:
         data = {k: v for k, v in spec_to_dict(spec).items() if k not in ("n_r", "n_c", "K")}
         assert (spec_from_dict(data).n_r, spec_from_dict(data).K) == (8, 2)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"P": [[1, "0.2"], [True, 0.8]]}, "an entry of the model spec's 'P' must be a number, got a string"),
+        ({"P": [[1, 0.2], [True, 0.8]]}, "an entry of the model spec's 'P' must be a number, got a boolean"),
+        ({"Pi_c": [[1, 0], [0, 1], [None, 1]]},
+         "an entry of the model spec's 'Pi_c' must be a number, got null"),
+        ({"dist": {"kind": "binomial", "m": True}},
+         "the model spec's 'dist''s 'm' must be a number, got a boolean"),
+        ({"dist": {"kind": "normal", "sigma2": "1"}},
+         "the model spec's 'dist''s 'sigma2' must be a number, got a string"),
+    ], ids=["P-string", "P-boolean", "Pi_c-null", "m-boolean", "sigma2-string"])
+    def test_non_number_entries_rejected_naming_the_key(self, change, message):
+        # these were once coerced (true as 1, "0.2" as 0.2) or raised a TypeError
+        spec = ModelSpec(P=P1, rho=0.5, Pi_r=make_planted_memberships(8, 2, 2),
+                         Pi_c=make_planted_memberships(3, 2, 1),
+                         dist=EdgeDistribution.bernoulli())
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            spec_from_dict({**spec_to_dict(spec), **change})
+
     def test_dimension_fields_present(self):
         spec = ModelSpec(P=P1, rho=0.5, Pi_r=make_planted_memberships(8, 2, 2),
                          Pi_c=make_planted_memberships(6, 2, 1),

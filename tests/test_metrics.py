@@ -17,7 +17,13 @@ from bimix.metrics import (
     separation_margins,
     theoretical_rate,
 )
-from bimix.model import ModelSpec, build_omega, make_planted_memberships
+from bimix.model import (
+    ModelSpec,
+    build_omega,
+    make_planted_memberships,
+    make_standard_two_block,
+    validate_model,
+)
 from bimix.sampler import EdgeDistribution, RandomSource, sample_adjacency
 
 from test_model import P1
@@ -247,15 +253,26 @@ class TestSeparationMargins:
 
     def test_alpha_domain_messages(self):
         cases = [
-            (EdgeDistribution.bernoulli(), 60.0, "bernoulli alpha must lie in [0, n/log(n)] = [0, 52.5967], got 60.0"),
-            (EdgeDistribution.binomial(2), 0.0, "binomial alpha must lie in (0, m*n/log(n)] = (0, 105.193], got 0.0"),
-            (EdgeDistribution.poisson(), -1.0, "poisson alpha must be positive, got -1.0"),
-            (EdgeDistribution.uniform(), -1.0, "uniform alpha must be nonnegative, got -1.0"),
-            (EdgeDistribution.signed(), -60.0, "signed alpha must satisfy |alpha| < n/log(n) = 52.5967, got -60.0"),
+            (EdgeDistribution.bernoulli(), 60.0, "bernoulli alpha must lie in [0, 1] * n/log(n) = [0, 52.5967], got 60.0"),
+            (EdgeDistribution.binomial(2), 110.0, "binomial alpha must lie in [0, 2] * n/log(n) = [0, 105.193], got 110.0"),
+            (EdgeDistribution.poisson(), -1.0, "poisson alpha must lie in (0, inf) * n/log(n) = (0, inf), got -1.0"),
+            (EdgeDistribution.uniform(), -1.0, "uniform alpha must lie in [0, inf) * n/log(n) = [0, inf), got -1.0"),
+            (EdgeDistribution.signed(), -60.0, "signed alpha must lie in (-1, 1) * n/log(n) = (-52.5967, 52.5967), got -60.0"),
+            (EdgeDistribution.normal(1.0), math.nan, "normal alpha must lie in (-inf, inf) * n/log(n) = (-inf, inf), got nan"),
         ]
         for dist, alpha, message in cases:
-            with pytest.raises(ValueError, match=re.escape(message)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 separation_margins(dist, alpha, 1.0, 300, tau=1.0)
+
+    def test_binomial_zero_alpha_accepted(self):
+        # validate_model admits a zero entry in a binomial P, so the grid admits alpha = 0
+        dist = EdgeDistribution.binomial(7)
+        P, rho = make_standard_two_block(300, 0.0, 3.0)
+        spec = ModelSpec(P=P, rho=rho, Pi_r=make_planted_memberships(300, 2, 50),
+                         Pi_c=make_planted_memberships(300, 2, 50), dist=dist)
+        assert validate_model(spec) == []
+        m = separation_margins(dist, 0.0, 3.0, 300, tau=7.0)
+        assert (m.magnitude_margin, m.gap_margin) == (3.0 - 49.0, 3.0 / 7.0)
 
 
 class TestEmpiricalTauGamma:

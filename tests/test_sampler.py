@@ -13,8 +13,10 @@ from bimix.sampler import (
     SamplingDomainError,
     admissible_rho_interval,
     distribution_gamma,
+    required_sign_class,
     sample_adjacency,
 )
+from bimix.metrics import separation_margins
 
 OMEGA = np.array([[0.9, 0.3], [0.2, 0.7]])
 
@@ -212,6 +214,52 @@ class TestRhoInterval:
                      EdgeDistribution.logistic(2.0)):
             interval = admissible_rho_interval(dist)
             assert interval.contains(1e6) and not interval.contains(0.0)
+
+
+LIMIT_300 = 300 / math.log(300)  # the grid alpha that makes rho * P entry 1 at n = 300
+
+# per law: the sign class P needs, the rho interval, and the grid-alpha range at
+# n = 300 as (lo, hi, lo closed, hi closed)
+LAW_DOMAINS = [
+    (EdgeDistribution.bernoulli(), "nonnegative", "(0, 1]", (0.0, LIMIT_300, True, True)),
+    (EdgeDistribution.poisson(), "strictly-positive", "(0, inf)", (0.0, math.inf, False, False)),
+    (EdgeDistribution.binomial(7), "nonnegative", "(0, 7]", (0.0, 7 * LIMIT_300, True, True)),
+    (EdgeDistribution.binomial(1234567), "nonnegative", "(0, 1234567]",
+     (0.0, 1234567 * LIMIT_300, True, True)),
+    (EdgeDistribution.normal(1.0), "any-real", "(0, inf)", (-math.inf, math.inf, False, False)),
+    (EdgeDistribution.exponential(), "strictly-positive", "(0, inf)", (0.0, math.inf, False, False)),
+    (EdgeDistribution.uniform(), "nonnegative", "(0, inf)", (0.0, math.inf, True, False)),
+    (EdgeDistribution.logistic(1.0), "any-real", "(0, inf)", (-math.inf, math.inf, False, False)),
+    (EdgeDistribution.signed(), "any-real", "(0, 1)", (-LIMIT_300, LIMIT_300, False, False)),
+]
+
+
+def _alpha_accepted(dist, alpha):
+    try:
+        separation_margins(dist, alpha, alpha, 300, tau=1.0)
+    except ValueError:
+        return False
+    return True
+
+
+class TestLawDomains:
+    """Each law's sign class, rho interval and grid-alpha range, as one table."""
+
+    @pytest.mark.parametrize("dist, sign, rho, alpha", LAW_DOMAINS,
+                             ids=[d.kind if d.m is None else f"{d.kind}-{d.m}" for d, *_ in LAW_DOMAINS])
+    def test_domain(self, dist, sign, rho, alpha):
+        assert required_sign_class(dist) == sign
+        assert str(admissible_rho_interval(dist)) == rho
+        lo, hi, lo_closed, hi_closed = alpha
+        for end, closed, outward in ((lo, lo_closed, -math.inf), (hi, hi_closed, math.inf)):
+            if math.isinf(end):
+                assert _alpha_accepted(dist, math.copysign(1e300, end))
+                assert not _alpha_accepted(dist, end)
+            else:
+                assert _alpha_accepted(dist, end) == closed
+                assert _alpha_accepted(dist, math.nextafter(end, -outward))
+                assert not _alpha_accepted(dist, math.nextafter(end, outward))
+        assert not _alpha_accepted(dist, math.nan)
 
 
 class TestEdgeDistributionParams:
