@@ -407,7 +407,7 @@ def plan_from_json(data: dict) -> SweepPlan:
     A key the document's kind does not read is an error.  Values are checked
     first, so a document in an old layout is told what is wrong with its axis.
     """
-    from .io import json_field, json_value, spec_from_dict
+    from .io import json_field, json_keys, json_value, spec_from_dict
 
     json_value(data, dict, "a plan document")
     kind = "a scenario reference" if "scenario" in data else "a plan"
@@ -423,10 +423,7 @@ def plan_from_json(data: dict) -> SweepPlan:
         axis = json_field(data, "axis", str, kind)
         name = json_value(data.get("name", "custom"), str, f"{kind}'s 'name'")
         plan = SweepPlan(base, axis, grid, scenario=name, **given)
-    unknown = [key for key in data if key not in known]
-    if unknown:
-        shown = ", ".join(map(repr, unknown))
-        raise ValueError(f"{kind} takes only the keys {', '.join(known)}; got {shown}")
+    json_keys(data, known, kind)
     return plan
 
 

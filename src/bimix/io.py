@@ -143,6 +143,13 @@ def json_field(data: dict, key: str, kind: type, where: str):
     return json_value(data[key], kind, f"{where}'s {key!r}")
 
 
+def json_keys(data: dict, known, where: str) -> None:
+    """Raise ``ValueError`` naming every key of ``data`` outside ``known``."""
+    unknown = ", ".join(repr(key) for key in data if key not in known)
+    if unknown:
+        raise ValueError(f"{where} takes only the keys {', '.join(known)}; got {unknown}")
+
+
 def _json_numbers(value, what: str):
     """``value``, nested lists whose every entry is a JSON number; else ``ValueError``."""
     for item in value:
@@ -156,12 +163,15 @@ def _json_numbers(value, what: str):
 def spec_from_dict(data: dict) -> ModelSpec:
     """Model spec from ``spec_to_dict``'s layout; ``n_r``, ``n_c`` and ``K`` may be left out.
 
-    A missing key, a value of the wrong JSON type (every matrix entry and
-    shape parameter must be a number), and an ``n_r``, ``n_c`` or ``K`` that
-    contradicts ``P``, ``Pi_r`` and ``Pi_c`` raise ``ValueError``.
+    A key outside that layout, at the top or in ``dist``, a missing key, a
+    value of the wrong JSON type (every matrix entry and shape parameter
+    must be a number), and an ``n_r``, ``n_c`` or ``K`` that contradicts
+    ``P``, ``Pi_r`` and ``Pi_c`` raise ``ValueError``.
     """
     where = "the model spec"
+    json_keys(data, ("n_r", "n_c", "K", "rho", "P", "Pi_r", "Pi_c", "dist"), where)
     dist = json_field(data, "dist", dict, where)
+    json_keys(dist, ("kind", *PARAM_KINDS), f"{where}'s 'dist'")
     json_field(dist, "kind", str, f"{where}'s 'dist'")
     for param in PARAM_KINDS:
         if param in dist:

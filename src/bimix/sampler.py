@@ -210,7 +210,8 @@ class EdgeDistribution:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EdgeDistribution":
-        return cls(data["kind"], **{param: data.get(param) for param in PARAM_KINDS})
+        """Inverse of ``to_dict``; a key that is not a field raises ``TypeError``."""
+        return cls(**data)
 
 
 @dataclass(frozen=True)

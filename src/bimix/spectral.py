@@ -5,14 +5,17 @@ The top k singular triples come from a randomized block Krylov method
 that needs only numpy.  With M = A or A.T, whichever has fewer rows, and a
 fixed Gaussian start block G of k + 2 columns, it grows an orthonormal basis
 Q of span{MG, (MM^T)MG, (MM^T)^2 MG, ...}, one block at a time, each new
-block orthogonalized twice against the basis (CGS2).  After each block the
-top-k Ritz values (square roots of the top eigenvalues of the projected Gram
-matrix Q^T M M^T Q) are compared with the previous block's; the iteration
-stops once none moves by more than ``KRYLOV_RTOL`` times the largest
-(``KRYLOV_RTOL_VECTORS`` when vectors are wanted, since Ritz vectors
-converge about as the square root of their values).  A Rayleigh-Ritz step
-then takes the SVD of the projection of M onto the top-k Ritz vectors, so
-the returned values are not computed through their squares.
+block orthogonalized twice against the basis (CGS2).  The basis and its
+image are stored as rows, so each product has the thin block on the left
+and reads M in storage order: on a 1302-node network a block of 5 took
+1.0 ms as q^T M and 2.6-3.4 ms as M^T q (2 OpenBLAS threads; 1.7-2.1 and
+6.3-7.0 ms at one).  After each block the top-k Ritz values (square roots of
+the top eigenvalues of the Gram matrix Q^T M M^T Q) are compared with the
+previous block's; the iteration stops once none moves by more than
+``KRYLOV_RTOL`` times the largest (``KRYLOV_RTOL_VECTORS`` for vectors,
+which converge about as the square root of their values).  A Rayleigh-Ritz
+step then takes the SVD of M projected onto the top-k Ritz vectors, so
+values are not computed through their squares.
 
 A full LAPACK SVD is used instead when the shorter side has fewer than
 ``KRYLOV_MIN_BLOCKS`` blocks' worth of rows (``KRYLOV_MIN_BLOCKS_VALUES``
@@ -20,18 +23,15 @@ when no vectors are wanted), sizes at which it was measured to be faster,
 and when the basis would pass half that side without converging.  The start
 block comes from a fixed seed, so results are reproducible bit for bit at a
 fixed BLAS thread count; they agree with the full SVD to rounding and to the
-Krylov stopping tolerance.
-Left singular vectors are oriented so their largest absolute entry is
-positive, making serialized output reproducible.
+Krylov stopping tolerance.  Left singular vectors are oriented so their
+largest absolute entry is positive.
 
 ``top_k_svd`` converges only the top K triples; the noise beyond them is
 summarized by the bulk edge of an i.i.d. noise matrix with the residual's
 mean square, s * (sqrt(n_r) + sqrt(n_c)) with s^2 = (||A||_F^2 -
 sum_{i<=K} sigma_i^2) / (n_r n_c) (Bai & Yin, Ann. Probab. 1988; Bandeira &
-van Handel, Ann. Probab. 2016 for unequal variances).  It takes one pass
-over A, where converging sigma_{K+1} as well took about twice the Krylov
-blocks of the top K (16-19 against 7-9 on sampled 300-node networks at
-K = 2).  ``singular_values(A, K + 1)[K]`` still gives sigma_{K+1}.
+van Handel, Ann. Probab. 2016 for unequal variances).  Converging
+sigma_{K+1} took twice the blocks; ``singular_values(A, K + 1)[K]`` gives it.
 """
 
 from __future__ import annotations
@@ -104,21 +104,21 @@ def _full_svd(A: np.ndarray, k: int, compute_uv: bool):
 
 
 def _orthonormalize(Y: np.ndarray, Q: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Orthonormal basis of Y's part orthogonal to Q's columns, by CGS2.
+    """Orthonormal rows spanning Y's part orthogonal to Q's rows, by CGS2.
 
-    After the first pass, a column of Y that lay in span(Q) is rounding
-    noise, which also lies in span(Q); the second pass then removes most of
-    its norm.  Such a column adds no direction and is replaced by a random
-    vector (the "twice is enough" test of Kahan and Parlett).
+    After the first pass, a row of Y that lay in Q's row space is rounding
+    noise, which also lies there; the second pass then removes most of its
+    norm.  Such a row adds no direction and is replaced by a random vector
+    (the "twice is enough" test of Kahan and Parlett).
     """
-    Y -= Q @ (Q.T @ Y)
-    Y = np.linalg.qr(Y)[0]
-    Y -= Q @ (Q.T @ Y)
-    spent = np.linalg.norm(Y, axis=0) < REORTH_KEEP
+    Y -= (Y @ Q.T) @ Q
+    Y = np.linalg.qr(Y.T)[0].T
+    Y -= (Y @ Q.T) @ Q
+    spent = np.linalg.norm(Y, axis=1) < REORTH_KEEP
     if spent.any():
-        fresh = rng.standard_normal((len(Y), int(spent.sum())))
-        Y[:, spent] = fresh - Q @ (Q.T @ fresh)
-    return np.linalg.qr(Y)[0]
+        fresh = rng.standard_normal((Y.shape[1], int(spent.sum()))).T
+        Y[spent] = fresh - (fresh @ Q.T) @ Q
+    return np.linalg.qr(Y.T)[0].T
 
 
 def _top_k(A: np.ndarray, k: int, compute_uv: bool):
@@ -126,7 +126,7 @@ def _top_k(A: np.ndarray, k: int, compute_uv: bool):
 
     Returns ``(U, values, V)``, with ``U`` and ``V`` None when not
     ``compute_uv``.  Block Krylov iteration; full LAPACK SVD when A is small
-    or the basis reaches ``min(A.shape) / 2`` columns unconverged.
+    or the basis reaches ``min(A.shape) / 2`` vectors unconverged.
     """
     b = k + 2
     p, q = min(A.shape), max(A.shape)
@@ -136,32 +136,32 @@ def _top_k(A: np.ndarray, k: int, compute_uv: bool):
     rtol = KRYLOV_RTOL_VECTORS if compute_uv else KRYLOV_RTOL
     blocks = p // 2 // b
     rng = np.random.default_rng(0)
-    Q = np.empty((p, blocks * b))
-    W = np.empty((q, blocks * b))  # W = M.T @ Q, so Q.T @ M = W.T
-    gram = np.empty((blocks * b, blocks * b))  # W.T @ W
-    Y = M @ rng.standard_normal((q, b))
+    Q = np.empty((blocks * b, p))  # the basis as rows, so each product reads M in storage order
+    W = np.empty((blocks * b, q))  # W = Q @ M
+    gram = np.empty((blocks * b, blocks * b))  # W @ W.T
+    Y = rng.standard_normal((q, b)).T @ M.T
     ritz = None
     for m in range(0, blocks * b, b):
         new = slice(m, m + b)
-        Q[:, new] = _orthonormalize(Y, Q[:, :m], rng)
-        W[:, new] = M.T @ Q[:, new]
-        gram[: m + b, new] = W[:, : m + b].T @ W[:, new]
+        Q[new] = _orthonormalize(Y, Q[:m], rng)
+        W[new] = Q[new] @ M
+        gram[: m + b, new] = W[: m + b] @ W[new].T
         gram[new, :m] = gram[:m, new].T
         lam = np.linalg.eigvalsh(gram[: m + b, : m + b])[::-1][:k]
         previous, ritz = ritz, np.sqrt(np.maximum(lam, 0.0))
         if previous is not None and np.all(np.abs(ritz - previous) <= rtol * ritz[0]):
             break
-        Y = M @ W[:, new]
+        Y = W[new] @ M.T
     else:
         return _full_svd(A, k, compute_uv)
     # Rayleigh-Ritz on the top-k Ritz vectors: Z spans them inside the basis,
-    # and the SVD of (Q Z).T @ M = (W Z).T gives values without squaring them
+    # and the SVD of M.T @ (Q.T Z) = W.T Z gives values without squaring them
     Z = np.linalg.eigh(gram[: m + b, : m + b])[1][:, ::-1][:, :k]
-    WZ = W[:, : m + b] @ Z
+    WZ = W[: m + b].T @ Z
     if not compute_uv:
         return None, np.linalg.svd(WZ, compute_uv=False), None
     X, sv, Yt = np.linalg.svd(WZ, full_matrices=False)
-    left, right = Q[:, : m + b] @ (Z @ Yt.T), X
+    left, right = Q[: m + b].T @ (Z @ Yt.T), X
     if M is not A:
         left, right = right, left
     return left, sv, right

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from bimix.harness import plan_from_json
 from bimix.ingest import EdgeListError
 from bimix.io import (
     load_edges_tsv,
@@ -215,6 +216,38 @@ class TestSpecJSON:
                          dist=EdgeDistribution.bernoulli())
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             spec_from_dict({**spec_to_dict(spec), **change})
+
+    @pytest.mark.parametrize("change, message", [
+        ({"Rho": 5}, "the model spec takes only the keys n_r, n_c, K, rho, P, Pi_r, Pi_c, dist; "
+                     "got 'Rho'"),
+        ({"dist": {"kind": "bernoulli", "sigma": 2.0}},
+         "the model spec's 'dist' takes only the keys kind, m, sigma2, beta; got 'sigma'"),
+        ({"dist": {"kind": "bernoulli", "sigma": 2.0}, "Rho": 5, "k": 2},
+         "the model spec takes only the keys n_r, n_c, K, rho, P, Pi_r, Pi_c, dist; "
+         "got 'Rho', 'k'"),
+    ], ids=["top", "dist", "several"])
+    def test_unknown_keys_rejected_naming_them(self, change, message):
+        # these were once dropped: the first two returned the spec at rho = 0.9
+        spec = ModelSpec(P=P1, rho=0.9, Pi_r=make_planted_memberships(8, 2, 2),
+                         Pi_c=make_planted_memberships(6, 2, 1),
+                         dist=EdgeDistribution.bernoulli())
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            spec_from_dict({**spec_to_dict(spec), **change})
+
+    def test_plan_base_with_misspelled_key_rejected(self):
+        spec = ModelSpec(P=P1, rho=0.9, Pi_r=make_planted_memberships(8, 2, 2),
+                         Pi_c=make_planted_memberships(6, 2, 1),
+                         dist=EdgeDistribution.poisson())
+        base = {**spec_to_dict(spec), "pi_r": spec_to_dict(spec)["Pi_r"]}
+        with pytest.raises(ValueError, match=r"^the model spec takes only the keys .*; got 'pi_r'$"):
+            plan_from_json({"base": base, "axis": "rho", "grid": [0.5]})
+        del base["pi_r"]
+        assert plan_from_json({"base": base, "axis": "rho", "grid": [0.5]}).base.dist == spec.dist
+
+    def test_edge_law_from_dict_rejects_unknown_key(self):
+        assert EdgeDistribution.from_dict({"kind": "normal", "sigma2": 2.0}).sigma2 == 2.0
+        with pytest.raises(TypeError, match="sigma"):
+            EdgeDistribution.from_dict({"kind": "bernoulli", "sigma": 2.0})
 
     def test_dimension_fields_present(self):
         spec = ModelSpec(P=P1, rho=0.5, Pi_r=make_planted_memberships(8, 2, 2),

@@ -1,0 +1,36 @@
+"""The catalogue drift tool: rounding drift is reported, structural changes fail."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "catalogue_drift.py"
+HEADER = "scenario,rho,mean_error,std_error,replicates,skipped,seed"
+OLD = f"{HEADER}\ns,0.5,0.25,0.125,2,,0\ns,0.6,,,0,rho too large,0\n"
+
+
+def run_drift(tmp_path, old: dict, new: dict):
+    paths = []
+    for name, texts in (("old.json", old), ("new.json", new)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(texts))
+    return subprocess.run([sys.executable, str(TOOL), *map(str, paths)], capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_rounding_drift_is_measured(tmp_path):
+    new = OLD.replace("0.25,0.125", "0.25000000000000006,0.125")
+    out = run_drift(tmp_path, {"s": OLD, "t": OLD}, {"s": new, "t": OLD})
+    assert out.returncode == 0
+    lines = out.stdout.splitlines()
+    assert lines[1:] == ["s 1/2 5.55e-17 0", "t 0/2 0 0", "all 1/4 5.55e-17 0"]
+
+
+def test_structural_changes_fail(tmp_path):
+    for new in (OLD.replace("0.6,", "0.7,"), OLD.replace("too large", "too small"),
+                OLD.replace(",2,,0", ",3,,0"), OLD.replace("0.6,,,0,rho too large", "0.6,0.5,0,2,")):
+        out = run_drift(tmp_path, {"s": OLD}, {"s": new})
+        assert out.returncode == 1 and "line " in out.stdout, new
+    out = run_drift(tmp_path, {"s": OLD}, {"s": OLD, "u": OLD})
+    assert out.returncode == 1 and "u: only in NEW" in out.stdout
