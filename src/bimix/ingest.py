@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,9 +40,9 @@ class EdgeList:
             src, tgt = _first_repeat(pairs)
             raise EdgeListError(f"duplicate edge {src!r} -> {tgt!r}")
 
-    @property
+    @cached_property
     def nodes(self) -> tuple:
-        """Every endpoint once, source before target, in edge order."""
+        """Every endpoint once, source before target, in edge order; computed once per list."""
         return tuple(dict.fromkeys(node for src, tgt, _ in self.edges for node in (src, tgt)))
 
 

@@ -71,10 +71,6 @@ class TruncatedSVD:
     right: np.ndarray
     noise_edge: float = 0.0
 
-    def reconstruct(self) -> np.ndarray:
-        """Best rank-K approximation ``left @ diag(values) @ right.T``."""
-        return (self.left * self.singular_values) @ self.right.T
-
 
 def _validate_input(A: np.ndarray, k: int, what: str) -> np.ndarray:
     A = np.asarray(A, dtype=float)

@@ -9,12 +9,12 @@ from bimix.cli import main
 from bimix.disp import disp
 from bimix.harness import STREAM_STRIDE, scenario
 from bimix.ingest import load_edge_list, to_dense
-from bimix.io import load_matrix_csv, save_edges_tsv, save_matrix_csv, spec_to_dict
+from bimix.io import load_matrix_csv, save_matrix_csv, spec_to_dict
 from bimix.metrics import error_rate
 from bimix.model import ModelSpec, build_omega, make_planted_memberships
 from bimix.sampler import EdgeDistribution
 
-from test_io import savetxt_bytes
+from test_io import save_edges_tsv, savetxt_bytes
 from test_model import P1
 
 

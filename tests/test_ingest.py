@@ -133,6 +133,13 @@ class TestToDense:
         assert to_dense(EdgeList()).shape == (0, 0)
         assert EdgeList().nodes == ()
 
+    def test_nodes_computed_once_and_left_out_of_equality(self):
+        edges = (("a", "b", 1.0), ("b", "c", 2.0))
+        el, twin = EdgeList(edges), EdgeList(edges)
+        assert el.nodes is el.nodes == ("a", "b", "c")
+        assert el == twin and hash(el) == hash(twin)  # twin has not computed its nodes
+        assert twin.nodes == el.nodes and el == twin
+
 
 class TestSummarize:
     def test_statistics(self, tmp_path):

@@ -14,9 +14,10 @@ from hypothesis.extra import numpy as hnp
 from bimix.harness import plan_from_json
 from bimix.ingest import EdgeListError
 from bimix.io import (
+    CHUNK_BYTES,
+    SHAPE_HEADER,
     load_edges_tsv,
     load_matrix_csv,
-    save_edges_tsv,
     save_matrix_csv,
     spec_from_dict,
     spec_to_dict,
@@ -58,6 +59,28 @@ def savetxt_bytes(M) -> bytes:
     return buffer.getvalue()
 
 
+def loadtxt(path) -> np.ndarray:
+    """The reader's oracle, quiet on an input with no data."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return np.loadtxt(path, delimiter=",", ndmin=2)
+
+
+def assert_reads_like_loadtxt(path) -> None:
+    """``load_matrix_csv`` gives ``np.loadtxt``'s matrix bit for bit (zero and nan signs too).
+
+    Where ``np.loadtxt`` finds no rows, the reader raises instead.
+    """
+    expected = loadtxt(path)
+    if expected.shape[0] == 0:
+        with pytest.raises(ValueError, match="holds no matrix rows$"):
+            load_matrix_csv(path)
+        return
+    got = load_matrix_csv(path)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 def _sparse(n, density, seed):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(n, n)) * (rng.random((n, n)) < density)
@@ -81,12 +104,15 @@ class TestMatrixCSVBytes:
             pytest.param(np.zeros((0, 3)), id="no-rows"),
             pytest.param(_sparse(300, 0.01, 2), id="one-percent-dense-300"),
             pytest.param(_sparse(300, 1.0, 3), id="fully-dense-300"),
+            pytest.param(_sparse(300, 0.01, 4).T, id="transposed-view"),
+            pytest.param(_sparse(300, 0.05, 5)[::3, 1::2], id="strided-view"),
         ],
     )
     def test_bytes_equal_savetxt(self, tmp_path, M):
         path = tmp_path / "m.csv"
         save_matrix_csv(M, path)
         assert path.read_bytes() == savetxt_bytes(M)
+        assert_reads_like_loadtxt(path)
 
     @pytest.mark.parametrize("M, expected", [([[0.0, -0.0, -1.0, np.nan]], b"0,-0,-1,nan\n"),
                                              (np.zeros((1, 0)), b"\n"),
@@ -106,6 +132,81 @@ class TestMatrixCSVBytes:
         path = tmp_path_factory.getbasetemp() / "property.csv"
         save_matrix_csv(M, path)
         assert path.read_bytes() == savetxt_bytes(M)
+        assert_reads_like_loadtxt(path)
+
+
+class TestMatrixCSVReader:
+    """``load_matrix_csv`` accepts and rejects what ``np.loadtxt(delimiter=",")`` does."""
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(b"# made by hand\n1,2\n# between rows\n3,4\n", id="comment-lines"),
+        pytest.param(b"1,2 # first row\n3,4# second\n", id="trailing-comments"),
+        pytest.param(b"\n1,0\n\n\n0,4\n\n", id="blank-lines"),
+        pytest.param(b"# note\r\n1,0\r\n\r\n0,2 # tail\r\n", id="crlf"),
+        pytest.param(b"1,2\r3,4\r", id="lone-cr"),
+        pytest.param(b"1,2\n3,4", id="no-final-newline"),
+        pytest.param(b" 1 ,\t2\t\n0 , 0\t\n", id="spaces-and-tabs"),
+        pytest.param(b"+1,-0,00,0.0,1e400,nan,infinity\n-1e400,-nan,INF,-Infinity,NaN,.5,5.\n",
+                     id="cell-spellings"),
+        pytest.param(b"1\n0\n-0\n", id="one-column"),
+        pytest.param(b"0,0,7", id="one-row"),
+        pytest.param(b"0,0,0\n0,0,0\n", id="all-zero"),
+    ])
+    def test_accepted_bit_equal(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text)
+        assert_reads_like_loadtxt(path)
+
+    @pytest.mark.parametrize("text, lineno", [
+        pytest.param(b"1,2\n3,4\n5\n", 3, id="ragged-row"),
+        pytest.param(b"1,2\r\n\r\n3\r\n", 3, id="ragged-row-crlf"),
+        pytest.param(b"1,2\n  \n3,4\n", 2, id="whitespace-line"),
+        pytest.param(b"1,2\n\t# note\n3,4\n", 2, id="whitespace-before-comment"),
+        pytest.param(b"1\n \n2\n", 2, id="whitespace-line-one-column"),
+        pytest.param(b"1,2,3\n4,,6\n", 2, id="empty-cell"),
+        pytest.param(b"1,2,\n", 1, id="trailing-comma"),
+        pytest.param(b"1,2\n3,4,\n", 2, id="trailing-comma-later-row"),
+        pytest.param(b"1,2\n1_0,2\n", 2, id="underscore"),
+        pytest.param(b'1,2\n"3",4\n', 2, id="quoted-cell"),
+        pytest.param(b"0x10,2\n", 1, id="hex"),
+        pytest.param(b"1,x\n1\n", 1, id="bad-cell-before-ragged-row"),
+    ])
+    def test_rejected_naming_the_line(self, tmp_path, text, lineno):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text)
+        with pytest.raises(ValueError):
+            loadtxt(path)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {lineno}: "):
+            load_matrix_csv(path)
+
+    @pytest.mark.parametrize("bad", [b"1.5,0", b"1_0," + b"0," * 39 + b"1.5"],
+                             ids=["ragged-row", "underscore"])
+    def test_fault_in_a_later_chunk_names_its_line(self, tmp_path, bad):
+        row = b"0," * 40 + b"1.5\n"
+        head = b"# a comment\n\n" + row * (3 * CHUNK_BYTES // len(row))
+        path = tmp_path / "m.csv"
+        path.write_bytes(head + row)
+        assert_reads_like_loadtxt(path)
+        path.write_bytes(head + row + bad + b"\n" + row)
+        lineno = head.count(b"\n") + 2
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {lineno}: "):
+            load_matrix_csv(path)
+
+
+def save_edges_tsv(A, path) -> None:
+    """Write a dense matrix as ``row<TAB>col<TAB>weight`` lines, 1-indexed, under a shape header.
+
+    A non-finite entry raises ``ValueError`` before the file is opened.
+    """
+    A = np.asarray(A, dtype=float)
+    bad = np.argwhere(~np.isfinite(A))
+    if len(bad):
+        i, j = bad[0]
+        raise ValueError(f"A[{i}, {j}] = {float(A[i, j])!r}: edge weights must be finite")
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f"{SHAPE_HEADER} {A.shape[0]} {A.shape[1]}\n")
+        for i, j in zip(*np.nonzero(A)):
+            fh.write(f"{i + 1}\t{j + 1}\t{float(A[i, j])!r}\n")
 
 
 class TestEdgesTSV:

@@ -1,11 +1,14 @@
-"""The catalogue drift tool: rounding drift is reported, structural changes fail."""
+"""The catalogue tools: drift is reported, structural changes fail, replicates give spread."""
 
+import csv
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "catalogue_drift.py"
+DIGEST = TOOL.with_name("catalogue_digest.py")
 HEADER = "scenario,rho,mean_error,std_error,replicates,skipped,seed"
 OLD = f"{HEADER}\ns,0.5,0.25,0.125,2,,0\ns,0.6,,,0,rho too large,0\n"
 
@@ -34,3 +37,30 @@ def test_structural_changes_fail(tmp_path):
         assert out.returncode == 1 and "line " in out.stdout, new
     out = run_drift(tmp_path, {"s": OLD}, {"s": OLD, "u": OLD})
     assert out.returncode == 1 and "u: only in NEW" in out.stdout
+
+
+def dump_catalogue(tmp_path, monkeypatch, *args) -> dict:
+    """``catalogue_digest.py``'s ``--dump``, run in-process on three small scenarios."""
+    spec = importlib.util.spec_from_file_location("catalogue_digest", DIGEST)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool, "SCENARIO_NAMES", ("setup1", "setup8", "sim7b"))
+    dump = tmp_path / "dump.json"
+    monkeypatch.setattr(sys, "argv", ["catalogue_digest.py", *args, "--dump", str(dump)])
+    tool.main()
+    return json.loads(dump.read_text())
+
+
+def column(texts: dict, name: str) -> list:
+    """One column of every point that ran, across the dumped sweep CSVs."""
+    return [row[name] for text in texts.values()
+            for row in csv.DictReader(text.splitlines()) if not row["skipped"]]
+
+
+def test_replicates_give_points_a_spread(tmp_path, monkeypatch, capsys):
+    one = dump_catalogue(tmp_path, monkeypatch)
+    assert set(column(one, "replicates")) == {"1"} and set(column(one, "std_error")) == {"0.0"}
+    two = dump_catalogue(tmp_path, monkeypatch, "--replicates", "2")
+    assert set(column(two, "replicates")) == {"2"}
+    assert max(map(float, column(two, "std_error"))) > 0
+    assert dump_catalogue(tmp_path, monkeypatch, "--replicates", "1") == one  # the default
