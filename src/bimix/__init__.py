@@ -30,7 +30,6 @@ from .metrics import (
 from .model import (
     InvalidModelError,
     ModelSpec,
-    block_sign_class,
     block_violations,
     build_omega,
     make_planted_memberships,
@@ -69,7 +68,6 @@ __all__ = [
     "SweepResult",
     "TruncatedSVD",
     "admissible_rho_interval",
-    "block_sign_class",
     "block_violations",
     "build_omega",
     "disp",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelSpec
-from .sampler import _LAWS, EdgeDistribution, RhoInterval, _block, distribution_gamma
+from .sampler import _LAWS, EdgeDistribution, RhoInterval, block_interval, distribution_gamma
 
 PERMUTATION_LIMIT = 10
 SINGULAR_TOL = 1e-12
@@ -131,7 +131,7 @@ def separation_margins(
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     alpha_in, alpha_out = float(alpha_in), float(alpha_out)
-    block, log_n = _block(dist), math.log(n)
+    block, log_n = block_interval(dist), math.log(n)
     limit = n / log_n
     interval = RhoInterval(block.lo * limit, block.hi * limit, block.lo_open, block.hi_open)
     for alpha in (alpha_in, alpha_out):

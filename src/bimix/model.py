@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampler import EdgeDistribution, admissible_rho_interval, required_sign_class
+from .sampler import EdgeDistribution, admissible_rho_interval, block_interval
 
 # sigma_K must exceed RANK_RTOL * sigma_1 for a matrix to count as rank K
 RANK_RTOL = 1e-10
@@ -21,21 +21,9 @@ ROW_SUM_ATOL = 1e-12
 UNIT_MAX_ATOL = 1e-12
 PURE_ROW_ATOL = 1e-12
 
-_SIGN_CLASS_ORDER = {"any-real": 0, "nonnegative": 1, "strictly-positive": 2}
-
 
 class InvalidModelError(ValueError):
     """Model parameters violate a structural constraint."""
-
-
-def block_sign_class(P: np.ndarray) -> str:
-    """Tightest sign class satisfied by every entry of P."""
-    P = np.asarray(P, dtype=float)
-    if np.all(P > 0.0):
-        return "strictly-positive"
-    if np.all(P >= 0.0):
-        return "nonnegative"
-    return "any-real"
 
 
 def _rank_deficient(M: np.ndarray, k: int) -> bool:
@@ -123,7 +111,10 @@ class ModelSpec:
 
 
 def validate_model(spec: ModelSpec) -> list[str]:
-    """Report every violated model invariant; an empty list means valid."""
+    """Report every violated model invariant; an empty list means valid.
+
+    The edge law bounds rho and, for an admissible rho, every entry of rho * P.
+    """
     out = []
     out += membership_violations(spec.Pi_r, K=spec.K, ground_truth=True, name="Pi_r")
     out += membership_violations(spec.Pi_c, K=spec.K, ground_truth=True, name="Pi_c")
@@ -133,13 +124,8 @@ def validate_model(spec: ModelSpec) -> list[str]:
     interval = admissible_rho_interval(spec.dist)
     if not interval.contains(spec.rho):
         out.append(f"rho={spec.rho!r} outside admissible interval {interval} for {spec.dist.kind}")
-    required = required_sign_class(spec.dist)
-    actual = block_sign_class(spec.P)
-    if _SIGN_CLASS_ORDER[actual] < _SIGN_CLASS_ORDER[required]:
-        out.append(
-            f"block matrix sign class {actual!r} incompatible with {spec.dist.kind} "
-            f"(requires {required!r} entries)"
-        )
+    elif outside := block_interval(spec.dist).first_outside(spec.rho * spec.P):
+        out.append(f"{spec.dist.kind} rho * P at {outside}")
     return out
 
 

@@ -5,8 +5,9 @@ expectation equals the supplied mean matrix entry omega(i, j).  The mean
 matrix must lie inside the law's admissible domain, which is checked before
 any random draw happens.
 
-Each law is one record in ``_LAWS``: its shape parameter, its admissible
-means and scaled connectivity entries, its variance bound and its draw.
+Each law is one record in ``_LAWS``: its shape parameter and that
+parameter's interval, its admissible means and scaled connectivity entries,
+its variance bound and its draw.
 Every function below reads the record; none switches on the kind.
 """
 
@@ -24,21 +25,33 @@ class SamplingDomainError(ValueError):
 
 @dataclass(frozen=True)
 class RhoInterval:
-    """Admissible interval for the scale parameter rho, with open/closed ends."""
+    """Interval of admissible values, with open or closed ends.
+
+    One bounds the means of an edge law, the entries of rho * P, rho itself
+    or a shape parameter.  No non-finite value lies inside one.
+    """
 
     lo: float
     hi: float
     lo_open: bool = True
     hi_open: bool = False
 
-    def _outside(self, x):
-        # elementwise on arrays
-        below = x <= self.lo if self.lo_open else x < self.lo
-        above = x >= self.hi if self.hi_open else x > self.hi
-        return below | above
+    def _inside(self, x):
+        # elementwise on arrays; nan compares false, so it is inside nothing
+        above = x > self.lo if self.lo_open else x >= self.lo
+        below = x < self.hi if self.hi_open else x <= self.hi
+        return above & below
 
     def contains(self, x: float) -> bool:
-        return math.isfinite(x) and not self._outside(x)
+        return math.isfinite(x) and bool(self._inside(x))
+
+    def first_outside(self, values: np.ndarray) -> str:
+        """``""`` if every entry of ``values`` lies inside; else a text naming the first that does not."""
+        bad = ~(np.isfinite(values) & self._inside(values))
+        if not bad.any():
+            return ""
+        index = tuple(np.argwhere(bad)[0])
+        return f"entry ({', '.join(map(str, index))}) is {float(values[index])!r}, outside {self}"
 
     def __str__(self) -> str:
         left = "(" if self.lo_open else "["
@@ -59,13 +72,14 @@ class _Law:
 
     ``mean(dist)`` bounds the entries of the mean matrix, and ``block(dist)``
     the entries of the scaled connectivity rho * P where they differ (it
-    defaults to ``mean``); the sign class P needs, the rho range and the
-    two-community grid alphas all follow from ``block``.
-    ``variance(dist, rho)`` bounds Var[A(i, j)] at scale rho, so the
-    normalized noise level gamma is ``variance / rho``.  ``draw`` makes the
-    law's numpy calls for a whole mean matrix.  A law with a shape parameter
-    names it in ``param``; ``valid`` and ``rule`` check a value, ``coerce``
-    normalizes it.  The default admits any finite mean.
+    defaults to ``mean``); a model is admissible when every entry of rho * P
+    lies in ``block``, and the rho range and the two-community grid alphas
+    follow from it.  ``variance(dist, rho)`` bounds Var[A(i, j)] at scale
+    rho, so the normalized noise level gamma is ``variance / rho``.
+    ``draw`` makes the law's numpy calls for a whole mean matrix.  A law
+    with a shape parameter names it in ``param``; a value is admissible when
+    it lies in ``domain`` and ``coerce`` leaves it equal, and is stored as
+    ``coerce`` returns it.  The default admits any finite mean.
     """
 
     variance: Callable
@@ -73,8 +87,7 @@ class _Law:
     mean: Callable = lambda d: _ANY_MEAN
     block: Callable | None = None
     param: str | None = None
-    valid: Callable | None = None
-    rule: str = ""
+    domain: RhoInterval | None = None
     coerce: Callable | None = None
 
 
@@ -95,8 +108,7 @@ _LAWS = {
         variance=lambda d, rho: rho,
         draw=lambda g, omega, d: g.binomial(d.m, omega / d.m).astype(float),
         param="m",
-        valid=lambda m: int(m) == m and m >= 1,
-        rule="binomial trial count m must be a positive integer",
+        domain=RhoInterval(1, math.inf, lo_open=False, hi_open=True),
         coerce=int,
     ),
     "normal": _Law(
@@ -104,8 +116,7 @@ _LAWS = {
         # scale 0 reproduces the mean exactly
         draw=lambda g, omega, d: g.normal(loc=omega, scale=math.sqrt(d.sigma2)),
         param="sigma2",
-        valid=lambda sigma2: sigma2 >= 0.0,
-        rule="normal variance sigma2 must be >= 0",
+        domain=_NONNEGATIVE,
         coerce=float,
     ),
     "exponential": _Law(
@@ -122,8 +133,7 @@ _LAWS = {
         variance=lambda d, rho: math.pi**2 * d.beta**2 / 3.0,
         draw=lambda g, omega, d: g.logistic(loc=omega, scale=d.beta),
         param="beta",
-        valid=lambda beta: beta > 0.0,
-        rule="logistic scale beta must be > 0",
+        domain=_POSITIVE,
         coerce=float,
     ),
     "signed": _Law(
@@ -168,8 +178,9 @@ class EdgeDistribution:
                 raise ValueError(f"{self.kind} distribution takes no parameter {param!r}")
         if law.param:
             value = getattr(self, law.param)
-            if not law.valid(value):
-                raise ValueError(f"{law.rule}, got {value!r}")
+            if not (law.domain.contains(value) and law.coerce(value) == value):
+                raise ValueError(f"{self.kind} parameter {law.param} must be "
+                                 f"{law.coerce.__name__} in {law.domain}, got {value!r}")
             object.__setattr__(self, law.param, law.coerce(value))
 
     @classmethod
@@ -239,7 +250,7 @@ class RandomSource:
         return np.random.Generator(np.random.PCG64(ss))
 
 
-def _block(dist: EdgeDistribution) -> RhoInterval:
+def block_interval(dist: EdgeDistribution) -> RhoInterval:
     """Admissible entries of the scaled connectivity rho * P under ``dist``."""
     law = _LAWS[dist.kind]
     return (law.block or law.mean)(dist)
@@ -252,16 +263,8 @@ def admissible_rho_interval(dist: EdgeDistribution) -> RhoInterval:
     probabilities cap rho at the trial count m; the signed law needs the
     two point probabilities (1 +/- omega)/2 to stay inside (0, 1).
     """
-    block = _block(dist)
+    block = block_interval(dist)
     return RhoInterval(0.0, block.hi, hi_open=block.hi_open)
-
-
-def required_sign_class(dist: EdgeDistribution) -> str:
-    """Weakest sign pattern the connectivity matrix must satisfy for ``dist``."""
-    block = _block(dist)
-    if block.lo < 0:
-        return "any-real"
-    return "strictly-positive" if block.lo_open else "nonnegative"
 
 
 def distribution_gamma(dist: EdgeDistribution, rho: float) -> float:
@@ -280,16 +283,9 @@ def distribution_gamma(dist: EdgeDistribution, rho: float) -> float:
 
 
 def _check_domain(omega: np.ndarray, dist: EdgeDistribution) -> None:
-    if np.all(np.isfinite(omega)):
-        bound = _LAWS[dist.kind].mean(dist)
-        bad = bound._outside(omega)
-    else:
-        bound, bad = "finite values", ~np.isfinite(omega)
-    if bad.any():
-        i, j = np.argwhere(bad)[0]
-        raise SamplingDomainError(
-            f"{dist.kind} mean at entry ({i}, {j}) is {float(omega[i, j])!r}, outside {bound}"
-        )
+    outside = _LAWS[dist.kind].mean(dist).first_outside(omega)
+    if outside:
+        raise SamplingDomainError(f"{dist.kind} mean at {outside}")
 
 
 def sample_adjacency(

@@ -151,7 +151,7 @@ class TestRunSweep:
                                "grid": [2.0, 2.5], "replicates": 2})
         first, second = run_sweep(plan).points
         assert not first.skipped
-        assert second.skipped == "binomial trial count m must be a positive integer, got 2.5"
+        assert second.skipped == "binomial parameter m must be int in [1, inf), got 2.5"
 
     def test_dist_param_axis(self):
         base = ModelSpec(P=P1, rho=1.0, Pi_r=make_planted_memberships(16, 2, 4),
@@ -248,8 +248,9 @@ class TestSweepPointContract:
     """Each record equals a point-by-point rebuild; each point is validated once."""
 
     def alpha_plan(self):
-        # equal magnitudes fail the spec build; a negative alpha fails the
-        # bernoulli sign class and alpha 5 its rho interval; (1, 2) and (2, 1) run
+        # equal magnitudes fail the spec build; a negative alpha puts a negative
+        # entry in bernoulli's rho * P and alpha 5 fails its rho interval; (1, 2)
+        # and (2, 1) run
         base = ModelSpec(P=P1, rho=0.5, Pi_r=make_planted_memberships(12, 2, 3),
                          Pi_c=make_planted_memberships(12, 2, 3),
                          dist=EdgeDistribution.bernoulli())

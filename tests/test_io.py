@@ -335,6 +335,20 @@ class TestSpecJSON:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             spec_from_dict({**spec_to_dict(spec), **change})
 
+    @pytest.mark.parametrize("dist, message", [
+        ('{"kind": "normal", "sigma2": Infinity}',
+         "normal parameter sigma2 must be float in [0, inf), got inf"),
+        ('{"kind": "binomial", "m": Infinity}', "binomial parameter m must be int in [1, inf), got inf"),
+    ], ids=["sigma2", "m"])
+    def test_infinite_shape_parameter_rejected(self, dist, message):
+        # JSON's Infinity was taken as a variance, and as a trial count raised OverflowError
+        spec = ModelSpec(P=P1, rho=0.5, Pi_r=make_planted_memberships(8, 2, 2),
+                         Pi_c=make_planted_memberships(6, 2, 1),
+                         dist=EdgeDistribution.bernoulli())
+        text = json.dumps(spec_to_dict(spec)).replace('{"kind": "bernoulli"}', dist)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            spec_from_dict(json.loads(text))
+
     def test_plan_base_with_misspelled_key_rejected(self):
         spec = ModelSpec(P=P1, rho=0.9, Pi_r=make_planted_memberships(8, 2, 2),
                          Pi_c=make_planted_memberships(6, 2, 1),

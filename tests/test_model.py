@@ -8,7 +8,6 @@ import pytest
 from bimix.model import (
     InvalidModelError,
     ModelSpec,
-    block_sign_class,
     block_violations,
     build_omega,
     make_planted_memberships,
@@ -16,7 +15,13 @@ from bimix.model import (
     membership_violations,
     validate_model,
 )
-from bimix.sampler import EdgeDistribution
+from bimix.sampler import (
+    EdgeDistribution,
+    RandomSource,
+    SamplingDomainError,
+    admissible_rho_interval,
+    sample_adjacency,
+)
 
 P1 = np.array([[1.0, 0.2], [0.3, 0.8]])
 
@@ -173,14 +178,13 @@ class TestValidateModel:
         P_neg = np.array([[1.0, -0.2], [0.3, -0.8]])
         spec = ModelSpec(P=P_neg, rho=0.5, Pi_r=np.eye(2), Pi_c=np.eye(2),
                          dist=EdgeDistribution.bernoulli())
-        report = validate_model(spec)
-        assert any("sign class" in msg and "bernoulli" in msg for msg in report)
+        assert validate_model(spec) == ["bernoulli rho * P at entry (0, 1) is -0.1, outside [0, 1]"]
 
     def test_poisson_requires_strictly_positive(self):
         P_zero = np.array([[1.0, 0.0], [0.3, 0.8]])
         spec = ModelSpec(P=P_zero, rho=1.0, Pi_r=np.eye(2), Pi_c=np.eye(2),
                          dist=EdgeDistribution.poisson())
-        assert any("strictly-positive" in msg for msg in validate_model(spec))
+        assert validate_model(spec) == ["poisson rho * P at entry (0, 1) is 0.0, outside (0, inf)"]
 
     def test_rho_interval_violation_named(self):
         spec = ModelSpec(P=P1, rho=1.5, Pi_r=np.eye(2), Pi_c=np.eye(2),
@@ -199,12 +203,91 @@ class TestValidateModel:
         assert any("exceeds" in msg or "columns" in msg for msg in validate_model(spec))
 
 
-class TestSignClass:
-    def test_classes(self):
-        assert block_sign_class(np.array([[1.0, 0.2], [0.3, 0.8]])) == "strictly-positive"
-        assert block_sign_class(np.array([[1.0, 0.0], [0.3, 0.8]])) == "nonnegative"
-        assert block_sign_class(np.array([[1.0, -0.2], [0.3, 0.8]])) == "any-real"
+# The rule validate_model applied before it checked rho * P entry by entry: rho
+# in the law's interval, and P's sign class (the tightest one all its entries
+# share) at least as strong as the class the law requires.
+SIGN_CLASSES = ("any-real", "nonnegative", "strictly-positive")
+REQUIRED_SIGN_CLASS = {
+    "bernoulli": "nonnegative", "poisson": "strictly-positive", "binomial": "nonnegative",
+    "normal": "any-real", "exponential": "strictly-positive", "uniform": "nonnegative",
+    "logistic": "any-real", "signed": "any-real",
+}
 
+
+def sign_class_rule(spec: ModelSpec) -> bool:
+    """The reference verdict on rho and P alone."""
+    actual = 2 if np.all(spec.P > 0.0) else 1 if np.all(spec.P >= 0.0) else 0
+    required = SIGN_CLASSES.index(REQUIRED_SIGN_CLASS[spec.dist.kind])
+    return admissible_rho_interval(spec.dist).contains(spec.rho) and actual >= required
+
+
+ORACLE_LAWS = [EdgeDistribution.bernoulli(), EdgeDistribution.poisson(), EdgeDistribution.binomial(7),
+               EdgeDistribution.normal(1.0), EdgeDistribution.exponential(),
+               EdgeDistribution.uniform(), EdgeDistribution.logistic(1.0),
+               EdgeDistribution.signed()]
+# full rank, unit maximum absolute entry
+ORACLE_BLOCKS = {
+    "positive": np.array([[1.0, 0.2], [0.3, 0.8]]),
+    "one zero": np.array([[1.0, 0.0], [0.3, 0.8]]),
+    "one negative": np.array([[1.0, -0.2], [0.3, 0.8]]),
+    "unit -1": np.array([[0.5, 0.2], [0.3, -1.0]]),
+}
+
+
+def oracle_rhos(dist) -> list[float]:
+    """Each end of the law's rho interval, one ulp past it, and values inside."""
+    hi = admissible_rho_interval(dist).hi
+    rhos = [0.0, math.nextafter(0.0, -math.inf), hi, 0.5]
+    if math.isinf(hi):
+        return rhos + [math.nextafter(hi, 0.0)]  # the largest finite rho
+    return rhos + [math.nextafter(hi, math.inf), math.nextafter(hi, 0.0)]
+
+
+class TestBlockInterval:
+    """validate_model's rho * P check against the sign-class rule it replaced."""
+
+    @pytest.mark.parametrize("dist", ORACLE_LAWS, ids=[d.kind for d in ORACLE_LAWS])
+    @pytest.mark.parametrize("pattern", ORACLE_BLOCKS)
+    def test_same_verdict_as_sign_class_rule(self, dist, pattern):
+        for rho in oracle_rhos(dist):
+            spec = ModelSpec(P=ORACLE_BLOCKS[pattern], rho=rho, Pi_r=np.eye(2), Pi_c=np.eye(2),
+                             dist=dist)
+            assert (validate_model(spec) == []) == sign_class_rule(spec), rho
+
+    def test_rounded_entries_judged_as_the_sampler_judges_them(self):
+        # The verdicts differ only where rounding takes a product out of the block
+        # interval: an entry within block_violations' 1e-12 of unit size, or one that
+        # underflows to 0.  The sign-class rule accepted both, and the sampler then
+        # rejected the means they give pure rows.
+        over = ModelSpec(P=np.array([[1.0 + 5e-13, 0.2], [0.3, 0.8]]), rho=1.0, Pi_r=np.eye(2),
+                         Pi_c=np.eye(2), dist=EdgeDistribution.bernoulli())
+        under = ModelSpec(P=P1, rho=5e-324, Pi_r=np.eye(2), Pi_c=np.eye(2),
+                          dist=EdgeDistribution.exponential())
+        assert validate_model(over) == [
+            "bernoulli rho * P at entry (0, 0) is 1.0000000000005, outside [0, 1]"
+        ]
+        assert validate_model(under) == [
+            "exponential rho * P at entry (0, 1) is 0.0, outside (0, inf)"
+        ]
+        for spec in (over, under):
+            assert sign_class_rule(spec)
+            with pytest.raises(SamplingDomainError):
+                sample_adjacency(spec.rho * spec.P, spec.dist, RandomSource(0))
+
+    @pytest.mark.parametrize("P, printed", [
+        (np.array([1.0, -0.5]), "bernoulli rho * P at entry (1) is -0.25, outside [0, 1]"),
+        (np.array([[1.0, 0.2], [0.3, 0.8], [-0.5, 0.5]]),
+         "bernoulli rho * P at entry (2, 0) is -0.25, outside [0, 1]"),
+    ], ids=["1-d", "3x2"])
+    def test_non_square_block_gets_messages(self, P, printed):
+        spec = ModelSpec(P=P, rho=0.5, Pi_r=np.eye(2), Pi_c=np.eye(2),
+                         dist=EdgeDistribution.bernoulli())
+        report = validate_model(spec)
+        assert f"block matrix: must be square, got shape {P.shape}" in report
+        assert printed in report
+
+
+class TestSignClass:
     def test_block_violations(self):
         assert block_violations(P1) == []
         assert any("maximum absolute" in m for m in block_violations(P1 * 0.5))

@@ -12,8 +12,8 @@ from bimix.sampler import (
     RandomSource,
     SamplingDomainError,
     admissible_rho_interval,
+    block_interval,
     distribution_gamma,
-    required_sign_class,
     sample_adjacency,
 )
 from bimix.metrics import separation_margins
@@ -133,15 +133,15 @@ def _above(x):
 
 # law -> (its constructor, its mean domain as printed, means on or just inside
 # the domain's ends, means just past them); laws with no bounded end accept any
-# finite mean and name "finite values"
+# finite mean, and no infinite or nan one
 MEAN_DOMAINS = {
     "bernoulli": (EdgeDistribution.bernoulli(), "[0, 1]", (0.0, 1.0), (_below(0.0), _above(1.0))),
     "poisson": (EdgeDistribution.poisson(), "[0, inf)", (0.0,), (_below(0.0),)),
     "binomial": (EdgeDistribution.binomial(7), "[0, 7]", (0.0, 7.0), (_below(0.0), _above(7.0))),
-    "normal": (EdgeDistribution.normal(1.0), "finite values", (-1e300, 1e300), (-np.inf, np.nan)),
+    "normal": (EdgeDistribution.normal(1.0), "(-inf, inf)", (-1e300, 1e300), (-np.inf, np.nan)),
     "exponential": (EdgeDistribution.exponential(), "(0, inf)", (_above(0.0),), (0.0, -1.0)),
     "uniform": (EdgeDistribution.uniform(), "[0, inf)", (0.0,), (_below(0.0),)),
-    "logistic": (EdgeDistribution.logistic(1.0), "finite values", (-1e300, 1e300), (np.inf, np.nan)),
+    "logistic": (EdgeDistribution.logistic(1.0), "(-inf, inf)", (-1e300, 1e300), (np.inf, np.nan)),
     "signed": (EdgeDistribution.signed(), "[-1, 1]", (-1.0, 1.0), (_below(-1.0), _above(1.0))),
 }
 
@@ -218,19 +218,19 @@ class TestRhoInterval:
 
 LIMIT_300 = 300 / math.log(300)  # the grid alpha that makes rho * P entry 1 at n = 300
 
-# per law: the sign class P needs, the rho interval, and the grid-alpha range at
-# n = 300 as (lo, hi, lo closed, hi closed)
+# per law: the admissible entries of rho * P, the rho interval, and the
+# grid-alpha range at n = 300 as (lo, hi, lo closed, hi closed)
 LAW_DOMAINS = [
-    (EdgeDistribution.bernoulli(), "nonnegative", "(0, 1]", (0.0, LIMIT_300, True, True)),
-    (EdgeDistribution.poisson(), "strictly-positive", "(0, inf)", (0.0, math.inf, False, False)),
-    (EdgeDistribution.binomial(7), "nonnegative", "(0, 7]", (0.0, 7 * LIMIT_300, True, True)),
-    (EdgeDistribution.binomial(1234567), "nonnegative", "(0, 1234567]",
+    (EdgeDistribution.bernoulli(), "[0, 1]", "(0, 1]", (0.0, LIMIT_300, True, True)),
+    (EdgeDistribution.poisson(), "(0, inf)", "(0, inf)", (0.0, math.inf, False, False)),
+    (EdgeDistribution.binomial(7), "[0, 7]", "(0, 7]", (0.0, 7 * LIMIT_300, True, True)),
+    (EdgeDistribution.binomial(1234567), "[0, 1234567]", "(0, 1234567]",
      (0.0, 1234567 * LIMIT_300, True, True)),
-    (EdgeDistribution.normal(1.0), "any-real", "(0, inf)", (-math.inf, math.inf, False, False)),
-    (EdgeDistribution.exponential(), "strictly-positive", "(0, inf)", (0.0, math.inf, False, False)),
-    (EdgeDistribution.uniform(), "nonnegative", "(0, inf)", (0.0, math.inf, True, False)),
-    (EdgeDistribution.logistic(1.0), "any-real", "(0, inf)", (-math.inf, math.inf, False, False)),
-    (EdgeDistribution.signed(), "any-real", "(0, 1)", (-LIMIT_300, LIMIT_300, False, False)),
+    (EdgeDistribution.normal(1.0), "(-inf, inf)", "(0, inf)", (-math.inf, math.inf, False, False)),
+    (EdgeDistribution.exponential(), "(0, inf)", "(0, inf)", (0.0, math.inf, False, False)),
+    (EdgeDistribution.uniform(), "[0, inf)", "(0, inf)", (0.0, math.inf, True, False)),
+    (EdgeDistribution.logistic(1.0), "(-inf, inf)", "(0, inf)", (-math.inf, math.inf, False, False)),
+    (EdgeDistribution.signed(), "(-1, 1)", "(0, 1)", (-LIMIT_300, LIMIT_300, False, False)),
 ]
 
 
@@ -243,12 +243,12 @@ def _alpha_accepted(dist, alpha):
 
 
 class TestLawDomains:
-    """Each law's sign class, rho interval and grid-alpha range, as one table."""
+    """Each law's rho * P entries, rho interval and grid-alpha range, as one table."""
 
-    @pytest.mark.parametrize("dist, sign, rho, alpha", LAW_DOMAINS,
+    @pytest.mark.parametrize("dist, block, rho, alpha", LAW_DOMAINS,
                              ids=[d.kind if d.m is None else f"{d.kind}-{d.m}" for d, *_ in LAW_DOMAINS])
-    def test_domain(self, dist, sign, rho, alpha):
-        assert required_sign_class(dist) == sign
+    def test_domain(self, dist, block, rho, alpha):
+        assert str(block_interval(dist)) == block
         assert str(admissible_rho_interval(dist)) == rho
         lo, hi, lo_closed, hi_closed = alpha
         for end, closed, outward in ((lo, lo_closed, -math.inf), (hi, hi_closed, math.inf)):
@@ -284,6 +284,22 @@ class TestEdgeDistributionParams:
             EdgeDistribution.normal(-1.0)
         with pytest.raises(ValueError):
             EdgeDistribution.logistic(0.0)
+
+    # (kind, parameter, value): values outside the parameter's domain, each
+    # named with the domain; the parameters' infinities were accepted, or
+    # raised OverflowError, and binomial's nan raised int()'s own message
+    @pytest.mark.parametrize("kind, param, value", [
+        ("binomial", "m", 0), ("binomial", "m", 2.5), ("binomial", "m", math.inf),
+        ("binomial", "m", math.nan), ("normal", "sigma2", -1.0), ("normal", "sigma2", math.inf),
+        ("normal", "sigma2", math.nan), ("logistic", "beta", 0.0), ("logistic", "beta", math.inf),
+        ("logistic", "beta", -math.inf),
+    ])
+    def test_param_outside_domain_named(self, kind, param, value):
+        domain, kind_of = {"m": ("[1, inf)", "int"), "sigma2": ("[0, inf)", "float"),
+                           "beta": ("(0, inf)", "float")}[param]
+        printed = f"{kind} parameter {param} must be {kind_of} in {domain}, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(printed)}$"):
+            EdgeDistribution(kind, **{param: value})
 
     def test_dict_roundtrip(self):
         for dist in (EdgeDistribution.bernoulli(), EdgeDistribution.binomial(7),

@@ -1,4 +1,4 @@
-"""The catalogue tools: drift is reported, structural changes fail, replicates give spread."""
+"""The catalogue tools: drift is reported, signed, structural changes fail, replicates give spread."""
 
 import csv
 import importlib.util
@@ -27,7 +27,21 @@ def test_rounding_drift_is_measured(tmp_path):
     out = run_drift(tmp_path, {"s": OLD, "t": OLD}, {"s": new, "t": OLD})
     assert out.returncode == 0
     lines = out.stdout.splitlines()
-    assert lines[1:] == ["s 1/2 5.55e-17 0", "t 0/2 0 0", "all 1/4 5.55e-17 0"]
+    assert lines[1:] == ["s 1/2 5.55e-17 0 0/1/0 5.55e-17/5.55e-17/5.55e-17 5.55e-17",
+                         "t 0/2 0 0 0/0/1 0/0/0 0",
+                         "all 1/4 5.55e-17 0 0/1/1 1.39e-17/2.78e-17/4.16e-17 2.78e-17"]
+
+
+def test_signed_drift_counts_better_and_worse(tmp_path):
+    old = OLD.replace("\ns,0.6,", "\ns,0.55,0.5,0.25,2,,0\ns,0.6,")
+    new = old.replace("0.5,0.25,0.125", "0.5,0.125,0.125").replace("0.55,0.5,", "0.55,0.75,")
+    only_skips = f"{HEADER}\nu,0.6,,,0,rho too large,0\n"
+    out = run_drift(tmp_path, {"s": old, "u": only_skips}, {"s": new, "u": only_skips})
+    assert out.returncode == 0
+    # d = -0.125 (better) and +0.25 (worse): quartiles interpolate between them
+    assert out.stdout.splitlines()[1:] == ["s 2/3 0.25 0 1/1/0 -0.0312/0.0625/0.156 0.0625",
+                                           "u 0/1 0 0 0/0/0 - -",
+                                           "all 2/4 0.25 0 1/1/0 -0.0312/0.0625/0.156 0.0625"]
 
 
 def test_structural_changes_fail(tmp_path):
