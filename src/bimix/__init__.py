@@ -7,7 +7,7 @@ harness with a catalogue of reference scenarios.
 
 __version__ = "0.1.0"
 
-from .disp import FitResult, IllPosedFitError, disp, ideal_disp, memberships_from_embedding
+from .disp import FitResult, IllPosedFitError, disp, memberships_from_embedding
 from .harness import (
     SCENARIO_NAMES,
     SweepPlan,
@@ -25,7 +25,6 @@ from .metrics import (
     hamm_rc,
     mixed_proportion,
     separation_margins,
-    theoretical_rate,
 )
 from .model import (
     InvalidModelError,
@@ -43,7 +42,6 @@ from .sampler import (
     RhoInterval,
     SamplingDomainError,
     admissible_rho_interval,
-    distribution_gamma,
     sample_adjacency,
 )
 from .spa import RankDeficientInputError, spa, vertex_matrix
@@ -71,12 +69,10 @@ __all__ = [
     "block_violations",
     "build_omega",
     "disp",
-    "distribution_gamma",
     "empirical_tau_gamma",
     "error_rate",
     "estimate_k_eigengap",
     "hamm_rc",
-    "ideal_disp",
     "load_edge_list",
     "make_planted_memberships",
     "make_standard_two_block",
@@ -91,7 +87,6 @@ __all__ = [
     "singular_values",
     "spa",
     "summarize",
-    "theoretical_rate",
     "to_dense",
     "top_k_svd",
     "validate_model",

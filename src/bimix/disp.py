@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, build_omega
 from .spa import spa, vertex_matrix
 from .spectral import top_k_svd
 
@@ -120,7 +119,3 @@ def disp(A: np.ndarray, K: int) -> FitResult:
         rank_deficient=bool(sv[-1] <= sv[0] * max(n_r, n_c) * np.finfo(float).eps),
     )
 
-
-def ideal_disp(spec: ModelSpec) -> FitResult:
-    """Fit on the exact expectation matrix; recovery is exact up to permutation."""
-    return disp(build_omega(spec), spec.K)

@@ -98,7 +98,8 @@ class SweepPlan:
             raise ValueError(f"unknown axis {self.axis!r}; expected one of {AXES}")
         if len(self.grid) == 0:
             raise ValueError("grid must be nonempty")
-        if int(self.replicates) != self.replicates or not 1 <= self.replicates < STREAM_STRIDE:
+        # the range test comes first: int() raises its own error on inf and nan
+        if not 1 <= self.replicates < STREAM_STRIDE or int(self.replicates) != self.replicates:
             raise ValueError(
                 f"replicates must be an integer in [1, {STREAM_STRIDE}), got {self.replicates!r}"
             )

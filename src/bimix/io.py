@@ -264,7 +264,7 @@ def spec_from_dict(data: dict) -> ModelSpec:
                 for key in ("P", "Pi_r", "Pi_c")}
     spec = ModelSpec(
         rho=json_field(data, "rho", float, where),
-        dist=EdgeDistribution.from_dict(dist),
+        dist=EdgeDistribution(**dist),
         **matrices,
     )
     for key, size in (("n_r", spec.n_r), ("n_c", spec.n_c), ("K", spec.K)):

@@ -14,11 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec
-from .sampler import _LAWS, EdgeDistribution, RhoInterval, block_interval, distribution_gamma
+from .sampler import _LAWS, EdgeDistribution, RhoInterval, block_interval
 
 PERMUTATION_LIMIT = 10
-SINGULAR_TOL = 1e-12
 
 
 def _check_pair(est: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -75,25 +73,6 @@ def mixed_proportion(Pi_hat: np.ndarray, threshold: float = 0.8) -> float:
     if not (1.0 / k < threshold < 1.0):
         raise ValueError(f"threshold must lie in (1/K, 1) = (1/{k}, 1), got {threshold}")
     return float(np.mean(Pi_hat.max(axis=1) <= threshold))
-
-
-def theoretical_rate(spec: ModelSpec) -> tuple[float, float]:
-    """Per-node error-bound expressions, without the hidden constant.
-
-    Row bound: K^2 sqrt(gamma log(n_r + n_c)) / (sigma_K(P) sqrt(rho n_c));
-    the column bound swaps in n_r.  gamma is the distribution's normalized
-    noise level, so e.g. the exponential law makes both bounds rho-free.
-    """
-    sv = np.linalg.svd(spec.P, compute_uv=False)
-    sigma_k = float(sv[-1])
-    if sigma_k < SINGULAR_TOL:
-        raise ValueError(f"sigma_K of the connectivity matrix is {sigma_k!r}, below {SINGULAR_TOL}")
-    gamma = distribution_gamma(spec.dist, spec.rho)
-    k2 = spec.K**2
-    log_term = math.sqrt(gamma * math.log(spec.n_r + spec.n_c))
-    row = k2 * log_term / (sigma_k * math.sqrt(spec.rho * spec.n_c))
-    col = k2 * log_term / (sigma_k * math.sqrt(spec.rho * spec.n_r))
-    return row, col
 
 
 @dataclass(frozen=True)

@@ -31,20 +31,18 @@ def _rank_deficient(M: np.ndarray, k: int) -> bool:
     return len(sv) < k or sv[k - 1] <= RANK_RTOL * sv[0]
 
 
-def membership_violations(
-    pi: np.ndarray, K: int | None = None, ground_truth: bool = False, name: str = "membership"
-) -> list[str]:
+def membership_violations(pi: np.ndarray, K: int, name: str = "membership") -> list[str]:
     """Check one membership matrix; returns one message per violated invariant.
 
-    With ``ground_truth=True`` every community must own at least one pure row
-    (a row whose weight on that community is 1).
+    Every community must own at least one pure row (a row whose weight on
+    that community is 1).
     """
     pi = np.asarray(pi, dtype=float)
     if pi.ndim != 2:
         return [f"{name}: expected a 2-d matrix, got shape {pi.shape}"]
     n, k = pi.shape
     out = []
-    if K is not None and k != K:
+    if k != K:
         out.append(f"{name}: has {k} columns, expected K={K}")
     if not np.all(np.isfinite(pi)):
         out.append(f"{name}: contains non-finite entries")
@@ -58,26 +56,25 @@ def membership_violations(
         out.append(f"{name}: row {i} sums to {float(sums[i])!r}, must be 1 within {ROW_SUM_ATOL:g}")
     if _rank_deficient(pi, k):
         out.append(f"{name}: rank below the community count {k}")
-    if ground_truth:
-        for community in range(k):
-            if not np.any(pi[:, community] >= 1.0 - PURE_ROW_ATOL):
-                out.append(f"{name}: community {community} has no pure row")
+    for community in range(k):
+        if not np.any(pi[:, community] >= 1.0 - PURE_ROW_ATOL):
+            out.append(f"{name}: community {community} has no pure row")
     return out
 
 
-def block_violations(P: np.ndarray, name: str = "block matrix") -> list[str]:
+def block_violations(P: np.ndarray) -> list[str]:
     """Check the connectivity matrix; returns one message per violated invariant."""
     P = np.asarray(P, dtype=float)
     out = []
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
-        return [f"{name}: must be square, got shape {P.shape}"]
+        return [f"block matrix: must be square, got shape {P.shape}"]
     if not np.all(np.isfinite(P)):
-        out.append(f"{name}: contains non-finite entries")
+        out.append("block matrix: contains non-finite entries")
         return out
     if abs(np.max(np.abs(P)) - 1.0) > UNIT_MAX_ATOL:
-        out.append(f"{name}: maximum absolute entry is {float(np.max(np.abs(P)))!r}, must equal 1")
+        out.append(f"block matrix: maximum absolute entry is {float(np.max(np.abs(P)))!r}, must equal 1")
     if _rank_deficient(P, P.shape[0]):
-        out.append(f"{name}: rank below {P.shape[0]}")
+        out.append(f"block matrix: rank below {P.shape[0]}")
     return out
 
 
@@ -107,7 +104,8 @@ class ModelSpec:
 
     @property
     def K(self) -> int:
-        return self.P.shape[0]
+        # a 0-d P has no communities; validate_model reports its shape
+        return self.P.shape[0] if self.P.ndim else 0
 
 
 def validate_model(spec: ModelSpec) -> list[str]:
@@ -116,8 +114,8 @@ def validate_model(spec: ModelSpec) -> list[str]:
     The edge law bounds rho and, for an admissible rho, every entry of rho * P.
     """
     out = []
-    out += membership_violations(spec.Pi_r, K=spec.K, ground_truth=True, name="Pi_r")
-    out += membership_violations(spec.Pi_c, K=spec.K, ground_truth=True, name="Pi_c")
+    out += membership_violations(spec.Pi_r, spec.K, "Pi_r")
+    out += membership_violations(spec.Pi_c, spec.K, "Pi_c")
     out += block_violations(spec.P)
     if spec.K > min(spec.n_r, spec.n_c):
         out.append(f"K={spec.K} exceeds min(n_r, n_c)={min(spec.n_r, spec.n_c)}")

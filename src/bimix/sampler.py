@@ -14,6 +14,7 @@ Every function below reads the record; none switches on the kind.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,7 +44,8 @@ class RhoInterval:
         return above & below
 
     def contains(self, x: float) -> bool:
-        return math.isfinite(x) and bool(self._inside(x))
+        # finite as a float: nan, +-inf and integers beyond float range lie in none
+        return abs(x) <= sys.float_info.max and bool(self._inside(x))
 
     def first_outside(self, values: np.ndarray) -> str:
         """``""`` if every entry of ``values`` lies inside; else a text naming the first that does not."""
@@ -108,7 +110,8 @@ _LAWS = {
         variance=lambda d, rho: rho,
         draw=lambda g, omega, d: g.binomial(d.m, omega / d.m).astype(float),
         param="m",
-        domain=RhoInterval(1, math.inf, lo_open=False, hi_open=True),
+        # numpy's binomial takes at most a C long
+        domain=RhoInterval(1, 2**63 - 1, lo_open=False),
         coerce=int,
     ),
     "normal": _Law(
@@ -219,11 +222,6 @@ class EdgeDistribution:
         param = _LAWS[self.kind].param
         return {"kind": self.kind, param: getattr(self, param)} if param else {"kind": self.kind}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "EdgeDistribution":
-        """Inverse of ``to_dict``; a key that is not a field raises ``TypeError``."""
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class RandomSource:
@@ -238,9 +236,10 @@ class RandomSource:
     stream: int = 0
 
     def __post_init__(self):
-        if int(self.seed) != self.seed or not 0 <= self.seed < 2**64:
+        # the range test comes first: int() raises its own error on inf and nan
+        if not 0 <= self.seed < 2**64 or int(self.seed) != self.seed:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if int(self.stream) != self.stream or self.stream < 0:
+        if not 0 <= self.stream < math.inf or int(self.stream) != self.stream:
             raise ValueError(f"stream index must be a nonnegative integer, got {self.stream!r}")
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "stream", int(self.stream))
@@ -265,21 +264,6 @@ def admissible_rho_interval(dist: EdgeDistribution) -> RhoInterval:
     """
     block = block_interval(dist)
     return RhoInterval(0.0, block.hi, hi_open=block.hi_open)
-
-
-def distribution_gamma(dist: EdgeDistribution, rho: float) -> float:
-    """Upper bound on the normalized noise level max Var[A(i,j)] / rho.
-
-    Per kind: bernoulli, poisson and binomial give 1; normal gives
-    sigma2/rho; exponential gives rho; uniform gives rho/3; logistic gives
-    pi^2 beta^2 / (3 rho); signed gives 1/rho.
-    """
-    interval = admissible_rho_interval(dist)
-    if not interval.contains(rho):
-        raise SamplingDomainError(
-            f"rho={rho!r} outside admissible interval {interval} for {dist.kind}"
-        )
-    return _LAWS[dist.kind].variance(dist, rho) / rho
 
 
 def _check_domain(omega: np.ndarray, dist: EdgeDistribution) -> None:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bimix.disp import disp, ideal_disp
+from bimix.disp import disp
 from bimix.harness import SweepPlan, run_replicates, run_sweep, scenario
 from bimix.ingest import load_edge_list, to_dense
 from bimix.metrics import error_rate, hamm_rc, mixed_proportion
@@ -61,7 +61,7 @@ class TestCriterion1:
         worst = 0.0
         for _ in range(100):
             spec = random_spec(rng)
-            fit = ideal_disp(spec)
+            fit = disp(build_omega(spec), spec.K)
             worst = max(worst, error_rate(fit.Pi_r_hat, spec.Pi_r, fit.Pi_c_hat, spec.Pi_c))
         elapsed = time.time() - start
         ok = worst <= 1e-8 and elapsed < 30.0

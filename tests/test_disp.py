@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bimix.disp import IllPosedFitError, disp, ideal_disp, memberships_from_embedding
+from bimix.disp import IllPosedFitError, disp, memberships_from_embedding
 from bimix.harness import scenario
 from bimix.metrics import error_rate, hamm_rc
 from bimix.model import ModelSpec, build_omega, make_planted_memberships, make_standard_two_block
@@ -18,21 +18,21 @@ class TestIdealRecovery:
     def test_two_block_exact(self):
         spec = ModelSpec(P=P1, rho=0.8, Pi_r=make_planted_memberships(20, 2, 4),
                          Pi_c=make_planted_memberships(15, 2, 3), dist=EdgeDistribution.bernoulli())
-        fit = ideal_disp(spec)
+        fit = disp(build_omega(spec), spec.K)
         assert error_rate(fit.Pi_r_hat, spec.Pi_r, fit.Pi_c_hat, spec.Pi_c) <= 1e-8
 
     def test_random_specs_k3(self):
         rng = np.random.default_rng(10)
         for _ in range(5):
             spec = random_valid_spec(rng, 60, 45, 3)
-            fit = ideal_disp(spec)
+            fit = disp(build_omega(spec), spec.K)
             assert error_rate(fit.Pi_r_hat, spec.Pi_r, fit.Pi_c_hat, spec.Pi_c) <= 1e-8
 
     def test_symmetric_model_matches_sides(self):
         pi = make_planted_memberships(24, 2, 5)
         P_sym = np.array([[1.0, 0.25], [0.25, 0.7]])
         spec = ModelSpec(P=P_sym, rho=0.9, Pi_r=pi, Pi_c=pi, dist=EdgeDistribution.bernoulli())
-        fit = ideal_disp(spec)
+        fit = disp(build_omega(spec), spec.K)
         assert hamm_rc(fit.Pi_r_hat, fit.Pi_c_hat) <= 1e-8
 
     def test_missing_pure_community_fails_recovery(self):
@@ -141,7 +141,7 @@ class TestOutputContract:
     def test_diagnostics_populated(self):
         spec = ModelSpec(P=P1, rho=0.8, Pi_r=make_planted_memberships(12, 2, 3),
                          Pi_c=make_planted_memberships(10, 2, 2), dist=EdgeDistribution.bernoulli())
-        fit = ideal_disp(spec)
+        fit = disp(build_omega(spec), spec.K)
         assert len(fit.singular_values) == 2
         assert len(fit.pure_rows) == 2 and len(fit.pure_cols) == 2
         assert fit.cond_row_vertices >= 1.0 and fit.cond_col_vertices >= 1.0
@@ -180,7 +180,7 @@ class TestRankDeficientInput:
     def test_full_rank_fit_has_no_uniform_rows(self):
         spec = ModelSpec(P=P1, rho=0.8, Pi_r=make_planted_memberships(12, 2, 3),
                          Pi_c=make_planted_memberships(10, 2, 2), dist=EdgeDistribution.bernoulli())
-        fit = ideal_disp(spec)
+        fit = disp(build_omega(spec), spec.K)
         assert (fit.degenerate_rows, fit.degenerate_cols) == (0, 0)
         # A has exact rank K, so sigma_{K+1} is rounding noise
         sigma_3 = singular_values(build_omega(spec), 3)[2]

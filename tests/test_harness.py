@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import signal
@@ -151,7 +152,7 @@ class TestRunSweep:
                                "grid": [2.0, 2.5], "replicates": 2})
         first, second = run_sweep(plan).points
         assert not first.skipped
-        assert second.skipped == "binomial parameter m must be int in [1, inf), got 2.5"
+        assert second.skipped == "binomial parameter m must be int in [1, 9223372036854775807], got 2.5"
 
     def test_dist_param_axis(self):
         base = ModelSpec(P=P1, rho=1.0, Pi_r=make_planted_memberships(16, 2, 4),
@@ -492,10 +493,11 @@ class TestPlanJSON:
         assert plan.grid == ((1.0, 2.0), (3.0, 4.5))
         assert (plan.replicates, plan.master_seed, plan.scenario) == (50, 0, "custom")
 
-    @pytest.mark.parametrize("seed", [-1, 2**64, 3.9])
+    @pytest.mark.parametrize("seed", [-1, 2**64, 3.9, math.inf, math.nan])
     def test_unusable_seed_rejected_when_built(self, seed):
-        # no replicate could draw from it, so the plan must not build
-        message = f"^seed must be a 64-bit unsigned integer, got {seed}$"
+        # no replicate could draw from it, so the plan must not build; inf
+        # raised OverflowError, and nan int()'s own message
+        message = f"^{re.escape(f'seed must be a 64-bit unsigned integer, got {seed!r}')}$"
         full = {"base": spec_to_dict(noiseless_spec()), "axis": "rho", "grid": [0.5]}
         with pytest.raises(ValueError, match=message):
             scenario("sim1a", master_seed=seed)
@@ -514,9 +516,10 @@ class TestPlanJSON:
             plan = plan_from_json({**data, **given})
             assert (plan.replicates, plan.master_seed) == expected
 
-    @pytest.mark.parametrize("replicates", [0, 2.7, STREAM_STRIDE])
+    @pytest.mark.parametrize("replicates", [0, 2.7, STREAM_STRIDE, math.inf, math.nan])
     def test_unusable_replicate_count_rejected_when_built(self, replicates):
-        # a fractional count is not truncated to a smaller one
+        # a fractional count is not truncated to a smaller one; inf raised
+        # OverflowError, and nan int()'s own message
         message = re.escape(f"replicates must be an integer in [1, {STREAM_STRIDE}), got {replicates}")
         full = {"base": spec_to_dict(noiseless_spec()), "axis": "rho", "grid": [0.5]}
         with pytest.raises(ValueError, match=f"^{message}$"):

@@ -338,10 +338,14 @@ class TestSpecJSON:
     @pytest.mark.parametrize("dist, message", [
         ('{"kind": "normal", "sigma2": Infinity}',
          "normal parameter sigma2 must be float in [0, inf), got inf"),
-        ('{"kind": "binomial", "m": Infinity}', "binomial parameter m must be int in [1, inf), got inf"),
-    ], ids=["sigma2", "m"])
+        ('{"kind": "binomial", "m": Infinity}',
+         "binomial parameter m must be int in [1, 9223372036854775807], got inf"),
+        ('{"kind": "binomial", "m": 1%s}' % ("0" * 400),
+         "binomial parameter m must be int in [1, 9223372036854775807], got 1%s" % ("0" * 400)),
+    ], ids=["sigma2", "m", "m-401-digits"])
     def test_infinite_shape_parameter_rejected(self, dist, message):
-        # JSON's Infinity was taken as a variance, and as a trial count raised OverflowError
+        # JSON's Infinity was taken as a variance, and as a trial count raised
+        # OverflowError, as did a trial count beyond float range
         spec = ModelSpec(P=P1, rho=0.5, Pi_r=make_planted_memberships(8, 2, 2),
                          Pi_c=make_planted_memberships(6, 2, 1),
                          dist=EdgeDistribution.bernoulli())
@@ -360,9 +364,10 @@ class TestSpecJSON:
         assert plan_from_json({"base": base, "axis": "rho", "grid": [0.5]}).base.dist == spec.dist
 
     def test_edge_law_from_dict_rejects_unknown_key(self):
-        assert EdgeDistribution.from_dict({"kind": "normal", "sigma2": 2.0}).sigma2 == 2.0
+        dist = EdgeDistribution.normal(2.0)
+        assert EdgeDistribution(**dist.to_dict()) == dist
         with pytest.raises(TypeError, match="sigma"):
-            EdgeDistribution.from_dict({"kind": "bernoulli", "sigma": 2.0})
+            EdgeDistribution(**{"kind": "bernoulli", "sigma": 2.0})
 
     def test_dimension_fields_present(self):
         spec = ModelSpec(P=P1, rho=0.5, Pi_r=make_planted_memberships(8, 2, 2),

@@ -15,7 +15,6 @@ from bimix.metrics import (
     hamm_rc,
     mixed_proportion,
     separation_margins,
-    theoretical_rate,
 )
 from bimix.model import (
     ModelSpec,
@@ -146,50 +145,6 @@ class TestMixedProportion:
         assert mixed_proportion(pi, threshold=0.8) == 0.5
 
 
-class TestTheoreticalRate:
-    def _spec(self, n_r, n_c, dist, rho):
-        return ModelSpec(P=P1, rho=rho, Pi_r=make_planted_memberships(n_r, 2, 2),
-                         Pi_c=make_planted_memberships(n_c, 2, 2), dist=dist)
-
-    def test_doubling_n_decreases_bounds(self):
-        small = self._spec(40, 40, EdgeDistribution.bernoulli(), 0.5)
-        big = self._spec(80, 80, EdgeDistribution.bernoulli(), 0.5)
-        rs, cs = theoretical_rate(small)
-        rb, cb = theoretical_rate(big)
-        assert rb < rs and cb < cs
-        # ratio follows the closed form: sqrt(log(4n) / (2 log(2n)))
-        expected = math.sqrt(math.log(160) / (2 * math.log(80)))
-        assert rb / rs == pytest.approx(expected, rel=1e-12)
-
-    def test_sqrt_rho_scaling(self):
-        quarter = self._spec(50, 60, EdgeDistribution.bernoulli(), 0.25)
-        full = self._spec(50, 60, EdgeDistribution.bernoulli(), 1.0)
-        rq, cq = theoretical_rate(quarter)
-        rf, cf = theoretical_rate(full)
-        assert rf == pytest.approx(rq / 2.0, rel=1e-12)
-        assert cf == pytest.approx(cq / 2.0, rel=1e-12)
-
-    def test_exponential_is_rho_free(self):
-        a = self._spec(50, 60, EdgeDistribution.exponential(), 2.0)
-        b = self._spec(50, 60, EdgeDistribution.exponential(), 50.0)
-        assert theoretical_rate(a) == pytest.approx(theoretical_rate(b), rel=1e-12)
-
-    def test_depends_on_spectrum_not_sign_pattern(self):
-        pos = self._spec(40, 40, EdgeDistribution.normal(1.0), 2.0)
-        # flip signs without changing singular values
-        flipped = ModelSpec(P=pos.P @ np.diag([1.0, -1.0]), rho=2.0, Pi_r=pos.Pi_r,
-                            Pi_c=pos.Pi_c, dist=pos.dist)
-        assert theoretical_rate(flipped) == pytest.approx(theoretical_rate(pos), rel=1e-12)
-
-    def test_singular_connectivity_rejected(self):
-        ones = np.ones((2, 2))
-        spec = ModelSpec(P=ones, rho=0.5, Pi_r=make_planted_memberships(6, 2, 2),
-                         Pi_c=make_planted_memberships(6, 2, 2),
-                         dist=EdgeDistribution.bernoulli())
-        with pytest.raises(ValueError, match="sigma_K"):
-            theoretical_rate(spec)
-
-
 class TestSeparationMargins:
     def test_bernoulli_plugin(self):
         m = separation_margins(EdgeDistribution.bernoulli(), 30.0, 1.0, 300, tau=1.0)
@@ -202,6 +157,18 @@ class TestSeparationMargins:
         # magnitude condition reduces to n/log(n) >= tau^2, satisfied at n=300
         assert m.magnitude_margin == pytest.approx(300 / math.log(300) - 4.0)
         assert m.magnitude_margin > 0
+
+    def test_poisson_magnitude(self):
+        # rho = 2: the variance bound is gamma * rho = 1 * 2
+        limit = 300 / math.log(300)
+        m = separation_margins(EdgeDistribution.poisson(), 2.0 * limit, 1.0, 300, tau=1.0)
+        assert m.magnitude_margin == pytest.approx(1.0 * 2.0 * limit - 1.0, rel=1e-12)
+
+    def test_exponential_magnitude(self):
+        # rho = 5: the variance bound is gamma * rho = 5 * 5
+        limit = 300 / math.log(300)
+        m = separation_margins(EdgeDistribution.exponential(), 5.0 * limit, 1.0, 300, tau=1.0)
+        assert m.magnitude_margin == pytest.approx(5.0 * 5.0 * limit - 1.0, rel=1e-12)
 
     def test_exponential_equal_alphas_zero_gap(self):
         m = separation_margins(EdgeDistribution.exponential(), 10.0, 10.0, 300, tau=1.5)

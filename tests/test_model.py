@@ -94,7 +94,7 @@ class TestPlantedMemberships:
     @pytest.mark.parametrize("n,K,n_pure", [(6, 2, 1), (30, 3, 4), (50, 4, 5), (12, 2, 6)])
     def test_invariants(self, n, K, n_pure):
         pi = make_planted_memberships(n, K, n_pure)
-        assert membership_violations(pi, K=K, ground_truth=True) == []
+        assert membership_violations(pi, K) == []
         # exactly K * n_pure pure rows for K >= 2
         pure = np.sum(np.any(pi == 1.0, axis=1))
         assert pure == K * n_pure
@@ -107,18 +107,20 @@ class TestPlantedMemberships:
 
     def test_rank_deficient_named(self):
         # rows that are valid memberships but span only one direction
-        assert membership_violations(np.full((4, 2), 0.5), K=2) == [
-            "membership: rank below the community count 2"
+        assert membership_violations(np.full((4, 2), 0.5), 2) == [
+            "membership: rank below the community count 2",
+            "membership: community 0 has no pure row",
+            "membership: community 1 has no pure row",
         ]
         assert "membership: rank below the community count 2" in membership_violations(
-            np.zeros((3, 2))
+            np.zeros((3, 2)), 2
         )
 
     def test_row_sum_printed_as_plain_float(self):
         # numpy 2 scalars repr as np.float64(...); the message, a sweep skip
         # reason, must print the bare number
         assert "membership: row 0 sums to 0.0, must be 1 within 1e-12" in membership_violations(
-            np.zeros((3, 2))
+            np.zeros((3, 2)), 2
         )
 
 
@@ -285,6 +287,18 @@ class TestBlockInterval:
         report = validate_model(spec)
         assert f"block matrix: must be square, got shape {P.shape}" in report
         assert printed in report
+
+    def test_scalar_block_reported(self):
+        # a 0-d P has no first axis: validate_model raised IndexError from spec.K
+        spec = ModelSpec(P=1.0, rho=0.5, Pi_r=np.eye(2), Pi_c=np.eye(2),
+                         dist=EdgeDistribution.bernoulli())
+        assert validate_model(spec) == [
+            "Pi_r: has 2 columns, expected K=0",
+            "Pi_c: has 2 columns, expected K=0",
+            "block matrix: must be square, got shape ()",
+        ]
+        with pytest.raises(InvalidModelError, match=r"block matrix: must be square, got shape \(\)"):
+            build_omega(spec)
 
 
 class TestSignClass:

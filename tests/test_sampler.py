@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from bimix.sampler import (
+    _LAWS,
     KINDS,
     EdgeDistribution,
     RandomSource,
     SamplingDomainError,
     admissible_rho_interval,
     block_interval,
-    distribution_gamma,
     sample_adjacency,
 )
 from bimix.metrics import separation_margins
@@ -47,6 +47,17 @@ class TestRandomSource:
         with pytest.raises(ValueError, match="^stream index must be a nonnegative integer, got 1.5$"):
             RandomSource(1, 1.5)
         assert RandomSource(3.0, 2.0) == RandomSource(3, 2)
+
+    def test_non_finite_seed_and_stream_named(self):
+        # inf raised OverflowError and nan int()'s own message, naming neither field
+        for seed in (math.inf, -math.inf, math.nan):
+            printed = f"seed must be a 64-bit unsigned integer, got {seed!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(printed)}$"):
+                RandomSource(seed)
+        for stream in (math.inf, -math.inf, math.nan):
+            printed = f"stream index must be a nonnegative integer, got {stream!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(printed)}$"):
+                RandomSource(1, stream)
 
 
 class TestDegenerateCases:
@@ -168,30 +179,29 @@ class TestDomainBoundaries:
             sample_adjacency(omega, EdgeDistribution.binomial(1234567), RandomSource(1))
 
 
+def gamma(dist, rho):
+    """Normalized noise level: the law's variance bound at scale rho, over rho."""
+    return _LAWS[dist.kind].variance(dist, rho) / rho
+
+
 class TestGamma:
     def test_bernoulli_is_one(self):
-        assert distribution_gamma(EdgeDistribution.bernoulli(), 0.4) == 1.0
-        assert distribution_gamma(EdgeDistribution.bernoulli(), 1.0) == 1.0
+        assert gamma(EdgeDistribution.bernoulli(), 0.4) == 1.0
+        assert gamma(EdgeDistribution.bernoulli(), 1.0) == 1.0
 
     def test_logistic_cancellation(self):
         rho = math.pi**2 / 3.0
-        assert distribution_gamma(EdgeDistribution.logistic(1.0), rho) == pytest.approx(1.0)
+        assert gamma(EdgeDistribution.logistic(1.0), rho) == pytest.approx(1.0)
 
     def test_uniform_third(self):
-        assert distribution_gamma(EdgeDistribution.uniform(), 3.0) == pytest.approx(1.0)
+        assert gamma(EdgeDistribution.uniform(), 3.0) == pytest.approx(1.0)
 
     def test_remaining_kinds(self):
-        assert distribution_gamma(EdgeDistribution.poisson(), 2.0) == 1.0
-        assert distribution_gamma(EdgeDistribution.binomial(4), 2.0) == 1.0
-        assert distribution_gamma(EdgeDistribution.normal(2.0), 4.0) == pytest.approx(0.5)
-        assert distribution_gamma(EdgeDistribution.exponential(), 5.0) == 5.0
-        assert distribution_gamma(EdgeDistribution.signed(), 0.5) == pytest.approx(2.0)
-
-    def test_rho_out_of_interval(self):
-        with pytest.raises(SamplingDomainError):
-            distribution_gamma(EdgeDistribution.bernoulli(), 1.5)
-        with pytest.raises(SamplingDomainError):
-            distribution_gamma(EdgeDistribution.signed(), 1.0)
+        assert gamma(EdgeDistribution.poisson(), 2.0) == 1.0
+        assert gamma(EdgeDistribution.binomial(4), 2.0) == 1.0
+        assert gamma(EdgeDistribution.normal(2.0), 4.0) == pytest.approx(0.5)
+        assert gamma(EdgeDistribution.exponential(), 5.0) == 5.0
+        assert gamma(EdgeDistribution.signed(), 0.5) == pytest.approx(2.0)
 
 
 class TestRhoInterval:
@@ -287,15 +297,18 @@ class TestEdgeDistributionParams:
 
     # (kind, parameter, value): values outside the parameter's domain, each
     # named with the domain; the parameters' infinities were accepted, or
-    # raised OverflowError, and binomial's nan raised int()'s own message
+    # raised OverflowError, and binomial's nan raised int()'s own message.
+    # m = 2**63 constructed and failed at sampling, past numpy's C long; an
+    # integer beyond float range raised OverflowError from the interval test
     @pytest.mark.parametrize("kind, param, value", [
         ("binomial", "m", 0), ("binomial", "m", 2.5), ("binomial", "m", math.inf),
         ("binomial", "m", math.nan), ("normal", "sigma2", -1.0), ("normal", "sigma2", math.inf),
         ("normal", "sigma2", math.nan), ("logistic", "beta", 0.0), ("logistic", "beta", math.inf),
-        ("logistic", "beta", -math.inf),
-    ])
+        ("logistic", "beta", -math.inf), ("binomial", "m", 2**63), ("binomial", "m", 10**400),
+        ("normal", "sigma2", 10**400), ("logistic", "beta", 10**400),
+    ], ids=lambda v: "10**400" if v == 10**400 else None)
     def test_param_outside_domain_named(self, kind, param, value):
-        domain, kind_of = {"m": ("[1, inf)", "int"), "sigma2": ("[0, inf)", "float"),
+        domain, kind_of = {"m": ("[1, 9223372036854775807]", "int"), "sigma2": ("[0, inf)", "float"),
                            "beta": ("(0, inf)", "float")}[param]
         printed = f"{kind} parameter {param} must be {kind_of} in {domain}, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(printed)}$"):
@@ -304,7 +317,12 @@ class TestEdgeDistributionParams:
     def test_dict_roundtrip(self):
         for dist in (EdgeDistribution.bernoulli(), EdgeDistribution.binomial(7),
                      EdgeDistribution.normal(2.5), EdgeDistribution.logistic(0.3)):
-            assert EdgeDistribution.from_dict(dist.to_dict()) == dist
+            assert EdgeDistribution(**dist.to_dict()) == dist
+
+    def test_largest_trial_count_samples(self):
+        dist = EdgeDistribution.binomial(2**63 - 1)
+        A = sample_adjacency(np.full((2, 3), 3.0), dist, RandomSource(1))
+        assert A.shape == (2, 3) and np.all((A >= 0) & (A == np.round(A)))
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown distribution kind"):

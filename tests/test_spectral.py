@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bimix import spectral
-from bimix.disp import ideal_disp
+from bimix.disp import disp
 from bimix.harness import scenario
 from bimix.metrics import error_rate
 from bimix.model import ModelSpec, build_omega, make_planted_memberships, make_standard_two_block
@@ -210,7 +210,7 @@ class TestKrylovPath:
             t = top_k_svd(omega, 2)
             assert singular_values(omega, 3)[2] <= t.singular_values[0] * 300 * np.finfo(float).eps
             assert t.noise_edge == 0.0
-            fit = ideal_disp(spec)
+            fit = disp(build_omega(spec), spec.K)
             assert error_rate(fit.Pi_r_hat, spec.Pi_r, fit.Pi_c_hat, spec.Pi_c) <= 1e-8
         assert full_svd_calls == []
 
