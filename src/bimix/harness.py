@@ -98,8 +98,9 @@ class SweepPlan:
             raise ValueError(f"unknown axis {self.axis!r}; expected one of {AXES}")
         if len(self.grid) == 0:
             raise ValueError("grid must be nonempty")
-        # the range test comes first: int() raises its own error on inf and nan
-        if not 1 <= self.replicates < STREAM_STRIDE or int(self.replicates) != self.replicates:
+        # True is an int to Python; the range test comes before int(), which raises on inf and nan
+        count = self.replicates
+        if isinstance(count, (bool, np.bool_)) or not 1 <= count < STREAM_STRIDE or int(count) != count:
             raise ValueError(
                 f"replicates must be an integer in [1, {STREAM_STRIDE}), got {self.replicates!r}"
             )
@@ -315,14 +316,14 @@ _GRID_50 = (50, 50, 10, 20)
 _SETUP_16 = (16, 14, 7, 6)
 _SETUP_10 = (10, 8, 4, 3)
 
-_BER = EdgeDistribution.bernoulli()
-_POI = EdgeDistribution.poisson()
-_BIN7 = EdgeDistribution.binomial(7)
-_NORM = EdgeDistribution.normal(1.0)
-_EXP = EdgeDistribution.exponential()
-_UNI = EdgeDistribution.uniform()
-_LOGI = EdgeDistribution.logistic(1.0)
-_SGN = EdgeDistribution.signed()
+_BER = EdgeDistribution("bernoulli")
+_POI = EdgeDistribution("poisson")
+_BIN7 = EdgeDistribution("binomial", m=7)
+_NORM = EdgeDistribution("normal", sigma2=1.0)
+_EXP = EdgeDistribution("exponential")
+_UNI = EdgeDistribution("uniform")
+_LOGI = EdgeDistribution("logistic", beta=1.0)
+_SGN = EdgeDistribution("signed")
 
 
 class _Scenario(NamedTuple):
@@ -351,11 +352,11 @@ _SCENARIOS = {
     "sim2b": _Scenario(_POI, "alpha_grid", _GRID_300, _float_grid(10, 100, 5)),
     "sim2c": _Scenario(_POI, "alpha_grid", _GRID_300, _float_grid(200, 2000, 100)),
     "sim3a": _Scenario(_BIN7, "rho", _BIG, _float_grid(0.2, 2.0, 0.2), _P_POS),
-    "sim3b": _Scenario(EdgeDistribution.binomial(2), "m", _BIG, _float_grid(2, 20, 2), _P_POS, 2.0),
+    "sim3b": _Scenario(EdgeDistribution("binomial", m=2), "m", _BIG, _float_grid(2, 20, 2), _P_POS, 2.0),
     "sim3c": _Scenario(_BIN7, "alpha_grid", _GRID_300, _float_grid(1, 20, 1)),
     "sim3d": _Scenario(_BIN7, "alpha_grid", _GRID_300, _float_grid(15, 300, 15)),
     "sim4a": _Scenario(_NORM, "rho", _BIG, _float_grid(0.2, 2.0, 0.2), _P_MIXED),
-    "sim4b": _Scenario(EdgeDistribution.normal(0.5), "sigma2", _BIG, _float_grid(0.5, 5.0, 0.5), _P_MIXED, 2.0),
+    "sim4b": _Scenario(EdgeDistribution("normal", sigma2=0.5), "sigma2", _BIG, _float_grid(0.5, 5.0, 0.5), _P_MIXED, 2.0),
     "sim4c": _Scenario(_NORM, "alpha_grid", _GRID_300, _float_grid(-50, 50, 5)),
     "sim4d": _Scenario(_NORM, "alpha_grid", _GRID_300, _float_grid(-500, 500, 50)),
     "sim5a": _Scenario(_EXP, "rho", _BIG, _float_grid(1, 100, 1), _P_POS),
@@ -365,7 +366,7 @@ _SCENARIOS = {
     "sim6b": _Scenario(_UNI, "alpha_grid", _GRID_50, _float_grid(10, 100, 5)),
     "sim6c": _Scenario(_UNI, "alpha_grid", _GRID_50, _float_grid(1000, 10000, 500)),
     "sim7a": _Scenario(_LOGI, "rho", _SMALL, _float_grid(0.2, 4.0, 0.2), _P_MIXED),
-    "sim7b": _Scenario(EdgeDistribution.logistic(0.1), "beta", _SMALL, _float_grid(0.1, 0.4, 0.05), _P_MIXED, 0.5),
+    "sim7b": _Scenario(EdgeDistribution("logistic", beta=0.1), "beta", _SMALL, _float_grid(0.1, 0.4, 0.05), _P_MIXED, 0.5),
     "sim7c": _Scenario(_LOGI, "alpha_grid", _GRID_50, _float_grid(-50, 50, 5)),
     "sim7d": _Scenario(_LOGI, "alpha_grid", _GRID_50, _float_grid(-500, 500, 50)),
     "sim8a": _Scenario(_SGN, "rho", (100, 150, 30, 60), _float_grid(0.1, 1.0, 0.1), _P_MIXED),

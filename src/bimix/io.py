@@ -1,4 +1,4 @@
-"""Serialization: dense CSV matrices, sparse TSV edge lists, model dicts.
+"""Serialization: dense CSV matrices and sparse TSV edge lists; reading model documents.
 
 Dense CSV matrices are mostly zeros, so both directions touch only the
 cells that are not the single character ``0``.  The writer splices each
@@ -195,19 +195,6 @@ def load_edges_tsv(path) -> np.ndarray:
     return A
 
 
-def spec_to_dict(spec: ModelSpec) -> dict:
-    return {
-        "n_r": spec.n_r,
-        "n_c": spec.n_c,
-        "K": spec.K,
-        "rho": spec.rho,
-        "P": spec.P.tolist(),
-        "Pi_r": spec.Pi_r.tolist(),
-        "Pi_c": spec.Pi_c.tolist(),
-        "dist": spec.dist.to_dict(),
-    }
-
-
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "a number",
                float: "a number", bool: "a boolean", type(None): "null"}
 
@@ -245,12 +232,15 @@ def _json_numbers(value, what: str):
 
 
 def spec_from_dict(data: dict) -> ModelSpec:
-    """Model spec from ``spec_to_dict``'s layout; ``n_r``, ``n_c`` and ``K`` may be left out.
+    """Model spec from a JSON model document.
 
-    A key outside that layout, at the top or in ``dist``, a missing key, a
-    value of the wrong JSON type (every matrix entry and shape parameter
-    must be a number), and an ``n_r``, ``n_c`` or ``K`` that contradicts
-    ``P``, ``Pi_r`` and ``Pi_c`` raise ``ValueError``.
+    It holds ``rho``, the nested lists ``P``, ``Pi_r`` and ``Pi_c``, and
+    ``dist``: the law's ``kind`` and its shape parameter by name, if any;
+    ``n_r``, ``n_c`` and ``K`` may be left out.  A key outside that layout,
+    at the top or in ``dist``, a missing key, a value of the wrong JSON type
+    (every matrix entry and shape parameter must be a number), and an
+    ``n_r``, ``n_c`` or ``K`` that contradicts ``P``, ``Pi_r`` and ``Pi_c``
+    raise ``ValueError``.
     """
     where = "the model spec"
     json_keys(data, ("n_r", "n_c", "K", "rho", "P", "Pi_r", "Pi_c", "dist"), where)

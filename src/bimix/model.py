@@ -31,7 +31,7 @@ def _rank_deficient(M: np.ndarray, k: int) -> bool:
     return len(sv) < k or sv[k - 1] <= RANK_RTOL * sv[0]
 
 
-def membership_violations(pi: np.ndarray, K: int, name: str = "membership") -> list[str]:
+def membership_violations(pi: np.ndarray, K: int, name: str) -> list[str]:
     """Check one membership matrix; returns one message per violated invariant.
 
     Every community must own at least one pure row (a row whose weight on

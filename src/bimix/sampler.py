@@ -174,53 +174,18 @@ class EdgeDistribution:
         law = _LAWS[self.kind]
         for param in PARAM_KINDS:
             value = getattr(self, param)
-            if param == law.param:
-                if value is None:
-                    raise ValueError(f"{self.kind} distribution requires parameter {param!r}")
-            elif value is not None:
-                raise ValueError(f"{self.kind} distribution takes no parameter {param!r}")
-        if law.param:
-            value = getattr(self, law.param)
-            if not (law.domain.contains(value) and law.coerce(value) == value):
-                raise ValueError(f"{self.kind} parameter {law.param} must be "
+            if param != law.param:
+                if value is not None:
+                    raise ValueError(f"{self.kind} distribution takes no parameter {param!r}")
+            elif value is None:
+                raise ValueError(f"{self.kind} distribution requires parameter {param!r}")
+            # True is an int to Python, and would pass as 1
+            elif (isinstance(value, (bool, np.bool_)) or not law.domain.contains(value)
+                  or law.coerce(value) != value):
+                raise ValueError(f"{self.kind} parameter {param} must be "
                                  f"{law.coerce.__name__} in {law.domain}, got {value!r}")
-            object.__setattr__(self, law.param, law.coerce(value))
-
-    @classmethod
-    def bernoulli(cls) -> "EdgeDistribution":
-        return cls("bernoulli")
-
-    @classmethod
-    def poisson(cls) -> "EdgeDistribution":
-        return cls("poisson")
-
-    @classmethod
-    def binomial(cls, m: int) -> "EdgeDistribution":
-        return cls("binomial", m=m)
-
-    @classmethod
-    def normal(cls, sigma2: float) -> "EdgeDistribution":
-        return cls("normal", sigma2=sigma2)
-
-    @classmethod
-    def exponential(cls) -> "EdgeDistribution":
-        return cls("exponential")
-
-    @classmethod
-    def uniform(cls) -> "EdgeDistribution":
-        return cls("uniform")
-
-    @classmethod
-    def logistic(cls, beta: float) -> "EdgeDistribution":
-        return cls("logistic", beta=beta)
-
-    @classmethod
-    def signed(cls) -> "EdgeDistribution":
-        return cls("signed")
-
-    def to_dict(self) -> dict:
-        param = _LAWS[self.kind].param
-        return {"kind": self.kind, param: getattr(self, param)} if param else {"kind": self.kind}
+            else:
+                object.__setattr__(self, param, law.coerce(value))
 
 
 @dataclass(frozen=True)
@@ -236,13 +201,14 @@ class RandomSource:
     stream: int = 0
 
     def __post_init__(self):
-        # the range test comes first: int() raises its own error on inf and nan
-        if not 0 <= self.seed < 2**64 or int(self.seed) != self.seed:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if not 0 <= self.stream < math.inf or int(self.stream) != self.stream:
-            raise ValueError(f"stream index must be a nonnegative integer, got {self.stream!r}")
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "stream", int(self.stream))
+        # True is an int to Python; the range test comes before int(), which raises on inf and nan
+        seed, stream = self.seed, self.stream
+        if isinstance(seed, (bool, np.bool_)) or not 0 <= seed < 2**64 or int(seed) != seed:
+            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+        if isinstance(stream, (bool, np.bool_)) or not 0 <= stream < math.inf or int(stream) != stream:
+            raise ValueError(f"stream index must be a nonnegative integer, got {stream!r}")
+        object.__setattr__(self, "seed", int(seed))
+        object.__setattr__(self, "stream", int(stream))
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))

@@ -32,7 +32,8 @@ def spa(X: np.ndarray, K: int) -> tuple[int, ...]:
     if not np.all(np.isfinite(X)):
         raise ValueError("matrix contains non-finite entries")
     n = X.shape[0]
-    K = int(K)
+    if isinstance(K, bool) or not isinstance(K, (int, np.integer)):
+        raise ValueError(f"K must be an integer, got {K!r}")
     if not (1 <= K <= n):
         raise ValueError(f"K={K} out of range [1, {n}]")
 

@@ -78,6 +78,8 @@ def _validate_input(A: np.ndarray, k: int, what: str) -> np.ndarray:
         raise ValueError(f"expected a 2-d matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix contains non-finite entries")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {k!r}")
     if not (1 <= k <= min(A.shape)):
         raise ValueError(f"{what}={k} out of range [1, {min(A.shape)}]")
     return A

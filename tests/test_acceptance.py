@@ -49,7 +49,7 @@ def random_spec(rng):
     P = P / np.abs(P).max()
     return ModelSpec(P=P, rho=0.7, Pi_r=random_ground_truth(rng, n_r, K),
                      Pi_c=random_ground_truth(rng, n_c, K),
-                     dist=EdgeDistribution.bernoulli())
+                     dist=EdgeDistribution("bernoulli"))
 
 
 class TestCriterion1:
@@ -101,14 +101,14 @@ class TestCriterion2:
 
 class TestCriterion3:
     CASES = [
-        (EdgeDistribution.bernoulli(), 0.3, 0.3 * 0.7),
-        (EdgeDistribution.poisson(), 2.5, 2.5),
-        (EdgeDistribution.binomial(5), 2.0, 2.0 * (1 - 2.0 / 5)),
-        (EdgeDistribution.normal(1.7), -0.8, 1.7),
-        (EdgeDistribution.exponential(), 1.6, 1.6**2),
-        (EdgeDistribution.uniform(), 0.9, 0.9**2 / 3),
-        (EdgeDistribution.logistic(0.7), 0.4, math.pi**2 * 0.7**2 / 3),
-        (EdgeDistribution.signed(), 0.5, 1 - 0.5**2),
+        (EdgeDistribution("bernoulli"), 0.3, 0.3 * 0.7),
+        (EdgeDistribution("poisson"), 2.5, 2.5),
+        (EdgeDistribution("binomial", m=5), 2.0, 2.0 * (1 - 2.0 / 5)),
+        (EdgeDistribution("normal", sigma2=1.7), -0.8, 1.7),
+        (EdgeDistribution("exponential"), 1.6, 1.6**2),
+        (EdgeDistribution("uniform"), 0.9, 0.9**2 / 3),
+        (EdgeDistribution("logistic", beta=0.7), 0.4, math.pi**2 * 0.7**2 / 3),
+        (EdgeDistribution("signed"), 0.5, 1 - 0.5**2),
     ]
 
     def test_sampler_moments(self):
@@ -188,7 +188,7 @@ class TestCriterion6:
         P, rho = make_standard_two_block(300, *first)
         base = ModelSpec(P=P, rho=rho, Pi_r=make_planted_memberships(300, 2, 50),
                          Pi_c=make_planted_memberships(300, 2, 100),
-                         dist=EdgeDistribution.normal(1.0))
+                         dist=EdgeDistribution("normal", sigma2=1.0))
         plan = SweepPlan(base, "alpha_grid", pairs, replicates=50, master_seed=5,
                          scenario="acceptance-sym")
         result = run_sweep(plan)
@@ -224,7 +224,7 @@ class TestCriterion7:
             P, rho = make_standard_two_block(300, a_in, a_out)
             spec = ModelSpec(P=P, rho=rho, Pi_r=make_planted_memberships(300, 2, 50),
                              Pi_c=make_planted_memberships(300, 2, 100),
-                             dist=EdgeDistribution.bernoulli())
+                             dist=EdgeDistribution("bernoulli"))
             means[(a_in, a_out)], _ = run_replicates(spec, 50, 11)
         strong, weak = means[(30.0, 1.0)], means[(2.0, 1.0)]
         ok = strong < 0.1 and weak > 3 * strong
@@ -303,7 +303,7 @@ class TestCriterion10:
         base = ModelSpec(P=np.array([[1.0, 0.2], [0.3, 0.8]]), rho=1.0,
                          Pi_r=make_planted_memberships(40, 2, 10),
                          Pi_c=make_planted_memberships(30, 2, 8),
-                         dist=EdgeDistribution.poisson())
+                         dist=EdgeDistribution("poisson"))
         plan = SweepPlan(base, "rho", (0.5, 1.0, 2.0, 4.0, 8.0, 16.0),
                          replicates=10, master_seed=123, scenario="determinism")
         paths = []

@@ -9,12 +9,12 @@ from bimix.cli import main
 from bimix.disp import disp
 from bimix.harness import STREAM_STRIDE, scenario
 from bimix.ingest import load_edge_list, to_dense
-from bimix.io import load_matrix_csv, save_matrix_csv, spec_to_dict
+from bimix.io import load_matrix_csv, save_matrix_csv
 from bimix.metrics import error_rate
 from bimix.model import ModelSpec, build_omega, make_planted_memberships
 from bimix.sampler import EdgeDistribution
 
-from test_io import save_edges_tsv, savetxt_bytes
+from test_io import save_edges_tsv, savetxt_bytes, spec_to_dict
 from test_model import P1
 
 
@@ -29,7 +29,7 @@ def setup1_plan(**changes):
 def spec():
     return ModelSpec(P=P1, rho=0.8, Pi_r=make_planted_memberships(20, 2, 5),
                      Pi_c=make_planted_memberships(16, 2, 4),
-                     dist=EdgeDistribution.bernoulli())
+                     dist=EdgeDistribution("bernoulli"))
 
 
 class TestFit:
@@ -178,7 +178,7 @@ class TestSweep:
     def test_config_plan(self, tmp_path):
         base = ModelSpec(P=P1, rho=2.0, Pi_r=make_planted_memberships(12, 2, 3),
                          Pi_c=make_planted_memberships(10, 2, 2),
-                         dist=EdgeDistribution.normal(0.0))
+                         dist=EdgeDistribution("normal", sigma2=0.0))
         config = tmp_path / "plan.json"
         config.write_text(json.dumps({
             "base": spec_to_dict(base), "axis": "rho", "grid": [1.0, 2.0],
@@ -220,7 +220,7 @@ class TestSweep:
     def test_config_plan_checked_before_any_point(self, tmp_path, capsys, given, message):
         base = ModelSpec(P=P1, rho=2.0, Pi_r=make_planted_memberships(12, 2, 3),
                          Pi_c=make_planted_memberships(12, 2, 3),
-                         dist=EdgeDistribution.normal(0.0))
+                         dist=EdgeDistribution("normal", sigma2=0.0))
         data = given if "scenario" in given else {"base": spec_to_dict(base), **given}
         config = tmp_path / "plan.json"
         config.write_text(json.dumps(data))
@@ -358,7 +358,7 @@ class TestComposedWorkflow:
         spec = ModelSpec(P=np.array([[1.0, -0.2], [0.1, -0.9]]), rho=0.9,
                          Pi_r=make_planted_memberships(30, 2, 10),
                          Pi_c=make_planted_memberships(30, 2, 10),
-                         dist=EdgeDistribution.signed())
+                         dist=EdgeDistribution("signed"))
         A = sample_adjacency(build_omega(spec), spec.dist, RandomSource(5))
         net = tmp_path / "net.tsv"
         save_edges_tsv(A, net)

@@ -17,7 +17,7 @@ from test_model import P1, random_valid_spec
 class TestIdealRecovery:
     def test_two_block_exact(self):
         spec = ModelSpec(P=P1, rho=0.8, Pi_r=make_planted_memberships(20, 2, 4),
-                         Pi_c=make_planted_memberships(15, 2, 3), dist=EdgeDistribution.bernoulli())
+                         Pi_c=make_planted_memberships(15, 2, 3), dist=EdgeDistribution("bernoulli"))
         fit = disp(build_omega(spec), spec.K)
         assert error_rate(fit.Pi_r_hat, spec.Pi_r, fit.Pi_c_hat, spec.Pi_c) <= 1e-8
 
@@ -31,7 +31,7 @@ class TestIdealRecovery:
     def test_symmetric_model_matches_sides(self):
         pi = make_planted_memberships(24, 2, 5)
         P_sym = np.array([[1.0, 0.25], [0.25, 0.7]])
-        spec = ModelSpec(P=P_sym, rho=0.9, Pi_r=pi, Pi_c=pi, dist=EdgeDistribution.bernoulli())
+        spec = ModelSpec(P=P_sym, rho=0.9, Pi_r=pi, Pi_c=pi, dist=EdgeDistribution("bernoulli"))
         fit = disp(build_omega(spec), spec.K)
         assert hamm_rc(fit.Pi_r_hat, fit.Pi_c_hat) <= 1e-8
 
@@ -72,7 +72,7 @@ class TestInvariances:
         P, rho = make_standard_two_block(300, 30.0, 10.0)
         spec = ModelSpec(P=P, rho=rho, Pi_r=make_planted_memberships(300, 2, 50),
                          Pi_c=make_planted_memberships(300, 2, 100),
-                         dist=EdgeDistribution.normal(1.0))
+                         dist=EdgeDistribution("normal", sigma2=1.0))
         A = sample_adjacency(build_omega(spec), spec.dist, RandomSource(5))
         fit, neg = disp(A, 2), disp(-A, 2)
         np.testing.assert_array_equal(neg.Pi_r_hat, fit.Pi_r_hat)
@@ -99,7 +99,7 @@ class TestVertexRefinement:
         for n_pure_r, n_pure_c in ((4, 3), (50, 100)):
             spec = ModelSpec(P=P1, rho=0.8, Pi_r=make_planted_memberships(300, 2, n_pure_r),
                              Pi_c=make_planted_memberships(300, 2, n_pure_c),
-                             dist=EdgeDistribution.bernoulli())
+                             dist=EdgeDistribution("bernoulli"))
             omega = build_omega(spec)
             fit = disp(omega, 2)
             pi_r, pi_c = plain_spa_memberships(omega, 2)
@@ -117,7 +117,7 @@ class TestVertexRefinement:
     def test_active_on_noisy_sample(self):
         spec = ModelSpec(P=P1, rho=1.0, Pi_r=make_planted_memberships(200, 2, 50),
                          Pi_c=make_planted_memberships(300, 2, 100),
-                         dist=EdgeDistribution.bernoulli())
+                         dist=EdgeDistribution("bernoulli"))
         A = sample_adjacency(build_omega(spec), spec.dist, RandomSource(7))
         t = top_k_svd(A, 2)
         fit = disp(A, 2)
@@ -140,7 +140,7 @@ class TestOutputContract:
 
     def test_diagnostics_populated(self):
         spec = ModelSpec(P=P1, rho=0.8, Pi_r=make_planted_memberships(12, 2, 3),
-                         Pi_c=make_planted_memberships(10, 2, 2), dist=EdgeDistribution.bernoulli())
+                         Pi_c=make_planted_memberships(10, 2, 2), dist=EdgeDistribution("bernoulli"))
         fit = disp(build_omega(spec), spec.K)
         assert len(fit.singular_values) == 2
         assert len(fit.pure_rows) == 2 and len(fit.pure_cols) == 2
@@ -179,7 +179,7 @@ class TestRankDeficientInput:
 
     def test_full_rank_fit_has_no_uniform_rows(self):
         spec = ModelSpec(P=P1, rho=0.8, Pi_r=make_planted_memberships(12, 2, 3),
-                         Pi_c=make_planted_memberships(10, 2, 2), dist=EdgeDistribution.bernoulli())
+                         Pi_c=make_planted_memberships(10, 2, 2), dist=EdgeDistribution("bernoulli"))
         fit = disp(build_omega(spec), spec.K)
         assert (fit.degenerate_rows, fit.degenerate_cols) == (0, 0)
         # A has exact rank K, so sigma_{K+1} is rounding noise
@@ -209,7 +209,7 @@ class TestSampledAccuracy:
         # acceptance suite
         spec = ModelSpec(P=P1, rho=1.0, Pi_r=make_planted_memberships(200, 2, 50),
                          Pi_c=make_planted_memberships(300, 2, 100),
-                         dist=EdgeDistribution.bernoulli())
+                         dist=EdgeDistribution("bernoulli"))
         omega = build_omega(spec)
         errs = []
         for r in range(10):

@@ -26,7 +26,6 @@ from bimix.harness import (
     run_sweep,
     scenario,
 )
-from bimix.io import spec_to_dict
 from bimix.model import (
     InvalidModelError,
     ModelSpec,
@@ -36,6 +35,7 @@ from bimix.model import (
 )
 from bimix.sampler import PARAM_KINDS, EdgeDistribution
 
+from test_io import spec_to_dict
 from test_model import P1
 
 
@@ -43,7 +43,7 @@ def noiseless_spec(n_r=12, n_c=10):
     # zero-variance normal noise: every replicate reproduces the expectation
     return ModelSpec(P=P1, rho=2.0, Pi_r=make_planted_memberships(n_r, 2, 3),
                      Pi_c=make_planted_memberships(n_c, 2, 2),
-                     dist=EdgeDistribution.normal(0.0))
+                     dist=EdgeDistribution("normal", sigma2=0.0))
 
 
 class TestRunReplicates:
@@ -55,7 +55,7 @@ class TestRunReplicates:
     def test_same_seed_bitwise_identical(self):
         spec = ModelSpec(P=P1, rho=0.9, Pi_r=make_planted_memberships(20, 2, 5),
                          Pi_c=make_planted_memberships(16, 2, 4),
-                         dist=EdgeDistribution.bernoulli())
+                         dist=EdgeDistribution("bernoulli"))
         a = run_replicates(spec, 6, master_seed=42)
         b = run_replicates(spec, 6, master_seed=42)
         assert a == b
@@ -63,12 +63,12 @@ class TestRunReplicates:
     def test_different_seed_differs(self):
         spec = ModelSpec(P=P1, rho=0.9, Pi_r=make_planted_memberships(20, 2, 5),
                          Pi_c=make_planted_memberships(16, 2, 4),
-                         dist=EdgeDistribution.bernoulli())
+                         dist=EdgeDistribution("bernoulli"))
         assert run_replicates(spec, 6, 1) != run_replicates(spec, 6, 2)
 
     def test_invalid_spec_propagates(self):
         spec = ModelSpec(P=P1, rho=1.5, Pi_r=np.eye(2), Pi_c=np.eye(2),
-                         dist=EdgeDistribution.bernoulli())
+                         dist=EdgeDistribution("bernoulli"))
         with pytest.raises(InvalidModelError):
             run_replicates(spec, 2, 0)
 
@@ -84,7 +84,7 @@ class TestRunSweep:
     def test_alpha_grid_skips_equal_magnitudes(self):
         base = ModelSpec(P=P1, rho=0.5, Pi_r=make_planted_memberships(12, 2, 3),
                          Pi_c=make_planted_memberships(12, 2, 3),
-                         dist=EdgeDistribution.normal(0.0))
+                         dist=EdgeDistribution("normal", sigma2=0.0))
         pairs = tuple((a, b) for a in (1.0, 2.0) for b in (1.0, 2.0))
         plan = SweepPlan(base, "alpha_grid", pairs, replicates=2)
         result = run_sweep(plan)
@@ -97,7 +97,7 @@ class TestRunSweep:
         base = ModelSpec(P=np.array([[1.0, -0.2], [0.3, -0.8]]), rho=0.5,
                          Pi_r=make_planted_memberships(12, 2, 3),
                          Pi_c=make_planted_memberships(10, 2, 2),
-                         dist=EdgeDistribution.signed())
+                         dist=EdgeDistribution("signed"))
         plan = SweepPlan(base, "rho", (0.5, 1.0), replicates=2)  # 1.0 outside (0, 1)
         result = run_sweep(plan)
         assert not result.points[0].skipped
@@ -129,7 +129,7 @@ class TestRunSweep:
     def test_parallel_matches_serial(self):
         spec = ModelSpec(P=P1, rho=0.9, Pi_r=make_planted_memberships(18, 2, 4),
                          Pi_c=make_planted_memberships(14, 2, 3),
-                         dist=EdgeDistribution.poisson())
+                         dist=EdgeDistribution("poisson"))
         plan = SweepPlan(spec, "rho", (0.5, 1.0, 2.0, 4.0), replicates=3, master_seed=5)
         serial = run_sweep(plan, n_jobs=1)
         parallel = run_sweep(plan, n_jobs=4)
@@ -147,7 +147,7 @@ class TestRunSweep:
         # a JSON plan's m = 2.5 is not a trial count; it must not be swept as m = 2
         base = ModelSpec(P=P1, rho=1.0, Pi_r=make_planted_memberships(16, 2, 4),
                          Pi_c=make_planted_memberships(12, 2, 3),
-                         dist=EdgeDistribution.binomial(2))
+                         dist=EdgeDistribution("binomial", m=2))
         plan = plan_from_json({"base": spec_to_dict(base), "axis": "m",
                                "grid": [2.0, 2.5], "replicates": 2})
         first, second = run_sweep(plan).points
@@ -157,7 +157,7 @@ class TestRunSweep:
     def test_dist_param_axis(self):
         base = ModelSpec(P=P1, rho=1.0, Pi_r=make_planted_memberships(16, 2, 4),
                          Pi_c=make_planted_memberships(12, 2, 3),
-                         dist=EdgeDistribution.binomial(2))
+                         dist=EdgeDistribution("binomial", m=2))
         plan = SweepPlan(base, "m", (2.0, 4.0, 8.0), replicates=2)
         result = run_sweep(plan)
         assert result.plan.axis_columns() == ("m",)
@@ -254,7 +254,7 @@ class TestSweepPointContract:
         # and (2, 1) run
         base = ModelSpec(P=P1, rho=0.5, Pi_r=make_planted_memberships(12, 2, 3),
                          Pi_c=make_planted_memberships(12, 2, 3),
-                         dist=EdgeDistribution.bernoulli())
+                         dist=EdgeDistribution("bernoulli"))
         values = (-2.0, 1.0, 2.0, 5.0)
         pairs = tuple((a, b) for a in values for b in values)
 
@@ -269,7 +269,7 @@ class TestSweepPointContract:
         base = ModelSpec(P=np.array([[1.0, -0.2], [0.3, -0.8]]), rho=0.5,
                          Pi_r=make_planted_memberships(12, 2, 3),
                          Pi_c=make_planted_memberships(10, 2, 2),
-                         dist=EdgeDistribution.signed())
+                         dist=EdgeDistribution("signed"))
         plan = SweepPlan(base, "rho", (0.3, 1.0, 0.7), replicates=3, master_seed=8)
         return plan, lambda rho: replace(base, rho=rho)
 
@@ -530,6 +530,15 @@ class TestPlanJSON:
             with pytest.raises(ValueError, match=f"^{message}$"):
                 plan_from_json({**data, "replicates": replicates})
 
+    @pytest.mark.parametrize("replicates", [True, np.True_], ids=repr)
+    def test_boolean_replicate_count_rejected_when_built(self, replicates):
+        # a bool is an int to Python, so True ran one replicate
+        message = re.escape(f"replicates must be an integer in [1, {STREAM_STRIDE}), got {replicates!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SweepPlan(noiseless_spec(), "rho", (0.5,), replicates=replicates)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            scenario("sim1a", replicates=replicates)
+
     @pytest.mark.parametrize("key", ["replicates", "master_seed"])
     def test_boolean_count_or_seed_rejected(self, key):
         # true once ran as 1
@@ -542,7 +551,7 @@ class TestPlanJSON:
         ("rho", noiseless_spec(), [1, 2], ""),
         ("alpha_grid", noiseless_spec(12, 12), [[1, 2], [3, -3]], "singular"),
         ("m", ModelSpec(P=P1, rho=1.0, Pi_r=make_planted_memberships(16, 2, 4),
-                        Pi_c=make_planted_memberships(12, 2, 3), dist=EdgeDistribution.binomial(2)),
+                        Pi_c=make_planted_memberships(12, 2, 3), dist=EdgeDistribution("binomial", m=2)),
          [0, 2], "got 0.0"),
     ], ids=["rho", "alpha_grid", "m"])
     def test_integer_grid_writes_the_float_grid_bytes(self, axis, base, ints, skipped):
@@ -581,7 +590,7 @@ class TestPlanAxis:
     def binomial_spec(self):
         return ModelSpec(P=P1, rho=1.0, Pi_r=make_planted_memberships(16, 2, 4),
                          Pi_c=make_planted_memberships(12, 2, 3),
-                         dist=EdgeDistribution.binomial(2))
+                         dist=EdgeDistribution("binomial", m=2))
 
     def test_old_dist_param_axis_rejected(self):
         message = re.escape(

@@ -20,10 +20,9 @@ from bimix.io import (
     load_matrix_csv,
     save_matrix_csv,
     spec_from_dict,
-    spec_to_dict,
 )
 from bimix.model import ModelSpec, make_planted_memberships
-from bimix.sampler import EdgeDistribution
+from bimix.sampler import PARAM_KINDS, EdgeDistribution
 
 from test_model import P1
 
@@ -285,11 +284,27 @@ class TestEdgesTSVErrors:
         np.testing.assert_array_equal(load_edges_tsv(path), [[0.0, 0.0, 2.5], [0.0, 0.0, 0.0]])
 
 
+def spec_to_dict(spec: ModelSpec) -> dict:
+    """The JSON model document ``spec_from_dict`` reads for ``spec``, sizes included."""
+    dist = spec.dist
+    return {
+        "n_r": spec.n_r,
+        "n_c": spec.n_c,
+        "K": spec.K,
+        "rho": spec.rho,
+        "P": spec.P.tolist(),
+        "Pi_r": spec.Pi_r.tolist(),
+        "Pi_c": spec.Pi_c.tolist(),
+        "dist": {"kind": dist.kind, **{p: getattr(dist, p) for p in PARAM_KINDS
+                                       if getattr(dist, p) is not None}},
+    }
+
+
 class TestSpecJSON:
     def test_roundtrip(self):
         spec = ModelSpec(P=P1, rho=0.75, Pi_r=make_planted_memberships(8, 2, 2),
                          Pi_c=make_planted_memberships(6, 2, 1),
-                         dist=EdgeDistribution.binomial(7))
+                         dist=EdgeDistribution("binomial", m=7))
         loaded = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
         assert loaded.rho == spec.rho
         assert loaded.dist == spec.dist
@@ -314,7 +329,7 @@ class TestSpecJSON:
         # these were once coerced (true as 1, "0.2" as 0.2) or raised a TypeError
         spec = ModelSpec(P=P1, rho=0.5, Pi_r=make_planted_memberships(8, 2, 2),
                          Pi_c=make_planted_memberships(3, 2, 1),
-                         dist=EdgeDistribution.bernoulli())
+                         dist=EdgeDistribution("bernoulli"))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             spec_from_dict({**spec_to_dict(spec), **change})
 
@@ -331,7 +346,7 @@ class TestSpecJSON:
         # these were once dropped: the first two returned the spec at rho = 0.9
         spec = ModelSpec(P=P1, rho=0.9, Pi_r=make_planted_memberships(8, 2, 2),
                          Pi_c=make_planted_memberships(6, 2, 1),
-                         dist=EdgeDistribution.bernoulli())
+                         dist=EdgeDistribution("bernoulli"))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             spec_from_dict({**spec_to_dict(spec), **change})
 
@@ -348,7 +363,7 @@ class TestSpecJSON:
         # OverflowError, as did a trial count beyond float range
         spec = ModelSpec(P=P1, rho=0.5, Pi_r=make_planted_memberships(8, 2, 2),
                          Pi_c=make_planted_memberships(6, 2, 1),
-                         dist=EdgeDistribution.bernoulli())
+                         dist=EdgeDistribution("bernoulli"))
         text = json.dumps(spec_to_dict(spec)).replace('{"kind": "bernoulli"}', dist)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             spec_from_dict(json.loads(text))
@@ -356,7 +371,7 @@ class TestSpecJSON:
     def test_plan_base_with_misspelled_key_rejected(self):
         spec = ModelSpec(P=P1, rho=0.9, Pi_r=make_planted_memberships(8, 2, 2),
                          Pi_c=make_planted_memberships(6, 2, 1),
-                         dist=EdgeDistribution.poisson())
+                         dist=EdgeDistribution("poisson"))
         base = {**spec_to_dict(spec), "pi_r": spec_to_dict(spec)["Pi_r"]}
         with pytest.raises(ValueError, match=r"^the model spec takes only the keys .*; got 'pi_r'$"):
             plan_from_json({"base": base, "axis": "rho", "grid": [0.5]})
@@ -364,15 +379,18 @@ class TestSpecJSON:
         assert plan_from_json({"base": base, "axis": "rho", "grid": [0.5]}).base.dist == spec.dist
 
     def test_edge_law_from_dict_rejects_unknown_key(self):
-        dist = EdgeDistribution.normal(2.0)
-        assert EdgeDistribution(**dist.to_dict()) == dist
+        spec = ModelSpec(P=P1, rho=0.5, Pi_r=make_planted_memberships(8, 2, 2),
+                         Pi_c=make_planted_memberships(6, 2, 1),
+                         dist=EdgeDistribution("normal", sigma2=2.0))
+        assert spec_to_dict(spec)["dist"] == {"kind": "normal", "sigma2": 2.0}
+        assert spec_from_dict(spec_to_dict(spec)).dist == spec.dist
         with pytest.raises(TypeError, match="sigma"):
             EdgeDistribution(**{"kind": "bernoulli", "sigma": 2.0})
 
     def test_dimension_fields_present(self):
         spec = ModelSpec(P=P1, rho=0.5, Pi_r=make_planted_memberships(8, 2, 2),
                          Pi_c=make_planted_memberships(6, 2, 1),
-                         dist=EdgeDistribution.bernoulli())
+                         dist=EdgeDistribution("bernoulli"))
         data = json.loads(json.dumps(spec_to_dict(spec)))
         assert (data["n_r"], data["n_c"], data["K"]) == (8, 6, 2)
         assert data["dist"] == {"kind": "bernoulli"}

@@ -147,12 +147,12 @@ class TestMixedProportion:
 
 class TestSeparationMargins:
     def test_bernoulli_plugin(self):
-        m = separation_margins(EdgeDistribution.bernoulli(), 30.0, 1.0, 300, tau=1.0)
+        m = separation_margins(EdgeDistribution("bernoulli"), 30.0, 1.0, 300, tau=1.0)
         assert m.magnitude_margin == pytest.approx(29.0)
         assert m.gap_margin == pytest.approx(29.0)
 
     def test_signed_plugin(self):
-        m = separation_margins(EdgeDistribution.signed(), 45.0, 5.0, 300, tau=2.0)
+        m = separation_margins(EdgeDistribution("signed"), 45.0, 5.0, 300, tau=2.0)
         assert m.gap_margin == pytest.approx(20.0)
         # magnitude condition reduces to n/log(n) >= tau^2, satisfied at n=300
         assert m.magnitude_margin == pytest.approx(300 / math.log(300) - 4.0)
@@ -161,36 +161,36 @@ class TestSeparationMargins:
     def test_poisson_magnitude(self):
         # rho = 2: the variance bound is gamma * rho = 1 * 2
         limit = 300 / math.log(300)
-        m = separation_margins(EdgeDistribution.poisson(), 2.0 * limit, 1.0, 300, tau=1.0)
+        m = separation_margins(EdgeDistribution("poisson"), 2.0 * limit, 1.0, 300, tau=1.0)
         assert m.magnitude_margin == pytest.approx(1.0 * 2.0 * limit - 1.0, rel=1e-12)
 
     def test_exponential_magnitude(self):
         # rho = 5: the variance bound is gamma * rho = 5 * 5
         limit = 300 / math.log(300)
-        m = separation_margins(EdgeDistribution.exponential(), 5.0 * limit, 1.0, 300, tau=1.0)
+        m = separation_margins(EdgeDistribution("exponential"), 5.0 * limit, 1.0, 300, tau=1.0)
         assert m.magnitude_margin == pytest.approx(5.0 * 5.0 * limit - 1.0, rel=1e-12)
 
     def test_exponential_equal_alphas_zero_gap(self):
-        m = separation_margins(EdgeDistribution.exponential(), 10.0, 10.0, 300, tau=1.5)
+        m = separation_margins(EdgeDistribution("exponential"), 10.0, 10.0, 300, tau=1.5)
         assert m.gap_margin == 0.0
 
     def test_binomial_m1_matches_bernoulli(self):
-        b = separation_margins(EdgeDistribution.bernoulli(), 12.0, 3.0, 200, tau=1.0)
-        m1 = separation_margins(EdgeDistribution.binomial(1), 12.0, 3.0, 200, tau=1.0)
+        b = separation_margins(EdgeDistribution("bernoulli"), 12.0, 3.0, 200, tau=1.0)
+        m1 = separation_margins(EdgeDistribution("binomial", m=1), 12.0, 3.0, 200, tau=1.0)
         assert (b.magnitude_margin, b.gap_margin) == (m1.magnitude_margin, m1.gap_margin)
 
     def test_normal_magnitude_uses_variance(self):
-        m = separation_margins(EdgeDistribution.normal(2.0), -30.0, 5.0, 100, tau=3.0)
+        m = separation_margins(EdgeDistribution("normal", sigma2=2.0), -30.0, 5.0, 100, tau=3.0)
         assert m.magnitude_margin == pytest.approx(2.0 * 100 / math.log(100) - 9.0)
         assert m.gap_margin == pytest.approx(25.0 / 3.0)
 
     def test_uniform_divides_by_three(self):
-        m = separation_margins(EdgeDistribution.uniform(), 60.0, 10.0, 300, tau=2.0)
+        m = separation_margins(EdgeDistribution("uniform"), 60.0, 10.0, 300, tau=2.0)
         expected = 60.0**2 * math.log(300) / (3 * 300) - 4.0
         assert m.magnitude_margin == pytest.approx(expected)
 
     def test_logistic_magnitude(self):
-        m = separation_margins(EdgeDistribution.logistic(0.5), 10.0, -2.0, 400, tau=1.0)
+        m = separation_margins(EdgeDistribution("logistic", beta=0.5), 10.0, -2.0, 400, tau=1.0)
         expected = math.pi**2 * 0.25 * 400 / (3 * math.log(400)) - 1.0
         assert m.magnitude_margin == pytest.approx(expected)
 
@@ -199,11 +199,11 @@ class TestSeparationMargins:
         # their rho-free magnitude; the others have none left
         n, log_n = 300, math.log(300)
         expected = {
-            EdgeDistribution.normal(1.0): n / log_n,  # 52.597, so the margin reads 51.597
-            EdgeDistribution.logistic(0.5): math.pi**2 * 0.25 * n / (3 * log_n),
-            EdgeDistribution.signed(): n / log_n,
-            EdgeDistribution.bernoulli(): 0.0,
-            EdgeDistribution.uniform(): 0.0,
+            EdgeDistribution("normal", sigma2=1.0): n / log_n,  # 52.597, so the margin reads 51.597
+            EdgeDistribution("logistic", beta=0.5): math.pi**2 * 0.25 * n / (3 * log_n),
+            EdgeDistribution("signed"): n / log_n,
+            EdgeDistribution("bernoulli"): 0.0,
+            EdgeDistribution("uniform"): 0.0,
         }
         for dist, magnitude in expected.items():
             m = separation_margins(dist, 0.0, 0.0, n, tau=1.0)
@@ -212,20 +212,20 @@ class TestSeparationMargins:
 
     def test_alpha_domain_enforced(self):
         with pytest.raises(ValueError):
-            separation_margins(EdgeDistribution.bernoulli(), -1.0, 3.0, 300, tau=1.0)
+            separation_margins(EdgeDistribution("bernoulli"), -1.0, 3.0, 300, tau=1.0)
         with pytest.raises(ValueError):
-            separation_margins(EdgeDistribution.poisson(), 0.0, 3.0, 300, tau=1.0)
+            separation_margins(EdgeDistribution("poisson"), 0.0, 3.0, 300, tau=1.0)
         with pytest.raises(ValueError):
-            separation_margins(EdgeDistribution.signed(), 80.0, 3.0, 300, tau=2.0)
+            separation_margins(EdgeDistribution("signed"), 80.0, 3.0, 300, tau=2.0)
 
     def test_alpha_domain_messages(self):
         cases = [
-            (EdgeDistribution.bernoulli(), 60.0, "bernoulli alpha must lie in [0, 1] * n/log(n) = [0, 52.5967], got 60.0"),
-            (EdgeDistribution.binomial(2), 110.0, "binomial alpha must lie in [0, 2] * n/log(n) = [0, 105.193], got 110.0"),
-            (EdgeDistribution.poisson(), -1.0, "poisson alpha must lie in (0, inf) * n/log(n) = (0, inf), got -1.0"),
-            (EdgeDistribution.uniform(), -1.0, "uniform alpha must lie in [0, inf) * n/log(n) = [0, inf), got -1.0"),
-            (EdgeDistribution.signed(), -60.0, "signed alpha must lie in (-1, 1) * n/log(n) = (-52.5967, 52.5967), got -60.0"),
-            (EdgeDistribution.normal(1.0), math.nan, "normal alpha must lie in (-inf, inf) * n/log(n) = (-inf, inf), got nan"),
+            (EdgeDistribution("bernoulli"), 60.0, "bernoulli alpha must lie in [0, 1] * n/log(n) = [0, 52.5967], got 60.0"),
+            (EdgeDistribution("binomial", m=2), 110.0, "binomial alpha must lie in [0, 2] * n/log(n) = [0, 105.193], got 110.0"),
+            (EdgeDistribution("poisson"), -1.0, "poisson alpha must lie in (0, inf) * n/log(n) = (0, inf), got -1.0"),
+            (EdgeDistribution("uniform"), -1.0, "uniform alpha must lie in [0, inf) * n/log(n) = [0, inf), got -1.0"),
+            (EdgeDistribution("signed"), -60.0, "signed alpha must lie in (-1, 1) * n/log(n) = (-52.5967, 52.5967), got -60.0"),
+            (EdgeDistribution("normal", sigma2=1.0), math.nan, "normal alpha must lie in (-inf, inf) * n/log(n) = (-inf, inf), got nan"),
         ]
         for dist, alpha, message in cases:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -233,7 +233,7 @@ class TestSeparationMargins:
 
     def test_binomial_zero_alpha_accepted(self):
         # validate_model admits a zero entry in a binomial P, so the grid admits alpha = 0
-        dist = EdgeDistribution.binomial(7)
+        dist = EdgeDistribution("binomial", m=7)
         P, rho = make_standard_two_block(300, 0.0, 3.0)
         spec = ModelSpec(P=P, rho=rho, Pi_r=make_planted_memberships(300, 2, 50),
                          Pi_c=make_planted_memberships(300, 2, 50), dist=dist)
@@ -250,7 +250,7 @@ class TestEmpiricalTauGamma:
     def test_bernoulli_bounded_by_one(self):
         spec = ModelSpec(P=P1, rho=0.9, Pi_r=make_planted_memberships(30, 2, 5),
                          Pi_c=make_planted_memberships(20, 2, 4),
-                         dist=EdgeDistribution.bernoulli())
+                         dist=EdgeDistribution("bernoulli"))
         omega = build_omega(spec)
         A = sample_adjacency(omega, spec.dist, RandomSource(21))
         tau_hat, gamma_hat = empirical_tau_gamma(A, omega, spec.rho)
@@ -261,7 +261,7 @@ class TestEmpiricalTauGamma:
         spec = ModelSpec(P=np.array([[1.0, -0.2], [0.3, -0.8]]), rho=0.9,
                          Pi_r=make_planted_memberships(30, 2, 5),
                          Pi_c=make_planted_memberships(20, 2, 4),
-                         dist=EdgeDistribution.signed())
+                         dist=EdgeDistribution("signed"))
         omega = build_omega(spec)
         A = sample_adjacency(omega, spec.dist, RandomSource(22))
         tau_hat, _ = empirical_tau_gamma(A, omega, spec.rho)

@@ -44,19 +44,19 @@ def random_valid_spec(rng, n_r, n_c, K, dist=None, rho=0.7):
         rho=rho,
         Pi_r=memberships(n_r),
         Pi_c=memberships(n_c),
-        dist=dist or EdgeDistribution.bernoulli(),
+        dist=dist or EdgeDistribution("bernoulli"),
     )
 
 
 class TestBuildOmega:
     def test_identity_memberships_reproduce_connectivity(self):
         spec = ModelSpec(P=P1, rho=1.0, Pi_r=np.eye(2), Pi_c=np.eye(2),
-                         dist=EdgeDistribution.bernoulli())
+                         dist=EdgeDistribution("bernoulli"))
         np.testing.assert_array_equal(build_omega(spec), P1)
 
     def test_scaled_two_by_two(self):
         spec = ModelSpec(P=P1, rho=0.5, Pi_r=np.eye(2), Pi_c=np.eye(2),
-                         dist=EdgeDistribution.bernoulli())
+                         dist=EdgeDistribution("bernoulli"))
         np.testing.assert_allclose(build_omega(spec), [[0.5, 0.1], [0.15, 0.4]], atol=1e-15)
 
     def test_rank_is_exactly_k(self):
@@ -75,7 +75,7 @@ class TestBuildOmega:
     def test_invalid_spec_raises_naming_violation(self):
         bad_pi = np.array([[0.9, 0.0], [0.0, 1.0], [0.5, 0.5]])  # row 0 sums to 0.9
         spec = ModelSpec(P=P1, rho=0.5, Pi_r=bad_pi, Pi_c=np.eye(2),
-                         dist=EdgeDistribution.bernoulli())
+                         dist=EdgeDistribution("bernoulli"))
         with pytest.raises(InvalidModelError, match="row 0 sums"):
             build_omega(spec)
 
@@ -94,7 +94,7 @@ class TestPlantedMemberships:
     @pytest.mark.parametrize("n,K,n_pure", [(6, 2, 1), (30, 3, 4), (50, 4, 5), (12, 2, 6)])
     def test_invariants(self, n, K, n_pure):
         pi = make_planted_memberships(n, K, n_pure)
-        assert membership_violations(pi, K) == []
+        assert membership_violations(pi, K, "membership") == []
         # exactly K * n_pure pure rows for K >= 2
         pure = np.sum(np.any(pi == 1.0, axis=1))
         assert pure == K * n_pure
@@ -107,20 +107,20 @@ class TestPlantedMemberships:
 
     def test_rank_deficient_named(self):
         # rows that are valid memberships but span only one direction
-        assert membership_violations(np.full((4, 2), 0.5), 2) == [
+        assert membership_violations(np.full((4, 2), 0.5), 2, "membership") == [
             "membership: rank below the community count 2",
             "membership: community 0 has no pure row",
             "membership: community 1 has no pure row",
         ]
         assert "membership: rank below the community count 2" in membership_violations(
-            np.zeros((3, 2)), 2
+            np.zeros((3, 2)), 2, "membership"
         )
 
     def test_row_sum_printed_as_plain_float(self):
         # numpy 2 scalars repr as np.float64(...); the message, a sweep skip
         # reason, must print the bare number
         assert "membership: row 0 sums to 0.0, must be 1 within 1e-12" in membership_violations(
-            np.zeros((3, 2)), 2
+            np.zeros((3, 2)), 2, "membership"
         )
 
 
@@ -166,42 +166,42 @@ class TestStandardTwoBlock:
 class TestValidateModel:
     def test_valid_spec_empty_report(self):
         spec = ModelSpec(P=P1, rho=0.5, Pi_r=make_planted_memberships(8, 2, 2),
-                         Pi_c=make_planted_memberships(6, 2, 1), dist=EdgeDistribution.bernoulli())
+                         Pi_c=make_planted_memberships(6, 2, 1), dist=EdgeDistribution("bernoulli"))
         assert validate_model(spec) == []
 
     def test_row_stochasticity_named(self):
         bad = np.array([[0.9, 0.0], [0.0, 1.0], [0.5, 0.5]])
         spec = ModelSpec(P=P1, rho=0.5, Pi_r=bad, Pi_c=np.eye(2),
-                         dist=EdgeDistribution.bernoulli())
+                         dist=EdgeDistribution("bernoulli"))
         report = validate_model(spec)
         assert any("sums to" in msg for msg in report)
 
     def test_sign_class_mismatch_named(self):
         P_neg = np.array([[1.0, -0.2], [0.3, -0.8]])
         spec = ModelSpec(P=P_neg, rho=0.5, Pi_r=np.eye(2), Pi_c=np.eye(2),
-                         dist=EdgeDistribution.bernoulli())
+                         dist=EdgeDistribution("bernoulli"))
         assert validate_model(spec) == ["bernoulli rho * P at entry (0, 1) is -0.1, outside [0, 1]"]
 
     def test_poisson_requires_strictly_positive(self):
         P_zero = np.array([[1.0, 0.0], [0.3, 0.8]])
         spec = ModelSpec(P=P_zero, rho=1.0, Pi_r=np.eye(2), Pi_c=np.eye(2),
-                         dist=EdgeDistribution.poisson())
+                         dist=EdgeDistribution("poisson"))
         assert validate_model(spec) == ["poisson rho * P at entry (0, 1) is 0.0, outside (0, inf)"]
 
     def test_rho_interval_violation_named(self):
         spec = ModelSpec(P=P1, rho=1.5, Pi_r=np.eye(2), Pi_c=np.eye(2),
-                         dist=EdgeDistribution.bernoulli())
+                         dist=EdgeDistribution("bernoulli"))
         assert any("rho" in msg and "interval" in msg for msg in validate_model(spec))
 
     def test_missing_pure_row_named(self):
         no_pure = np.array([[0.8, 0.2], [0.2, 0.8], [0.5, 0.5]])
         spec = ModelSpec(P=P1, rho=0.5, Pi_r=no_pure, Pi_c=np.eye(2),
-                         dist=EdgeDistribution.bernoulli())
+                         dist=EdgeDistribution("bernoulli"))
         assert any("no pure row" in msg for msg in validate_model(spec))
 
     def test_k_exceeds_node_count(self):
         spec = ModelSpec(P=np.eye(3), rho=0.5, Pi_r=make_planted_memberships(3, 3, 1),
-                         Pi_c=make_planted_memberships(2, 2, 1), dist=EdgeDistribution.bernoulli())
+                         Pi_c=make_planted_memberships(2, 2, 1), dist=EdgeDistribution("bernoulli"))
         assert any("exceeds" in msg or "columns" in msg for msg in validate_model(spec))
 
 
@@ -223,10 +223,10 @@ def sign_class_rule(spec: ModelSpec) -> bool:
     return admissible_rho_interval(spec.dist).contains(spec.rho) and actual >= required
 
 
-ORACLE_LAWS = [EdgeDistribution.bernoulli(), EdgeDistribution.poisson(), EdgeDistribution.binomial(7),
-               EdgeDistribution.normal(1.0), EdgeDistribution.exponential(),
-               EdgeDistribution.uniform(), EdgeDistribution.logistic(1.0),
-               EdgeDistribution.signed()]
+ORACLE_LAWS = [EdgeDistribution("bernoulli"), EdgeDistribution("poisson"), EdgeDistribution("binomial", m=7),
+               EdgeDistribution("normal", sigma2=1.0), EdgeDistribution("exponential"),
+               EdgeDistribution("uniform"), EdgeDistribution("logistic", beta=1.0),
+               EdgeDistribution("signed")]
 # full rank, unit maximum absolute entry
 ORACLE_BLOCKS = {
     "positive": np.array([[1.0, 0.2], [0.3, 0.8]]),
@@ -262,9 +262,9 @@ class TestBlockInterval:
         # underflows to 0.  The sign-class rule accepted both, and the sampler then
         # rejected the means they give pure rows.
         over = ModelSpec(P=np.array([[1.0 + 5e-13, 0.2], [0.3, 0.8]]), rho=1.0, Pi_r=np.eye(2),
-                         Pi_c=np.eye(2), dist=EdgeDistribution.bernoulli())
+                         Pi_c=np.eye(2), dist=EdgeDistribution("bernoulli"))
         under = ModelSpec(P=P1, rho=5e-324, Pi_r=np.eye(2), Pi_c=np.eye(2),
-                          dist=EdgeDistribution.exponential())
+                          dist=EdgeDistribution("exponential"))
         assert validate_model(over) == [
             "bernoulli rho * P at entry (0, 0) is 1.0000000000005, outside [0, 1]"
         ]
@@ -283,7 +283,7 @@ class TestBlockInterval:
     ], ids=["1-d", "3x2"])
     def test_non_square_block_gets_messages(self, P, printed):
         spec = ModelSpec(P=P, rho=0.5, Pi_r=np.eye(2), Pi_c=np.eye(2),
-                         dist=EdgeDistribution.bernoulli())
+                         dist=EdgeDistribution("bernoulli"))
         report = validate_model(spec)
         assert f"block matrix: must be square, got shape {P.shape}" in report
         assert printed in report
@@ -291,7 +291,7 @@ class TestBlockInterval:
     def test_scalar_block_reported(self):
         # a 0-d P has no first axis: validate_model raised IndexError from spec.K
         spec = ModelSpec(P=1.0, rho=0.5, Pi_r=np.eye(2), Pi_c=np.eye(2),
-                         dist=EdgeDistribution.bernoulli())
+                         dist=EdgeDistribution("bernoulli"))
         assert validate_model(spec) == [
             "Pi_r: has 2 columns, expected K=0",
             "Pi_c: has 2 columns, expected K=0",

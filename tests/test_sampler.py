@@ -1,5 +1,6 @@
 """Sampler tests: determinism, per-law moments, supports and domain checks."""
 
+import json
 import math
 import re
 
@@ -16,20 +17,25 @@ from bimix.sampler import (
     block_interval,
     sample_adjacency,
 )
+from bimix.io import spec_from_dict
 from bimix.metrics import separation_margins
+from bimix.model import ModelSpec, make_planted_memberships
+
+from test_io import spec_to_dict
+from test_model import P1
 
 OMEGA = np.array([[0.9, 0.3], [0.2, 0.7]])
 
 
 class TestRandomSource:
     def test_same_seed_same_stream_identical(self):
-        d = EdgeDistribution.poisson()
+        d = EdgeDistribution("poisson")
         a = sample_adjacency(OMEGA * 5, d, RandomSource(123, 4))
         b = sample_adjacency(OMEGA * 5, d, RandomSource(123, 4))
         np.testing.assert_array_equal(a, b)
 
     def test_distinct_streams_differ(self):
-        d = EdgeDistribution.normal(1.0)
+        d = EdgeDistribution("normal", sigma2=1.0)
         a = sample_adjacency(OMEGA, d, RandomSource(123, 0))
         b = sample_adjacency(OMEGA, d, RandomSource(123, 1))
         assert not np.array_equal(a, b)
@@ -48,6 +54,18 @@ class TestRandomSource:
             RandomSource(1, 1.5)
         assert RandomSource(3.0, 2.0) == RandomSource(3, 2)
 
+    @pytest.mark.parametrize("seed, stream, printed", [
+        (True, 0, "seed must be a 64-bit unsigned integer, got True"),
+        (np.True_, 0, "seed must be a 64-bit unsigned integer, got np.True_"),
+        (False, 0, "seed must be a 64-bit unsigned integer, got False"),
+        (0, True, "stream index must be a nonnegative integer, got True"),
+        (0, np.True_, "stream index must be a nonnegative integer, got np.True_"),
+    ], ids=["seed-True", "seed-np.True_", "seed-False", "stream-True", "stream-np.True_"])
+    def test_boolean_seed_and_stream_rejected(self, seed, stream, printed):
+        # a bool is an int to Python, so True ran as seed or stream 1
+        with pytest.raises(ValueError, match=f"^{re.escape(printed)}$"):
+            RandomSource(seed, stream)
+
     def test_non_finite_seed_and_stream_named(self):
         # inf raised OverflowError and nan int()'s own message, naming neither field
         for seed in (math.inf, -math.inf, math.nan):
@@ -63,47 +81,47 @@ class TestRandomSource:
 class TestDegenerateCases:
     def test_bernoulli_zero_and_one(self):
         omega = np.array([[0.0, 1.0], [1.0, 0.0]])
-        a = sample_adjacency(omega, EdgeDistribution.bernoulli(), RandomSource(5))
+        a = sample_adjacency(omega, EdgeDistribution("bernoulli"), RandomSource(5))
         np.testing.assert_array_equal(a, omega)
 
     def test_normal_zero_variance_reproduces_mean(self):
         omega = np.array([[1.5, -2.0], [0.0, 3.25]])
-        a = sample_adjacency(omega, EdgeDistribution.normal(0.0), RandomSource(5))
+        a = sample_adjacency(omega, EdgeDistribution("normal", sigma2=0.0), RandomSource(5))
         np.testing.assert_array_equal(a, omega)
 
 
 class TestPoissonMoments:
     def test_million_draw_mean_and_variance(self):
         omega = np.full((1000, 1000), 3.0)
-        a = sample_adjacency(omega, EdgeDistribution.poisson(), RandomSource(11))
+        a = sample_adjacency(omega, EdgeDistribution("poisson"), RandomSource(11))
         assert abs(a.mean() - 3.0) < 0.01
         assert abs(a.var(ddof=1) - 3.0) < 0.03
 
 
 class TestSupports:
     def test_bernoulli_binary(self):
-        a = sample_adjacency(OMEGA, EdgeDistribution.bernoulli(), RandomSource(1))
+        a = sample_adjacency(OMEGA, EdgeDistribution("bernoulli"), RandomSource(1))
         assert set(np.unique(a)) <= {0.0, 1.0}
 
     def test_signed_plus_minus_one(self):
-        a = sample_adjacency(OMEGA - 0.5, EdgeDistribution.signed(), RandomSource(1))
+        a = sample_adjacency(OMEGA - 0.5, EdgeDistribution("signed"), RandomSource(1))
         assert set(np.unique(a)) <= {-1.0, 1.0}
 
     def test_poisson_nonnegative_integers(self):
-        a = sample_adjacency(OMEGA * 4, EdgeDistribution.poisson(), RandomSource(1))
+        a = sample_adjacency(OMEGA * 4, EdgeDistribution("poisson"), RandomSource(1))
         assert np.all(a >= 0) and np.all(a == np.round(a))
 
     def test_binomial_bounded_integers(self):
-        a = sample_adjacency(OMEGA * 5, EdgeDistribution.binomial(7), RandomSource(1))
+        a = sample_adjacency(OMEGA * 5, EdgeDistribution("binomial", m=7), RandomSource(1))
         assert np.all((a >= 0) & (a <= 7)) and np.all(a == np.round(a))
 
     def test_exponential_positive(self):
-        a = sample_adjacency(OMEGA, EdgeDistribution.exponential(), RandomSource(1))
+        a = sample_adjacency(OMEGA, EdgeDistribution("exponential"), RandomSource(1))
         assert np.all(a > 0)
 
     def test_uniform_within_twice_mean(self):
         omega = OMEGA * 3
-        a = sample_adjacency(omega, EdgeDistribution.uniform(), RandomSource(1))
+        a = sample_adjacency(omega, EdgeDistribution("uniform"), RandomSource(1))
         assert np.all(a >= 0) and np.all(a <= 2 * omega)
 
 
@@ -111,27 +129,27 @@ class TestDomainErrors:
     def test_bernoulli_mean_above_one(self):
         omega = np.array([[0.5, 1.2], [0.1, 0.3]])
         with pytest.raises(SamplingDomainError, match=r"\(0, 1\)|\[0, 1\]"):
-            sample_adjacency(omega, EdgeDistribution.bernoulli(), RandomSource(1))
+            sample_adjacency(omega, EdgeDistribution("bernoulli"), RandomSource(1))
 
     def test_error_names_first_offender(self):
         omega = np.array([[0.5, 0.2], [-0.1, 1.7]])
         with pytest.raises(SamplingDomainError, match=r"\(1, 0\)"):
-            sample_adjacency(omega, EdgeDistribution.bernoulli(), RandomSource(1))
+            sample_adjacency(omega, EdgeDistribution("bernoulli"), RandomSource(1))
 
     def test_exponential_rejects_zero_mean(self):
         omega = np.array([[0.5, 0.0], [0.1, 0.3]])
         with pytest.raises(SamplingDomainError):
-            sample_adjacency(omega, EdgeDistribution.exponential(), RandomSource(1))
+            sample_adjacency(omega, EdgeDistribution("exponential"), RandomSource(1))
 
     def test_signed_rejects_out_of_range(self):
         omega = np.array([[0.5, -1.2], [0.1, 0.3]])
         with pytest.raises(SamplingDomainError):
-            sample_adjacency(omega, EdgeDistribution.signed(), RandomSource(1))
+            sample_adjacency(omega, EdgeDistribution("signed"), RandomSource(1))
 
     def test_binomial_rejects_mean_above_m(self):
         omega = np.array([[3.5, 2.0], [1.0, 7.5]])
         with pytest.raises(SamplingDomainError):
-            sample_adjacency(omega, EdgeDistribution.binomial(7), RandomSource(1))
+            sample_adjacency(omega, EdgeDistribution("binomial", m=7), RandomSource(1))
 
 
 def _below(x):
@@ -146,14 +164,14 @@ def _above(x):
 # the domain's ends, means just past them); laws with no bounded end accept any
 # finite mean, and no infinite or nan one
 MEAN_DOMAINS = {
-    "bernoulli": (EdgeDistribution.bernoulli(), "[0, 1]", (0.0, 1.0), (_below(0.0), _above(1.0))),
-    "poisson": (EdgeDistribution.poisson(), "[0, inf)", (0.0,), (_below(0.0),)),
-    "binomial": (EdgeDistribution.binomial(7), "[0, 7]", (0.0, 7.0), (_below(0.0), _above(7.0))),
-    "normal": (EdgeDistribution.normal(1.0), "(-inf, inf)", (-1e300, 1e300), (-np.inf, np.nan)),
-    "exponential": (EdgeDistribution.exponential(), "(0, inf)", (_above(0.0),), (0.0, -1.0)),
-    "uniform": (EdgeDistribution.uniform(), "[0, inf)", (0.0,), (_below(0.0),)),
-    "logistic": (EdgeDistribution.logistic(1.0), "(-inf, inf)", (-1e300, 1e300), (np.inf, np.nan)),
-    "signed": (EdgeDistribution.signed(), "[-1, 1]", (-1.0, 1.0), (_below(-1.0), _above(1.0))),
+    "bernoulli": (EdgeDistribution("bernoulli"), "[0, 1]", (0.0, 1.0), (_below(0.0), _above(1.0))),
+    "poisson": (EdgeDistribution("poisson"), "[0, inf)", (0.0,), (_below(0.0),)),
+    "binomial": (EdgeDistribution("binomial", m=7), "[0, 7]", (0.0, 7.0), (_below(0.0), _above(7.0))),
+    "normal": (EdgeDistribution("normal", sigma2=1.0), "(-inf, inf)", (-1e300, 1e300), (-np.inf, np.nan)),
+    "exponential": (EdgeDistribution("exponential"), "(0, inf)", (_above(0.0),), (0.0, -1.0)),
+    "uniform": (EdgeDistribution("uniform"), "[0, inf)", (0.0,), (_below(0.0),)),
+    "logistic": (EdgeDistribution("logistic", beta=1.0), "(-inf, inf)", (-1e300, 1e300), (np.inf, np.nan)),
+    "signed": (EdgeDistribution("signed"), "[-1, 1]", (-1.0, 1.0), (_below(-1.0), _above(1.0))),
 }
 
 
@@ -176,7 +194,7 @@ class TestDomainBoundaries:
     def test_large_trial_count_printed_in_full(self):
         omega = np.array([[2e6]])
         with pytest.raises(SamplingDomainError, match=re.escape("outside [0, 1234567]")):
-            sample_adjacency(omega, EdgeDistribution.binomial(1234567), RandomSource(1))
+            sample_adjacency(omega, EdgeDistribution("binomial", m=1234567), RandomSource(1))
 
 
 def gamma(dist, rho):
@@ -186,42 +204,42 @@ def gamma(dist, rho):
 
 class TestGamma:
     def test_bernoulli_is_one(self):
-        assert gamma(EdgeDistribution.bernoulli(), 0.4) == 1.0
-        assert gamma(EdgeDistribution.bernoulli(), 1.0) == 1.0
+        assert gamma(EdgeDistribution("bernoulli"), 0.4) == 1.0
+        assert gamma(EdgeDistribution("bernoulli"), 1.0) == 1.0
 
     def test_logistic_cancellation(self):
         rho = math.pi**2 / 3.0
-        assert gamma(EdgeDistribution.logistic(1.0), rho) == pytest.approx(1.0)
+        assert gamma(EdgeDistribution("logistic", beta=1.0), rho) == pytest.approx(1.0)
 
     def test_uniform_third(self):
-        assert gamma(EdgeDistribution.uniform(), 3.0) == pytest.approx(1.0)
+        assert gamma(EdgeDistribution("uniform"), 3.0) == pytest.approx(1.0)
 
     def test_remaining_kinds(self):
-        assert gamma(EdgeDistribution.poisson(), 2.0) == 1.0
-        assert gamma(EdgeDistribution.binomial(4), 2.0) == 1.0
-        assert gamma(EdgeDistribution.normal(2.0), 4.0) == pytest.approx(0.5)
-        assert gamma(EdgeDistribution.exponential(), 5.0) == 5.0
-        assert gamma(EdgeDistribution.signed(), 0.5) == pytest.approx(2.0)
+        assert gamma(EdgeDistribution("poisson"), 2.0) == 1.0
+        assert gamma(EdgeDistribution("binomial", m=4), 2.0) == 1.0
+        assert gamma(EdgeDistribution("normal", sigma2=2.0), 4.0) == pytest.approx(0.5)
+        assert gamma(EdgeDistribution("exponential"), 5.0) == 5.0
+        assert gamma(EdgeDistribution("signed"), 0.5) == pytest.approx(2.0)
 
 
 class TestRhoInterval:
     def test_bernoulli_half_open(self):
-        interval = admissible_rho_interval(EdgeDistribution.bernoulli())
+        interval = admissible_rho_interval(EdgeDistribution("bernoulli"))
         assert str(interval) == "(0, 1]"
         assert interval.contains(1.0) and not interval.contains(0.0) and not interval.contains(1.01)
 
     def test_binomial_scales_with_m(self):
-        interval = admissible_rho_interval(EdgeDistribution.binomial(7))
+        interval = admissible_rho_interval(EdgeDistribution("binomial", m=7))
         assert interval.contains(7.0) and not interval.contains(7.5)
 
     def test_signed_open(self):
-        interval = admissible_rho_interval(EdgeDistribution.signed())
+        interval = admissible_rho_interval(EdgeDistribution("signed"))
         assert not interval.contains(1.0) and interval.contains(0.999)
 
     def test_unbounded_kinds(self):
-        for dist in (EdgeDistribution.poisson(), EdgeDistribution.normal(1.0),
-                     EdgeDistribution.exponential(), EdgeDistribution.uniform(),
-                     EdgeDistribution.logistic(2.0)):
+        for dist in (EdgeDistribution("poisson"), EdgeDistribution("normal", sigma2=1.0),
+                     EdgeDistribution("exponential"), EdgeDistribution("uniform"),
+                     EdgeDistribution("logistic", beta=2.0)):
             interval = admissible_rho_interval(dist)
             assert interval.contains(1e6) and not interval.contains(0.0)
 
@@ -231,16 +249,16 @@ LIMIT_300 = 300 / math.log(300)  # the grid alpha that makes rho * P entry 1 at 
 # per law: the admissible entries of rho * P, the rho interval, and the
 # grid-alpha range at n = 300 as (lo, hi, lo closed, hi closed)
 LAW_DOMAINS = [
-    (EdgeDistribution.bernoulli(), "[0, 1]", "(0, 1]", (0.0, LIMIT_300, True, True)),
-    (EdgeDistribution.poisson(), "(0, inf)", "(0, inf)", (0.0, math.inf, False, False)),
-    (EdgeDistribution.binomial(7), "[0, 7]", "(0, 7]", (0.0, 7 * LIMIT_300, True, True)),
-    (EdgeDistribution.binomial(1234567), "[0, 1234567]", "(0, 1234567]",
+    (EdgeDistribution("bernoulli"), "[0, 1]", "(0, 1]", (0.0, LIMIT_300, True, True)),
+    (EdgeDistribution("poisson"), "(0, inf)", "(0, inf)", (0.0, math.inf, False, False)),
+    (EdgeDistribution("binomial", m=7), "[0, 7]", "(0, 7]", (0.0, 7 * LIMIT_300, True, True)),
+    (EdgeDistribution("binomial", m=1234567), "[0, 1234567]", "(0, 1234567]",
      (0.0, 1234567 * LIMIT_300, True, True)),
-    (EdgeDistribution.normal(1.0), "(-inf, inf)", "(0, inf)", (-math.inf, math.inf, False, False)),
-    (EdgeDistribution.exponential(), "(0, inf)", "(0, inf)", (0.0, math.inf, False, False)),
-    (EdgeDistribution.uniform(), "[0, inf)", "(0, inf)", (0.0, math.inf, True, False)),
-    (EdgeDistribution.logistic(1.0), "(-inf, inf)", "(0, inf)", (-math.inf, math.inf, False, False)),
-    (EdgeDistribution.signed(), "(-1, 1)", "(0, 1)", (-LIMIT_300, LIMIT_300, False, False)),
+    (EdgeDistribution("normal", sigma2=1.0), "(-inf, inf)", "(0, inf)", (-math.inf, math.inf, False, False)),
+    (EdgeDistribution("exponential"), "(0, inf)", "(0, inf)", (0.0, math.inf, False, False)),
+    (EdgeDistribution("uniform"), "[0, inf)", "(0, inf)", (0.0, math.inf, True, False)),
+    (EdgeDistribution("logistic", beta=1.0), "(-inf, inf)", "(0, inf)", (-math.inf, math.inf, False, False)),
+    (EdgeDistribution("signed"), "(-1, 1)", "(0, 1)", (-LIMIT_300, LIMIT_300, False, False)),
 ]
 
 
@@ -289,24 +307,27 @@ class TestEdgeDistributionParams:
 
     def test_param_domains(self):
         with pytest.raises(ValueError):
-            EdgeDistribution.binomial(0)
+            EdgeDistribution("binomial", m=0)
         with pytest.raises(ValueError):
-            EdgeDistribution.normal(-1.0)
+            EdgeDistribution("normal", sigma2=-1.0)
         with pytest.raises(ValueError):
-            EdgeDistribution.logistic(0.0)
+            EdgeDistribution("logistic", beta=0.0)
 
     # (kind, parameter, value): values outside the parameter's domain, each
     # named with the domain; the parameters' infinities were accepted, or
     # raised OverflowError, and binomial's nan raised int()'s own message.
     # m = 2**63 constructed and failed at sampling, past numpy's C long; an
-    # integer beyond float range raised OverflowError from the interval test
+    # integer beyond float range raised OverflowError from the interval test.
+    # A bool is an int to Python and True equals its coercion, so m = True built m = 1
     @pytest.mark.parametrize("kind, param, value", [
         ("binomial", "m", 0), ("binomial", "m", 2.5), ("binomial", "m", math.inf),
         ("binomial", "m", math.nan), ("normal", "sigma2", -1.0), ("normal", "sigma2", math.inf),
         ("normal", "sigma2", math.nan), ("logistic", "beta", 0.0), ("logistic", "beta", math.inf),
         ("logistic", "beta", -math.inf), ("binomial", "m", 2**63), ("binomial", "m", 10**400),
         ("normal", "sigma2", 10**400), ("logistic", "beta", 10**400),
-    ], ids=lambda v: "10**400" if v == 10**400 else None)
+        ("binomial", "m", True), ("binomial", "m", np.True_), ("normal", "sigma2", True),
+        ("normal", "sigma2", False), ("logistic", "beta", np.True_),
+    ], ids=lambda v: "np.True_" if v is np.True_ else "10**400" if v == 10**400 else None)
     def test_param_outside_domain_named(self, kind, param, value):
         domain, kind_of = {"m": ("[1, 9223372036854775807]", "int"), "sigma2": ("[0, inf)", "float"),
                            "beta": ("(0, inf)", "float")}[param]
@@ -315,12 +336,14 @@ class TestEdgeDistributionParams:
             EdgeDistribution(kind, **{param: value})
 
     def test_dict_roundtrip(self):
-        for dist in (EdgeDistribution.bernoulli(), EdgeDistribution.binomial(7),
-                     EdgeDistribution.normal(2.5), EdgeDistribution.logistic(0.3)):
-            assert EdgeDistribution(**dist.to_dict()) == dist
+        for dist in (EdgeDistribution("bernoulli"), EdgeDistribution("binomial", m=7),
+                     EdgeDistribution("normal", sigma2=2.5), EdgeDistribution("logistic", beta=0.3)):
+            spec = ModelSpec(P=P1, rho=0.5, Pi_r=make_planted_memberships(4, 2, 1),
+                             Pi_c=make_planted_memberships(3, 2, 1), dist=dist)
+            assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))).dist == dist
 
     def test_largest_trial_count_samples(self):
-        dist = EdgeDistribution.binomial(2**63 - 1)
+        dist = EdgeDistribution("binomial", m=2**63 - 1)
         A = sample_adjacency(np.full((2, 3), 3.0), dist, RandomSource(1))
         assert A.shape == (2, 3) and np.all((A >= 0) & (A == np.round(A)))
 

@@ -1,5 +1,6 @@
 """Truncated SVD and eigengap tests, checked against full-decomposition oracles."""
 
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -16,6 +17,7 @@ from bimix.harness import scenario
 from bimix.metrics import error_rate
 from bimix.model import ModelSpec, build_omega, make_planted_memberships, make_standard_two_block
 from bimix.sampler import EdgeDistribution, RandomSource, sample_adjacency
+from bimix.spa import spa
 from bimix.spectral import estimate_k_eigengap, singular_values, top_k_svd
 
 from test_model import P1, random_valid_spec
@@ -105,6 +107,32 @@ class TestTopKSVD:
         A = np.array([[1.0, np.nan], [0.0, 1.0]])
         with pytest.raises(ValueError, match="non-finite"):
             top_k_svd(A, 1)
+
+
+def planted_omega():
+    spec = ModelSpec(P=P1, rho=0.8, Pi_r=make_planted_memberships(20, 2, 4),
+                     Pi_c=make_planted_memberships(15, 2, 3), dist=EdgeDistribution("bernoulli"))
+    return build_omega(spec)
+
+
+class TestCountArguments:
+    # True fitted K = 1, 2.0 and 3.5 raised TypeError from slicing, and spa
+    # truncated 2.7 to 2; each is now named before any work is done
+    @pytest.mark.parametrize("call, count", [
+        (disp, True), (disp, np.True_), (disp, 2.0), (top_k_svd, 2.0), (top_k_svd, False),
+        (singular_values, 3.5), (singular_values, True), (spa, 2.7), (spa, True), (spa, 2.0), (spa, "2"),
+    ], ids=lambda v: v.__name__ if callable(v) else repr(v))
+    def test_bool_or_fraction_rejected_naming_the_count(self, call, count):
+        name = "k_max" if call is singular_values else "K"
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(count))}$"):
+            call(planted_omega(), count)
+
+    def test_numpy_integers_accepted(self):
+        omega = planted_omega()
+        for count in (np.int64(2), np.int32(2), np.uint8(2)):
+            assert disp(omega, count).pure_rows == disp(omega, 2).pure_rows
+            np.testing.assert_array_equal(singular_values(omega, count), singular_values(omega, 2))
+            assert spa(omega, count) == spa(omega, 2)
 
 
 def planted_poisson(rng, n, K, n_edges):
@@ -204,7 +232,7 @@ class TestKrylovPath:
         # block is then rounding noise inside the first: the deflation path
         planted = ModelSpec(P=P1, rho=0.9, Pi_r=make_planted_memberships(300, 2, 100),
                             Pi_c=make_planted_memberships(300, 2, 100),
-                            dist=EdgeDistribution.bernoulli())
+                            dist=EdgeDistribution("bernoulli"))
         for spec in (random_valid_spec(np.random.default_rng(21), 300, 300, 2), planted):
             omega = build_omega(spec)
             t = top_k_svd(omega, 2)
@@ -365,7 +393,7 @@ class TestEigengap:
         P = np.array([[1.0, 0.1], [0.1, 0.95]])
         spec = ModelSpec(P=P, rho=0.9, Pi_r=make_planted_memberships(40, 2, 20),
                          Pi_c=make_planted_memberships(36, 2, 18),
-                         dist=EdgeDistribution.bernoulli())
+                         dist=EdgeDistribution("bernoulli"))
         sv = singular_values(build_omega(spec), 5)
         assert estimate_k_eigengap(sv, "difference") == 2
         assert estimate_k_eigengap(sv, "ratio") == 2
