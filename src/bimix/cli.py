@@ -94,10 +94,13 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_estimate_k(args) -> int:
     A = _load_adjacency(args.adjacency)
+    if min(A.shape) < 2:
+        raise ValueError(f"estimate-k needs at least 2 rows and 2 columns, got shape {A.shape}")
     sv = singular_values(A, min(args.k_max, min(A.shape)))
-    print(",".join(repr(float(s)) for s in sv))
-    print(f"difference,{estimate_k_eigengap(sv, 'difference')}")
-    print(f"ratio,{estimate_k_eigengap(sv, 'ratio')}")
+    # every line is computed before any is printed, so a failure prints none
+    lines = [",".join(repr(float(s)) for s in sv)]
+    lines += [f"{method},{estimate_k_eigengap(sv, method)}" for method in ("difference", "ratio")]
+    print("\n".join(lines))
     return 0
 
 

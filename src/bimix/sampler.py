@@ -116,8 +116,10 @@ _LAWS = {
     ),
     "normal": _Law(
         variance=lambda d, rho: d.sigma2,
-        # scale 0 reproduces the mean exactly
-        draw=lambda g, omega, d: g.normal(loc=omega, scale=math.sqrt(d.sigma2)),
+        # bit-equal to g.normal(loc=omega, scale=sqrt(sigma2)), which computes
+        # loc + scale * z over the same variates but broadcasts entry by entry
+        # (40% slower at 300 x 300); scale 0 reproduces the mean exactly
+        draw=lambda g, omega, d: omega + math.sqrt(d.sigma2) * g.standard_normal(omega.shape),
         param="sigma2",
         domain=_NONNEGATIVE,
         coerce=float,

@@ -350,6 +350,23 @@ class TestEstimateK:
         assert lines[1].startswith("difference,") and lines[2].startswith("ratio,")
         assert lines[2] == "ratio,2"  # exact rank-2 input
 
+    def test_single_row_rejected_before_printing(self, tmp_path, capsys):
+        # a one-line edge list loads as a 1 x 5 matrix, which has one singular value
+        adj = tmp_path / "a.tsv"
+        adj.write_text("1\t5\t2.0\n")
+        assert main(["estimate-k", str(adj)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: estimate-k needs at least 2 rows and 2 columns, got shape (1, 5)\n"
+
+    def test_one_value_prints_nothing(self, tmp_path, spec, capsys):
+        adj = tmp_path / "a.csv"
+        save_matrix_csv(build_omega(spec), adj)
+        assert main(["estimate-k", str(adj), "--k-max", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need at least 2 singular values\n"
+
 
 class TestComposedWorkflow:
     def test_sample_ingest_fit_eval_chain(self, tmp_path, capsys):

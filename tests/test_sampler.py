@@ -89,6 +89,19 @@ class TestDegenerateCases:
         a = sample_adjacency(omega, EdgeDistribution("normal", sigma2=0.0), RandomSource(5))
         np.testing.assert_array_equal(a, omega)
 
+    def test_normal_draw_matches_numpy_normal_bit_for_bit(self):
+        # the law draws omega + sqrt(sigma2) * z; numpy's normal(loc, scale)
+        # is the oracle, over C, Fortran and strided means and zero variance
+        rng = np.random.default_rng(0)
+        for case in range(120):
+            omega = rng.normal(size=tuple(rng.integers(1, 40, size=2))) * 10.0 ** rng.integers(-3, 4)
+            omega = (omega, np.asfortranarray(omega), omega[:, ::2])[case % 3]
+            sigma2 = (0.0, 1.0, 2.5, 1e-8, 1e6)[case % 5]
+            source = RandomSource(case)
+            got = sample_adjacency(omega, EdgeDistribution("normal", sigma2=sigma2), source)
+            want = source.generator().normal(loc=omega, scale=math.sqrt(sigma2))
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
 
 class TestPoissonMoments:
     def test_million_draw_mean_and_variance(self):

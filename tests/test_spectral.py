@@ -293,6 +293,34 @@ class TestKrylovPath:
         np.testing.assert_allclose(t.right.T @ t.right, np.eye(3), atol=1e-12)
         assert full_svd_calls == []
 
+    @pytest.mark.parametrize("shape", [(640, 600), (600, 640)])
+    def test_restart_caps_the_basis(self, shape, full_svd_calls, monkeypatch):
+        # 14-19 blocks here, so the basis restarts at least once
+        grams = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: grams.append(a.shape[0]) or real(a))
+        A = planted_poisson(np.random.default_rng(1), 640, 3, 4100)[: shape[0], : shape[1]]
+        U, s, Vt = np.linalg.svd(A, full_matrices=False)
+        t = top_k_svd(A, 3)
+        assert len(grams) > spectral.RESTART_BLOCKS
+        assert max(grams) == spectral.RESTART_BLOCKS * 5
+        grams.clear()
+        values = singular_values(A, 10)
+        assert len(grams) > spectral.RESTART_BLOCKS
+        assert max(grams) == spectral.RESTART_BLOCKS * 12
+        assert full_svd_calls == []
+        np.testing.assert_allclose(t.singular_values, s[:3], rtol=0, atol=1e-9 * s[0])
+        np.testing.assert_allclose(values, s[:10], rtol=0, atol=1e-9 * s[0])
+        assert subspace_gap(U[:, :3], t.left) <= 1e-6
+        assert subspace_gap(Vt[:3].T, t.right) <= 1e-6
+        np.testing.assert_allclose(t.left.T @ t.left, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(t.right.T @ t.right, np.eye(3), atol=1e-12)
+        again = top_k_svd(A, 3)
+        for a, b in ((t.left, again.left), (t.right, again.right),
+                     (t.singular_values, again.singular_values)):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(singular_values(A, 10), values)
+
     def test_repeat_calls_bit_identical(self):
         A = planted_plus_noise(np.random.default_rng(23), 620, 580, 3)
         t1, t2 = top_k_svd(A, 3), top_k_svd(A, 3)
@@ -315,11 +343,13 @@ class TestKrylovPath:
         assert full_svd_calls == [(300, 127), (300, 239)]
 
     def test_unconverged_basis_falls_back(self, full_svd_calls):
-        # evenly spread singular values leave no gap: the Ritz values do not
-        # settle to 1e-12 within 20 blocks, so the full decomposition answers
+        # the top of a 1 - t^3 spectrum is nearly flat (sigma_2 - sigma_3 is
+        # 2e-6 sigma_1): the Ritz values do not settle to 1e-12 within
+        # 160 / 4 = 40 blocks, so the full decomposition answers.  Evenly
+        # spread values, linspace(1, 0.5), settle in 33 restarted blocks
         rng = np.random.default_rng(25)
         Q1, Q2 = (np.linalg.qr(rng.standard_normal((160, 160)))[0] for _ in range(2))
-        A = (Q1 * np.linspace(1.0, 0.5, 160)) @ Q2.T
+        A = (Q1 * (1.0 - np.linspace(0.0, 1.0, 160) ** 3)) @ Q2.T
         t = top_k_svd(A, 2)
         assert full_svd_calls == [(160, 160)]
         s = np.linalg.svd(A, full_matrices=False)[1]
