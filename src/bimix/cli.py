@@ -60,8 +60,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     options = (("replicates", args.replicates), ("master_seed", args.seed))
     given = {key: value for key, value in options if value is not None}
     if args.config:

@@ -46,13 +46,14 @@ from .model import (
     make_planted_memberships,
     make_standard_two_block,
 )
-from .sampler import PARAM_KINDS, EdgeDistribution, RandomSource, sample_adjacency
+from .sampler import COUNTS, PARAM_KINDS, EdgeDistribution, RandomSource, RhoInterval, checked, sample_adjacency
 
 AXES = ("rho", "alpha_grid", *PARAM_KINDS)
 
 # grid points are spaced this far apart in substream index space, so a point
 # can host up to STREAM_STRIDE replicates without colliding with its neighbor
 STREAM_STRIDE = 1 << 20
+_REPLICATES = RhoInterval(1, STREAM_STRIDE, lo_open=False, hi_open=True)
 
 # two-community connectivity presets used by the catalogued scenarios
 _P_POS = np.array([[1.0, 0.2], [0.3, 0.8]])
@@ -98,19 +99,12 @@ class SweepPlan:
             raise ValueError(f"unknown axis {self.axis!r}; expected one of {AXES}")
         if len(self.grid) == 0:
             raise ValueError("grid must be nonempty")
-        # True is an int to Python; the range test comes before int(), which raises on inf and nan
-        count = self.replicates
-        if isinstance(count, (bool, np.bool_)) or not 1 <= count < STREAM_STRIDE or int(count) != count:
-            raise ValueError(
-                f"replicates must be an integer in [1, {STREAM_STRIDE}), got {self.replicates!r}"
-            )
-        RandomSource(self.master_seed)  # reject a seed that no replicate can use
+        object.__setattr__(self, "replicates", checked(self.replicates, "replicates", _REPLICATES, int))
+        object.__setattr__(self, "master_seed", RandomSource(self.master_seed).seed)  # usable by every replicate
         if any(c in self.scenario for c in ',"\r\n'):  # the CSV writes the name unquoted
             raise ValueError("scenario name may not hold a comma, a double quote or a line break, "
                              f"got {self.scenario!r}")
         object.__setattr__(self, "grid", tuple(_grid_point(self.axis, v) for v in self.grid))
-        object.__setattr__(self, "replicates", int(self.replicates))
-        object.__setattr__(self, "master_seed", int(self.master_seed))
         if self.axis in PARAM_KINDS and self.base.dist.kind != PARAM_KINDS[self.axis]:
             raise ValueError(f"axis {self.axis!r} requires a {PARAM_KINDS[self.axis]} base distribution")
         if self.axis == "alpha_grid":
@@ -174,9 +168,10 @@ def run_replicates(
     Replicate r draws from substream ``stream_base + r`` of the master seed,
     so reruns with the same seed reproduce the mean bit for bit.
     """
+    replicates = checked(replicates, "replicates", _REPLICATES, int)
     omega = build_omega(spec)
-    errors = np.empty(int(replicates))
-    for r in range(int(replicates)):
+    errors = np.empty(replicates)
+    for r in range(replicates):
         try:
             rng = RandomSource(master_seed, stream_base + r)
             A = sample_adjacency(omega, spec.dist, rng)
@@ -220,8 +215,9 @@ def run_sweep(plan: SweepPlan, n_jobs: int = 1) -> SweepResult:
     import the main module, so a script that calls this at top level needs
     an ``if __name__ == "__main__":`` guard.
     """
+    n_jobs = checked(n_jobs, "n_jobs", COUNTS, int)
     indices = range(len(plan.grid))
-    if n_jobs <= 1:
+    if n_jobs == 1:
         points = [_run_point(plan, i) for i in indices]
     else:
         points = _run_points_in_pool(plan, n_jobs)

@@ -14,6 +14,8 @@ shape header so empty trailing rows or columns survive the round trip.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .ingest import EdgeListError, _fields, _weight
@@ -169,7 +171,8 @@ def load_edges_tsv(path) -> np.ndarray:
     The shape header is honored when present; otherwise the matrix is sized
     by the largest indices encountered.  A position below 1 or outside the
     shape, a repeated position, a second header, and a malformed header or
-    weight each raise ``EdgeListError`` naming the line.
+    weight each raise ``EdgeListError`` naming the line; so does a shape
+    whose float64 matrix would exceed physical memory, naming the shape.
     """
     shape = None
     cells = {}
@@ -187,6 +190,10 @@ def load_edges_tsv(path) -> np.ndarray:
         if not cells:
             raise EdgeListError("edge list is empty and carries no shape header")
         shape = tuple(max(position[axis] for position in cells) for axis in (0, 1))
+    size, memory = 8 * shape[0] * shape[1], os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if size > memory:  # float64 cells, checked before np.zeros asks for them
+        raise EdgeListError(f"the edge list implies a {shape} matrix of {size} bytes, more than the {memory} "
+                            "bytes of physical memory; a node-token edge list goes through bimix ingest")
     A = np.zeros(shape)
     for (i, j), (lineno, weight) in cells.items():
         if i > shape[0] or j > shape[1]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampler import _LAWS, EdgeDistribution, RhoInterval, block_interval
+from .sampler import _LAWS, EdgeDistribution, RhoInterval, block_interval, checked
 
 PERMUTATION_LIMIT = 10
 
@@ -104,9 +104,7 @@ def separation_margins(
     (signed); for unbounded laws pass a plug-in estimate.  Each alpha must
     lie in the law's admissible rho * P entries times n / log(n).
     """
-    n = int(n)
-    if n < 3:
-        raise ValueError(f"n must be at least 3, got {n}")
+    n = checked(n, "n", RhoInterval(3, math.inf, lo_open=False, hi_open=True), int)
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
     alpha_in, alpha_out = float(alpha_in), float(alpha_out)

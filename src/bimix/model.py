@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampler import EdgeDistribution, admissible_rho_interval, block_interval
+from .sampler import COUNTS, EdgeDistribution, RhoInterval, admissible_rho_interval, block_interval, checked
 
 # sigma_K must exceed RANK_RTOL * sigma_1 for a matrix to count as rank K
 RANK_RTOL = 1e-10
@@ -145,9 +145,8 @@ def make_planted_memberships(n: int, K: int, n_pure_per_community: int) -> np.nd
     k*n_pure .. (k+1)*n_pure - 1, and every remaining row carries the uniform
     weight vector (1/K, ..., 1/K).
     """
-    n, K, n_pure = int(n), int(K), int(n_pure_per_community)
-    if K < 1 or n < 1 or n_pure < 1:
-        raise InvalidModelError("n, K and n_pure_per_community must be positive")
+    n, K = checked(n, "n", COUNTS, int), checked(K, "K", COUNTS, int)
+    n_pure = checked(n_pure_per_community, "n_pure_per_community", COUNTS, int)
     if K * n_pure > n:
         raise InvalidModelError(
             f"K * n_pure_per_community = {K * n_pure} exceeds the node count n = {n}"
@@ -168,9 +167,7 @@ def make_standard_two_block(n: int, alpha_in: float, alpha_out: float) -> tuple[
     maximum absolute entry.  Equal magnitudes make the matrix singular and
     are rejected.
     """
-    n = int(n)
-    if n < 3:
-        raise InvalidModelError(f"n must be at least 3, got {n}")
+    n = checked(n, "n", RhoInterval(3, math.inf, lo_open=False, hi_open=True), int)
     alpha_in, alpha_out = float(alpha_in), float(alpha_out)
     if not (math.isfinite(alpha_in) and math.isfinite(alpha_out)):
         raise InvalidModelError("alpha_in and alpha_out must be finite")

@@ -14,6 +14,7 @@ Every function below reads the record; none switches on the kind.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Callable
@@ -28,8 +29,8 @@ class SamplingDomainError(ValueError):
 class RhoInterval:
     """Interval of admissible values, with open or closed ends.
 
-    One bounds the means of an edge law, the entries of rho * P, rho itself
-    or a shape parameter.  No non-finite value lies inside one.
+    One bounds the means of an edge law, the entries of rho * P, rho itself,
+    a shape parameter, a count or a seed.  No non-finite value lies inside one.
     """
 
     lo: float
@@ -63,9 +64,27 @@ class RhoInterval:
         return f"{left}{lo}, {hi}{right}"
 
 
+def checked(value, name: str, interval: RhoInterval, coerce=float):
+    """``coerce(value)`` if ``value`` is a real number inside ``interval`` that ``coerce`` leaves equal.
+
+    Every count, seed and shape parameter is checked here; with ``coerce=int``
+    ``2.0`` passes as ``2``.  Anything else, a bool or a string included,
+    raises ``ValueError`` naming ``name``, the interval and the value.
+    """
+    # True is an int to Python (np.bool_ is not a numbers.Real); the interval
+    # test comes before coerce, which raises on inf and nan
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and interval.contains(value) and coerce(value) == value):
+        return coerce(value)
+    kind = "an integer" if coerce is int else "a number"
+    raise ValueError(f"{name} must be {kind} in {interval}, got {value!r}")
+
+
 _ANY_MEAN = RhoInterval(-math.inf, math.inf, hi_open=True)
 _POSITIVE = RhoInterval(0.0, math.inf, hi_open=True)
 _NONNEGATIVE = RhoInterval(0.0, math.inf, lo_open=False, hi_open=True)
+_SEEDS = RhoInterval(0, 2**64, lo_open=False, hi_open=True)  # numpy's SeedSequence entropy
+COUNTS = RhoInterval(1, math.inf, lo_open=False, hi_open=True)  # a count of nodes, communities or jobs
 
 
 @dataclass(frozen=True)
@@ -79,9 +98,9 @@ class _Law:
     follow from it.  ``variance(dist, rho)`` bounds Var[A(i, j)] at scale
     rho, so the normalized noise level gamma is ``variance / rho``.
     ``draw`` makes the law's numpy calls for a whole mean matrix.  A law
-    with a shape parameter names it in ``param``; a value is admissible when
-    it lies in ``domain`` and ``coerce`` leaves it equal, and is stored as
-    ``coerce`` returns it.  The default admits any finite mean.
+    with a shape parameter names it in ``param``; ``checked`` admits a value
+    that lies in ``domain`` and that ``coerce`` leaves equal, and it is stored
+    as ``coerce`` returns it.  The default admits any finite mean.
     """
 
     variance: Callable
@@ -181,13 +200,9 @@ class EdgeDistribution:
                     raise ValueError(f"{self.kind} distribution takes no parameter {param!r}")
             elif value is None:
                 raise ValueError(f"{self.kind} distribution requires parameter {param!r}")
-            # True is an int to Python, and would pass as 1
-            elif (isinstance(value, (bool, np.bool_)) or not law.domain.contains(value)
-                  or law.coerce(value) != value):
-                raise ValueError(f"{self.kind} parameter {param} must be "
-                                 f"{law.coerce.__name__} in {law.domain}, got {value!r}")
             else:
-                object.__setattr__(self, param, law.coerce(value))
+                value = checked(value, f"{self.kind} parameter {param}", law.domain, law.coerce)
+                object.__setattr__(self, param, value)
 
 
 @dataclass(frozen=True)
@@ -203,14 +218,8 @@ class RandomSource:
     stream: int = 0
 
     def __post_init__(self):
-        # True is an int to Python; the range test comes before int(), which raises on inf and nan
-        seed, stream = self.seed, self.stream
-        if isinstance(seed, (bool, np.bool_)) or not 0 <= seed < 2**64 or int(seed) != seed:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-        if isinstance(stream, (bool, np.bool_)) or not 0 <= stream < math.inf or int(stream) != stream:
-            raise ValueError(f"stream index must be a nonnegative integer, got {stream!r}")
-        object.__setattr__(self, "seed", int(seed))
-        object.__setattr__(self, "stream", int(stream))
+        object.__setattr__(self, "seed", checked(self.seed, "seed", _SEEDS, int))
+        object.__setattr__(self, "stream", checked(self.stream, "stream", _NONNEGATIVE, int))
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
@@ -248,8 +257,7 @@ def sample_adjacency(
     Entry supports per kind: bernoulli in {0, 1}, poisson in the nonnegative
     integers, binomial in {0, ..., m}, signed in {-1, 1}, exponential in
     (0, inf), uniform in [0, 2 omega(i, j)], normal and logistic anywhere on
-    the real line.  The mirrored uniform law on [2 omega, 0] for negative
-    means is obtained by negating a sample drawn with ``-omega``.
+    the real line.
     """
     omega = np.asarray(omega, dtype=float)
     if omega.ndim != 2:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .sampler import RhoInterval, checked
+
 # residual norms at or below RESIDUAL_RTOL times the initial maximum norm
 # signal rank deficiency
 RESIDUAL_RTOL = 1e-12
@@ -31,11 +33,7 @@ def spa(X: np.ndarray, K: int) -> tuple[int, ...]:
         raise ValueError(f"expected a 2-d matrix, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
         raise ValueError("matrix contains non-finite entries")
-    n = X.shape[0]
-    if isinstance(K, bool) or not isinstance(K, (int, np.integer)):
-        raise ValueError(f"K must be an integer, got {K!r}")
-    if not (1 <= K <= n):
-        raise ValueError(f"K={K} out of range [1, {n}]")
+    K = checked(K, "K", RhoInterval(1, X.shape[0], lo_open=False), int)
 
     R = X.copy()
     norms = np.sqrt((R * R).sum(axis=1))

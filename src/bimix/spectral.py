@@ -52,6 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sampler import RhoInterval, checked
+
 RATIO_FLOOR_RTOL = 1e-12
 KRYLOV_RTOL = 1e-10  # stop once no Ritz value moves by more than this times sigma_1
 # Ritz vectors converge about as the square root of their values: with only
@@ -90,17 +92,13 @@ class TruncatedSVD:
     noise_edge: float = 0.0
 
 
-def _validate_input(A: np.ndarray, k: int, what: str) -> np.ndarray:
+def _validate_input(A: np.ndarray, k: int, what: str) -> tuple[np.ndarray, int]:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"expected a 2-d matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix contains non-finite entries")
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, got {k!r}")
-    if not (1 <= k <= min(A.shape)):
-        raise ValueError(f"{what}={k} out of range [1, {min(A.shape)}]")
-    return A
+    return A, checked(k, what, RhoInterval(1, min(A.shape), lo_open=False), int)
 
 
 def _apply_sign_convention(U: np.ndarray, V: np.ndarray) -> None:
@@ -203,7 +201,7 @@ def top_k_svd(A: np.ndarray, K: int) -> TruncatedSVD:
     Frobenius norm of A.  Raises on non-finite input or K outside
     [1, min(n_r, n_c)]; LAPACK convergence failures propagate as LinAlgError.
     """
-    A = _validate_input(A, K, "K")
+    A, K = _validate_input(A, K, "K")
     U, sv, V = _top_k(A, K, compute_uv=True)
     U, V = np.ascontiguousarray(U), np.ascontiguousarray(V)
     _apply_sign_convention(U, V)
@@ -219,7 +217,7 @@ def top_k_svd(A: np.ndarray, K: int) -> TruncatedSVD:
 
 def singular_values(A: np.ndarray, k_max: int) -> np.ndarray:
     """Top ``k_max`` singular values of A, nonincreasing."""
-    A = _validate_input(A, k_max, "k_max")
+    A, k_max = _validate_input(A, k_max, "k_max")
     return _top_k(A, k_max, compute_uv=False)[1]
 
 

@@ -1,0 +1,93 @@
+"""One rule for every count, seed and shape parameter: the same bad values, the same message.
+
+Each row names a public argument, how to call with it, its interval and one
+admissible integer.  Every bad value raises ``ValueError("{name} must be an
+integer in {interval}, got {value!r}")`` ("a number" for a float parameter),
+and the admissible integer gives the same result as a Python int, an
+integral float and a numpy integer.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from bimix.disp import disp
+from bimix.harness import STREAM_STRIDE, run_replicates, run_sweep, scenario
+from bimix.metrics import separation_margins
+from bimix.model import make_planted_memberships, make_standard_two_block
+from bimix.sampler import EdgeDistribution, RandomSource
+from bimix.spa import spa
+from bimix.spectral import singular_values, top_k_svd
+
+from test_spectral import planted_omega
+
+OMEGA = planted_omega()  # 20 x 15
+SETUP1 = scenario("setup1", replicates=2)  # 16 x 14, one grid point
+BERNOULLI = EdgeDistribution("bernoulli")
+
+
+# (id, call, printed name, interval, float parameter, value below, value above, admissible integer);
+# an interval open to infinity has no value above but inf, which every row gets
+ARGUMENTS = [
+    ("m", lambda v: EdgeDistribution("binomial", m=v), "binomial parameter m",
+     "[1, 9223372036854775807]", False, 0, 2**63, 2),
+    ("sigma2", lambda v: EdgeDistribution("normal", sigma2=v), "normal parameter sigma2",
+     "[0, inf)", True, -5e-324, None, 2),
+    ("beta", lambda v: EdgeDistribution("logistic", beta=v), "logistic parameter beta",
+     "(0, inf)", True, 0, None, 2),
+    ("seed", lambda v: RandomSource(v).generator().random(), "seed",
+     "[0, 18446744073709551616)", False, -1, 2**64, 2),
+    ("stream", lambda v: RandomSource(1, v).generator().random(), "stream",
+     "[0, inf)", False, -1, None, 2),
+    ("plan-replicates", lambda v: scenario("setup1", replicates=v).replicates, "replicates",
+     f"[1, {STREAM_STRIDE})", False, 0, STREAM_STRIDE, 2),
+    ("plan-seed", lambda v: scenario("setup1", master_seed=v).master_seed, "seed",
+     "[0, 18446744073709551616)", False, -1, 2**64, 2),
+    ("run_replicates", lambda v: run_replicates(SETUP1.base, v, 0), "replicates",
+     f"[1, {STREAM_STRIDE})", False, 0, STREAM_STRIDE, 2),
+    ("run_sweep", lambda v: run_sweep(SETUP1, v).to_csv_text(), "n_jobs",
+     "[1, inf)", False, 0, None, 2),
+    ("planted-n", lambda v: make_planted_memberships(v, 2, 1), "n",
+     "[1, inf)", False, 0, None, 2),
+    ("planted-K", lambda v: make_planted_memberships(6, v, 1), "K",
+     "[1, inf)", False, 0, None, 2),
+    ("planted-n_pure", lambda v: make_planted_memberships(6, 2, v), "n_pure_per_community",
+     "[1, inf)", False, 0, None, 2),
+    ("two_block", lambda v: make_standard_two_block(v, 2.0, 1.0), "n",
+     "[3, inf)", False, 2, None, 3),
+    ("separation_margins", lambda v: separation_margins(BERNOULLI, 2.0, 1.0, v, 1.0), "n",
+     "[3, inf)", False, 2, None, 3),
+    ("disp", lambda v: disp(OMEGA, v).Pi_r_hat, "K", "[1, 15]", False, 0, 16, 2),
+    ("top_k_svd", lambda v: top_k_svd(OMEGA, v).left, "K", "[1, 15]", False, 0, 16, 2),
+    ("singular_values", lambda v: singular_values(OMEGA, v), "k_max", "[1, 15]", False, 0, 16, 2),
+    ("spa", lambda v: spa(OMEGA, v), "K", "[1, 20]", False, 0, 21, 2),
+]
+
+FRACTION, HUGE = 2.5, 10**400  # HUGE lies beyond float range
+BAD = [True, np.True_, FRACTION, math.inf, math.nan, HUGE, "2"]
+
+
+def _bad_cases():
+    for label, call, name, interval, is_float, below, above, _ in ARGUMENTS:
+        values = [v for v in BAD if not (is_float and v is FRACTION)]  # 2.5 is a fine variance
+        values += [below] + ([] if above is None else [above])
+        kind = "a number" if is_float else "an integer"
+        for value in values:
+            shown = "10**400" if value is HUGE else repr(value)
+            yield pytest.param(call, f"{name} must be {kind} in {interval}, got {value!r}", value,
+                               id=f"{label}-{shown}")
+
+
+@pytest.mark.parametrize("call, printed, value", _bad_cases())
+def test_bad_value_raises_the_one_message(call, printed, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(printed)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("call, good", [pytest.param(row[1], row[-1], id=row[0]) for row in ARGUMENTS])
+def test_integral_float_and_numpy_integer_equal_the_int(call, good):
+    expected = call(good)
+    for value in (float(good), np.int64(good)):
+        np.testing.assert_equal(call(value), expected)

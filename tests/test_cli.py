@@ -114,6 +114,16 @@ class TestFit:
         missing = tmp_path / "nope.csv"
         assert main(["fit", str(missing), "--k", "2"]) == 1
 
+    def test_token_ids_as_positions_named(self, tmp_path, capsys):
+        # seven-digit node tokens read as positions asked numpy for 727 TiB
+        edges = tmp_path / "edges.tsv"
+        edges.write_text("9999162\t9999161\t1.0\n")
+        assert main(["fit", str(edges), "--k", "2", "--out-prefix", str(tmp_path / "fit_")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the edge list implies a (9999162, 9999161) matrix of ")
+        assert err.endswith("; a node-token edge list goes through bimix ingest\n")
+        assert not list(tmp_path.glob("fit_*"))
+
 
 class TestEval:
     def test_metrics_json(self, tmp_path, spec, capsys):
@@ -203,14 +213,15 @@ class TestSweep:
         out = tmp_path / "r.csv"
         assert main(["sweep", "--scenario", "setup1", "--seed", seed, "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            f"error: seed must be a 64-bit unsigned integer, got {seed}\n"
+            f"error: seed must be an integer in [0, 18446744073709551616), got {seed}\n"
         )
         assert not out.exists()
 
     @pytest.mark.parametrize("given, message", [
         ({"scenario": "setup1", "replicates": 2.7},
          f"replicates must be an integer in [1, {STREAM_STRIDE}), got 2.7"),
-        ({"scenario": "setup1", "master_seed": 3.9}, "seed must be a 64-bit unsigned integer, got 3.9"),
+        ({"scenario": "setup1", "master_seed": 3.9},
+         "seed must be an integer in [0, 18446744073709551616), got 3.9"),
         ({"axis": "rho", "grid": [[1.0, 2.0]]}, "rho grid value must be one finite number, got [1.0, 2.0]"),
         ({"axis": "alpha_grid", "grid": [2.0]},
          "alpha_grid grid value must be a pair of finite numbers, got 2.0"),
@@ -275,7 +286,7 @@ class TestSweep:
     def test_jobs_below_one_rejected(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         assert main(["sweep", "--scenario", "setup1", "--jobs", "0", "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: --jobs must be at least 1, got 0\n"
+        assert capsys.readouterr().err == "error: n_jobs must be an integer in [1, inf), got 0\n"
         assert not out.exists()
 
     def test_scenario_defaults(self, tmp_path):

@@ -152,7 +152,8 @@ class TestRunSweep:
                                "grid": [2.0, 2.5], "replicates": 2})
         first, second = run_sweep(plan).points
         assert not first.skipped
-        assert second.skipped == "binomial parameter m must be int in [1, 9223372036854775807], got 2.5"
+        assert second.skipped == ("binomial parameter m must be an integer in [1, 9223372036854775807], "
+                                  "got 2.5")
 
     def test_dist_param_axis(self):
         base = ModelSpec(P=P1, rho=1.0, Pi_r=make_planted_memberships(16, 2, 4),
@@ -497,7 +498,7 @@ class TestPlanJSON:
     def test_unusable_seed_rejected_when_built(self, seed):
         # no replicate could draw from it, so the plan must not build; inf
         # raised OverflowError, and nan int()'s own message
-        message = f"^{re.escape(f'seed must be a 64-bit unsigned integer, got {seed!r}')}$"
+        message = f"^{re.escape(f'seed must be an integer in [0, {2**64}), got {seed!r}')}$"
         full = {"base": spec_to_dict(noiseless_spec()), "axis": "rho", "grid": [0.5]}
         with pytest.raises(ValueError, match=message):
             scenario("sim1a", master_seed=seed)

@@ -283,6 +283,17 @@ class TestEdgesTSVErrors:
         path.write_text("# made by hand\n% shape: 2 3\n\n1\t3\t2.5\n% note\n")
         np.testing.assert_array_equal(load_edges_tsv(path), [[0.0, 0.0, 2.5], [0.0, 0.0, 0.0]])
 
+    @pytest.mark.parametrize("text", ["9999162\t9999161\t1.0\n", "% shape: 9999162 9999161\n"],
+                             ids=["position", "header"])
+    def test_shape_beyond_memory_rejected_before_allocating(self, tmp_path, text):
+        # node tokens read as positions asked numpy for 727 TiB
+        path = tmp_path / "a.tsv"
+        path.write_text(text)
+        message = re.escape("the edge list implies a (9999162, 9999161) matrix of 799865845624656 bytes")
+        with pytest.raises(EdgeListError, match=f"^{message}, .*; a node-token edge list goes through "
+                                                "bimix ingest$"):
+            load_edges_tsv(path)
+
 
 def spec_to_dict(spec: ModelSpec) -> dict:
     """The JSON model document ``spec_from_dict`` reads for ``spec``, sizes included."""
@@ -352,11 +363,11 @@ class TestSpecJSON:
 
     @pytest.mark.parametrize("dist, message", [
         ('{"kind": "normal", "sigma2": Infinity}',
-         "normal parameter sigma2 must be float in [0, inf), got inf"),
+         "normal parameter sigma2 must be a number in [0, inf), got inf"),
         ('{"kind": "binomial", "m": Infinity}',
-         "binomial parameter m must be int in [1, 9223372036854775807], got inf"),
+         "binomial parameter m must be an integer in [1, 9223372036854775807], got inf"),
         ('{"kind": "binomial", "m": 1%s}' % ("0" * 400),
-         "binomial parameter m must be int in [1, 9223372036854775807], got 1%s" % ("0" * 400)),
+         "binomial parameter m must be an integer in [1, 9223372036854775807], got 1%s" % ("0" * 400)),
     ], ids=["sigma2", "m", "m-401-digits"])
     def test_infinite_shape_parameter_rejected(self, dist, message):
         # JSON's Infinity was taken as a variance, and as a trial count raised

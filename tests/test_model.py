@@ -1,6 +1,7 @@
 """Model construction, validation and expectation-matrix tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -159,7 +160,7 @@ class TestStandardTwoBlock:
             np.testing.assert_allclose(rho * P, expected, atol=1e-12)
 
     def test_small_n_rejected(self):
-        with pytest.raises(InvalidModelError, match="at least 3"):
+        with pytest.raises(ValueError, match=re.escape("n must be an integer in [3, inf), got 2")):
             make_standard_two_block(2, 3.0, 1.0)
 
 

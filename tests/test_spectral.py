@@ -116,20 +116,23 @@ def planted_omega():
 
 
 class TestCountArguments:
-    # True fitted K = 1, 2.0 and 3.5 raised TypeError from slicing, and spa
-    # truncated 2.7 to 2; each is now named before any work is done
+    # True fitted K = 1, 3.5 raised TypeError from slicing, and spa truncated
+    # 2.7 to 2; each is now named, with the count's range, before any work
     @pytest.mark.parametrize("call, count", [
-        (disp, True), (disp, np.True_), (disp, 2.0), (top_k_svd, 2.0), (top_k_svd, False),
-        (singular_values, 3.5), (singular_values, True), (spa, 2.7), (spa, True), (spa, 2.0), (spa, "2"),
+        (disp, True), (disp, np.True_), (top_k_svd, False),
+        (singular_values, 3.5), (singular_values, True), (spa, 2.7), (spa, True), (spa, "2"),
     ], ids=lambda v: v.__name__ if callable(v) else repr(v))
     def test_bool_or_fraction_rejected_naming_the_count(self, call, count):
         name = "k_max" if call is singular_values else "K"
-        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(count))}$"):
+        rows = 20 if call is spa else 15  # spa's K is bounded by the rows, the SVD's by the shorter side
+        printed = f"{name} must be an integer in [1, {rows}], got {count!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(printed)}$"):
             call(planted_omega(), count)
 
     def test_numpy_integers_accepted(self):
+        # an integral float counts as its integer, as seeds and trial counts do
         omega = planted_omega()
-        for count in (np.int64(2), np.int32(2), np.uint8(2)):
+        for count in (np.int64(2), np.int32(2), np.uint8(2), 2.0, np.float64(2.0)):
             assert disp(omega, count).pure_rows == disp(omega, 2).pure_rows
             np.testing.assert_array_equal(singular_values(omega, count), singular_values(omega, 2))
             assert spa(omega, count) == spa(omega, 2)

@@ -1,14 +1,19 @@
-"""The catalogue tools: drift is reported, signed, structural changes fail, replicates give spread."""
+"""The repository tools: catalogue drift is reported and signed, replicates give spread, sizes count."""
 
 import csv
 import importlib.util
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import bimix
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "catalogue_drift.py"
 DIGEST = TOOL.with_name("catalogue_digest.py")
+SIZES = TOOL.with_name("source_size.py")
 HEADER = "scenario,rho,mean_error,std_error,replicates,skipped,seed"
 OLD = f"{HEADER}\ns,0.5,0.25,0.125,2,,0\ns,0.6,,,0,rho too large,0\n"
 
@@ -78,3 +83,18 @@ def test_replicates_give_points_a_spread(tmp_path, monkeypatch, capsys):
     assert set(column(two, "replicates")) == {"2"}
     assert max(map(float, column(two, "std_error"))) > 0
     assert dump_catalogue(tmp_path, monkeypatch, "--replicates", "1") == one  # the default
+
+
+def test_source_size_counts_what_grep_counts():
+    src = SIZES.parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, str(SIZES)], capture_output=True, text=True, timeout=60, env=env)
+    assert out.returncode == 0, out.stderr
+    sizes = dict(line.rsplit(" ", 1) for line in out.stdout.splitlines())
+    # cat src/bimix/*.py | grep -cv '^\s*$'
+    lines = [line for path in (src / "bimix").glob("*.py") for line in path.read_text().split("\n")]
+    assert int(sizes["total"]) == sum(1 for line in lines if not re.fullmatch(r"\s*", line))
+    assert int(sizes["total"]) == sum(int(n) for name, n in sizes.items() if name.endswith(".py"))
+    assert int(sizes["__all__"]) == len(bimix.__all__)
+    cli = (src / "bimix" / "cli.py").read_text()
+    assert int(sizes["flags"]) == cli.count('add_argument("--') - cli.count('add_argument("--version"')
