@@ -3,7 +3,7 @@
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +128,14 @@ class TestCountArguments:
         printed = f"{name} must be an integer in [1, {rows}], got {count!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(printed)}$"):
             call(planted_omega(), count)
+
+    @pytest.mark.parametrize("count", [2.0, np.float64(2.0)], ids=repr)
+    @pytest.mark.parametrize("call", [disp, top_k_svd, spa], ids=lambda f: f.__name__)
+    def test_integral_float_fits_as_its_integer(self, call, count):
+        # an integral float fits bit-identically to its integer
+        fields = lambda r: asdict(r) if is_dataclass(r) else r
+        omega = planted_omega()
+        np.testing.assert_equal(fields(call(omega, count)), fields(call(omega, 2)))
 
     def test_numpy_integers_accepted(self):
         # an integral float counts as its integer, as seeds and trial counts do
