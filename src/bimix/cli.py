@@ -13,19 +13,13 @@ from . import __version__
 from .disp import disp
 from .harness import SCENARIO_NAMES, load_plan, run_sweep, scenario
 from .ingest import load_edge_list, summarize, to_dense
-from .io import load_edges_tsv, load_matrix_csv, save_matrix_csv
+from .io import load_matrix_csv, save_matrix_csv
 from .metrics import error_rate, hamm_rc, mixed_proportion
 from .spectral import estimate_k_eigengap, singular_values
 
 
-def _load_adjacency(path: str) -> np.ndarray:
-    if str(path).lower().endswith((".tsv", ".txt")):
-        return load_edges_tsv(path)
-    return load_matrix_csv(path)
-
-
 def _cmd_fit(args) -> int:
-    A = _load_adjacency(args.adjacency)
+    A = load_matrix_csv(args.adjacency)
     result = disp(A, args.k)
     prefix = args.out_prefix
     save_matrix_csv(result.Pi_r_hat, f"{prefix}rows.csv")
@@ -91,7 +85,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_estimate_k(args) -> int:
-    A = _load_adjacency(args.adjacency)
+    A = load_matrix_csv(args.adjacency)
     if min(A.shape) < 2:
         raise ValueError(f"estimate-k needs at least 2 rows and 2 columns, got shape {A.shape}")
     sv = singular_values(A, min(args.k_max, min(A.shape)))
@@ -111,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="estimate row/column memberships from an adjacency matrix")
-    p.add_argument("adjacency", help="TSV edge list if *.tsv or *.txt (any case), else dense CSV")
+    p.add_argument("adjacency", help="dense CSV matrix; an edge list goes through bimix ingest")
     p.add_argument("--k", type=int, required=True, help="number of communities")
     p.add_argument("--out-prefix", default="fit_", help="prefix for output files")
     p.set_defaults(func=_cmd_fit)
@@ -143,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("estimate-k", help="singular values and eigengap community count")
-    p.add_argument("adjacency", help="TSV edge list if *.tsv or *.txt (any case), else dense CSV")
+    p.add_argument("adjacency", help="dense CSV matrix; an edge list goes through bimix ingest")
     p.add_argument("--k-max", type=int, default=10)
     p.set_defaults(func=_cmd_estimate_k)
     return parser

@@ -59,26 +59,21 @@ def _parse_token(token: str):
     return value if str(value) == token else token
 
 
-def _fields(path, format: str, columns: tuple, header: str = ""):
+def _fields(path, format: str):
     """Yield ``(line number, fields)`` for each data line of an edge-list file.
 
-    Blank lines and comments (starting with '%' or '#') are skipped, except a
-    comment starting with ``header``, which yields ``header`` followed by the
-    rest of its line split on whitespace.  A data line splits on whitespace
-    (``format='tsv'``) or commas (``'csv'``) and must have a field count in
-    ``columns``.
+    Blank lines and comments (starting with '%' or '#') are skipped.  A data
+    line splits on whitespace (``format='tsv'``) or commas (``'csv'``) and
+    must have 2 or 3 fields.
     """
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if header and line.startswith(header):
-                yield lineno, [header, *line[len(header) :].split()]
-            elif line and not line.startswith(("%", "#")):
+            if line and not line.startswith(("%", "#")):
                 parts = [p.strip() for p in line.split(",")] if format == "csv" else line.split()
-                if len(parts) not in columns:
+                if len(parts) not in (2, 3):
                     raise EdgeListError(
-                        f"line {lineno}: expected {' or '.join(map(str, columns))} columns, "
-                        f"got {len(parts)}: {line!r}"
+                        f"line {lineno}: expected 2 or 3 columns, got {len(parts)}: {line!r}"
                     )
                 yield lineno, parts
 
@@ -105,7 +100,7 @@ def load_edge_list(path, format: str = "tsv", duplicates: str = "error") -> Edge
         raise ValueError(f"duplicates must be one of {DUPLICATE_POLICIES}")
     ids: dict = {}  # token -> node id; distinct tokens, distinct ids
     weights: dict = {}
-    for lineno, parts in _fields(path, format, (2, 3)):
+    for lineno, parts in _fields(path, format):
         for token in parts[:2]:
             if token not in ids:
                 if not token:

@@ -1,4 +1,4 @@
-"""Serialization: dense CSV matrices and sparse TSV edge lists; reading model documents.
+"""Serialization: dense CSV matrices; reading model documents.
 
 Dense CSV matrices are mostly zeros, so both directions touch only the
 cells that are not the single character ``0``.  The writer splices each
@@ -7,22 +7,19 @@ row's nonzero cells into one cached all-zero row, and its bytes equal
 of whole lines, finds every cell's delimiters in one vectorized pass per
 chunk and parses only the cells that are not ``0``; its result equals
 ``np.loadtxt(path, delimiter=",", ndmin=2)``'s bit for bit, and on a
-sparse matrix it holds little more than that result and one chunk.  Edge
-lists store 1-indexed (row, col, weight) triples with zeros omitted and a
-shape header so empty trailing rows or columns survive the round trip.
+sparse matrix it holds little more than that result and one chunk.  This
+is the one adjacency format ``bimix fit`` and ``bimix estimate-k`` read,
+whatever the file's name; an edge list of node tokens becomes one through
+``bimix ingest``.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .ingest import EdgeListError, _fields, _weight
 from .model import ModelSpec
 from .sampler import PARAM_KINDS, EdgeDistribution
 
-SHAPE_HEADER = "% shape:"
 CHUNK_BYTES = 1 << 16  # the size hint for each readlines() of a dense CSV
 _COMMA, _NEWLINE, _ZERO = b",\n0"
 
@@ -150,56 +147,6 @@ def _is_number(cell: bytes) -> bool:
     except ValueError:
         return False
     return b"_" not in cell
-
-
-def _int_pair(lineno: int, tokens: list, what: str, minimum: int) -> tuple[int, int]:
-    try:
-        i, j = map(int, tokens)
-    except ValueError:  # not two integers
-        pass
-    else:
-        if i >= minimum and j >= minimum:
-            return i, j
-    raise EdgeListError(
-        f"line {lineno}: {what} must be two integers >= {minimum}, got {' '.join(tokens)!r}"
-    )
-
-
-def load_edges_tsv(path) -> np.ndarray:
-    """Read a TSV edge list back into a dense matrix.
-
-    The shape header is honored when present; otherwise the matrix is sized
-    by the largest indices encountered.  A position below 1 or outside the
-    shape, a repeated position, a second header, and a malformed header or
-    weight each raise ``EdgeListError`` naming the line; so does a shape
-    whose float64 matrix would exceed physical memory, naming the shape.
-    """
-    shape = None
-    cells = {}
-    for lineno, fields in _fields(path, "tsv", (3,), header=SHAPE_HEADER):
-        if fields[0] == SHAPE_HEADER:
-            if shape is not None:
-                raise EdgeListError(f"line {lineno}: a second shape header")
-            shape = _int_pair(lineno, fields[1:], "shape", minimum=0)
-            continue
-        position = _int_pair(lineno, fields[:2], "position", minimum=1)
-        if position in cells:
-            raise EdgeListError(f"line {lineno}: duplicate position {position}")
-        cells[position] = (lineno, _weight(lineno, fields[2]))
-    if shape is None:
-        if not cells:
-            raise EdgeListError("edge list is empty and carries no shape header")
-        shape = tuple(max(position[axis] for position in cells) for axis in (0, 1))
-    size, memory = 8 * shape[0] * shape[1], os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if size > memory:  # float64 cells, checked before np.zeros asks for them
-        raise EdgeListError(f"the edge list implies a {shape} matrix of {size} bytes, more than the {memory} "
-                            "bytes of physical memory; a node-token edge list goes through bimix ingest")
-    A = np.zeros(shape)
-    for (i, j), (lineno, weight) in cells.items():
-        if i > shape[0] or j > shape[1]:
-            raise EdgeListError(f"line {lineno}: position ({i}, {j}) outside the shape {shape}")
-        A[i - 1, j - 1] = weight
-    return A
 
 
 _JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "a number",

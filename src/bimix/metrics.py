@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampler import _LAWS, EdgeDistribution, RhoInterval, block_interval, checked
+from .sampler import _LAWS, GRID_NODES, POSITIVE, EdgeDistribution, RhoInterval, block_interval, checked
 
 PERMUTATION_LIMIT = 10
 
@@ -104,9 +104,7 @@ def separation_margins(
     (signed); for unbounded laws pass a plug-in estimate.  Each alpha must
     lie in the law's admissible rho * P entries times n / log(n).
     """
-    n = checked(n, "n", RhoInterval(3, math.inf, lo_open=False, hi_open=True), int)
-    if not tau > 0.0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    n, tau = checked(n, "n", GRID_NODES, int), checked(tau, "tau", POSITIVE)
     alpha_in, alpha_out = float(alpha_in), float(alpha_out)
     block, log_n = block_interval(dist), math.log(n)
     limit = n / log_n
@@ -135,8 +133,7 @@ def empirical_tau_gamma(A: np.ndarray, omega: np.ndarray, rho: float) -> tuple[f
     omega = np.asarray(omega, dtype=float)
     if A.shape != omega.shape:
         raise ValueError(f"shape mismatch: {A.shape} vs {omega.shape}")
-    if not rho > 0.0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    rho = checked(rho, "rho", POSITIVE)
     dev = np.abs(A - omega)
     tau_hat = float(dev.max())
     gamma_hat = float((dev**2).max() / rho)

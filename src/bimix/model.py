@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampler import COUNTS, EdgeDistribution, RhoInterval, admissible_rho_interval, block_interval, checked
+from .sampler import COUNTS, GRID_NODES, REALS, EdgeDistribution, admissible_rho_interval, block_interval, checked
 
 # sigma_K must exceed RANK_RTOL * sigma_1 for a matrix to count as rank K
 RANK_RTOL = 1e-10
@@ -167,10 +167,8 @@ def make_standard_two_block(n: int, alpha_in: float, alpha_out: float) -> tuple[
     maximum absolute entry.  Equal magnitudes make the matrix singular and
     are rejected.
     """
-    n = checked(n, "n", RhoInterval(3, math.inf, lo_open=False, hi_open=True), int)
-    alpha_in, alpha_out = float(alpha_in), float(alpha_out)
-    if not (math.isfinite(alpha_in) and math.isfinite(alpha_out)):
-        raise InvalidModelError("alpha_in and alpha_out must be finite")
+    n = checked(n, "n", GRID_NODES, int)
+    alpha_in, alpha_out = checked(alpha_in, "alpha_in", REALS), checked(alpha_out, "alpha_out", REALS)
     scale = max(abs(alpha_in), abs(alpha_out))
     if abs(alpha_in) == abs(alpha_out):
         raise InvalidModelError(

@@ -30,7 +30,8 @@ class RhoInterval:
     """Interval of admissible values, with open or closed ends.
 
     One bounds the means of an edge law, the entries of rho * P, rho itself,
-    a shape parameter, a count or a seed.  No non-finite value lies inside one.
+    a shape parameter, a count, a seed or a float argument.  No non-finite
+    value lies inside one.
     """
 
     lo: float
@@ -67,9 +68,10 @@ class RhoInterval:
 def checked(value, name: str, interval: RhoInterval, coerce=float):
     """``coerce(value)`` if ``value`` is a real number inside ``interval`` that ``coerce`` leaves equal.
 
-    Every count, seed and shape parameter is checked here; with ``coerce=int``
-    ``2.0`` passes as ``2``.  Anything else, a bool or a string included,
-    raises ``ValueError`` naming ``name``, the interval and the value.
+    Every count, seed, shape parameter and float argument is checked here;
+    with ``coerce=int`` ``2.0`` passes as ``2``.  Anything else, a bool or a
+    string included, raises ``ValueError`` naming ``name``, the interval and
+    the value.
     """
     # True is an int to Python (np.bool_ is not a numbers.Real); the interval
     # test comes before coerce, which raises on inf and nan
@@ -80,11 +82,12 @@ def checked(value, name: str, interval: RhoInterval, coerce=float):
     raise ValueError(f"{name} must be {kind} in {interval}, got {value!r}")
 
 
-_ANY_MEAN = RhoInterval(-math.inf, math.inf, hi_open=True)
-_POSITIVE = RhoInterval(0.0, math.inf, hi_open=True)
-_NONNEGATIVE = RhoInterval(0.0, math.inf, lo_open=False, hi_open=True)
+REALS = RhoInterval(-math.inf, math.inf, hi_open=True)  # every finite number
+POSITIVE = RhoInterval(0.0, math.inf, hi_open=True)
+NONNEGATIVE = RhoInterval(0.0, math.inf, lo_open=False, hi_open=True)
 _SEEDS = RhoInterval(0, 2**64, lo_open=False, hi_open=True)  # numpy's SeedSequence entropy
 COUNTS = RhoInterval(1, math.inf, lo_open=False, hi_open=True)  # a count of nodes, communities or jobs
+GRID_NODES = RhoInterval(3, math.inf, lo_open=False, hi_open=True)  # n of a log(n)/n alpha grid
 
 
 @dataclass(frozen=True)
@@ -105,7 +108,7 @@ class _Law:
 
     variance: Callable
     draw: Callable
-    mean: Callable = lambda d: _ANY_MEAN
+    mean: Callable = lambda d: REALS
     block: Callable | None = None
     param: str | None = None
     domain: RhoInterval | None = None
@@ -119,8 +122,8 @@ _LAWS = {
         draw=lambda g, omega, d: (g.random(omega.shape) < omega).astype(float),
     ),
     "poisson": _Law(
-        mean=lambda d: _NONNEGATIVE,
-        block=lambda d: _POSITIVE,
+        mean=lambda d: NONNEGATIVE,
+        block=lambda d: POSITIVE,
         variance=lambda d, rho: rho,
         draw=lambda g, omega, d: g.poisson(omega).astype(float),
     ),
@@ -140,16 +143,16 @@ _LAWS = {
         # (40% slower at 300 x 300); scale 0 reproduces the mean exactly
         draw=lambda g, omega, d: omega + math.sqrt(d.sigma2) * g.standard_normal(omega.shape),
         param="sigma2",
-        domain=_NONNEGATIVE,
+        domain=NONNEGATIVE,
         coerce=float,
     ),
     "exponential": _Law(
-        mean=lambda d: _POSITIVE,
+        mean=lambda d: POSITIVE,
         variance=lambda d, rho: rho * rho,
         draw=lambda g, omega, d: g.exponential(scale=omega),
     ),
     "uniform": _Law(
-        mean=lambda d: _NONNEGATIVE,
+        mean=lambda d: NONNEGATIVE,
         variance=lambda d, rho: rho * rho / 3.0,
         draw=lambda g, omega, d: g.uniform(low=0.0, high=2.0 * omega),
     ),
@@ -157,7 +160,7 @@ _LAWS = {
         variance=lambda d, rho: math.pi**2 * d.beta**2 / 3.0,
         draw=lambda g, omega, d: g.logistic(loc=omega, scale=d.beta),
         param="beta",
-        domain=_POSITIVE,
+        domain=POSITIVE,
         coerce=float,
     ),
     "signed": _Law(
@@ -219,7 +222,7 @@ class RandomSource:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", checked(self.seed, "seed", _SEEDS, int))
-        object.__setattr__(self, "stream", checked(self.stream, "stream", _NONNEGATIVE, int))
+        object.__setattr__(self, "stream", checked(self.stream, "stream", NONNEGATIVE, int))
 
     def generator(self) -> np.random.Generator:
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))

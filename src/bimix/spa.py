@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sampler import RhoInterval, checked
+from .sampler import NONNEGATIVE, RhoInterval, checked
 
 # residual norms at or below RESIDUAL_RTOL times the initial maximum norm
 # signal rank deficiency
@@ -73,8 +73,7 @@ def vertex_matrix(X: np.ndarray, idx, radius: float = 0.0) -> np.ndarray:
     for i in idx:
         if not (0 <= int(i) < X.shape[0]):
             raise IndexError(f"row index {i} out of range [0, {X.shape[0] - 1}]")
-    if not (radius >= 0.0):
-        raise ValueError(f"radius must be nonnegative, got {radius}")
+    radius = checked(radius, "radius", NONNEGATIVE)
     B = X[np.asarray(idx, dtype=int)].copy()
     for v, j in enumerate(idx):
         D = X - X[j]

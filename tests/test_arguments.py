@@ -1,4 +1,4 @@
-"""One rule for every count, seed and shape parameter: the same bad values, the same message.
+"""One rule for every count, seed, shape parameter and float argument: the same bad values, the same message.
 
 Each row names a public argument, how to call with it, its interval and one
 admissible integer.  Every bad value raises ``ValueError("{name} must be an
@@ -15,10 +15,10 @@ import pytest
 
 from bimix.disp import disp
 from bimix.harness import STREAM_STRIDE, run_replicates, run_sweep, scenario
-from bimix.metrics import separation_margins
+from bimix.metrics import empirical_tau_gamma, separation_margins
 from bimix.model import make_planted_memberships, make_standard_two_block
 from bimix.sampler import EdgeDistribution, RandomSource
-from bimix.spa import spa
+from bimix.spa import spa, vertex_matrix
 from bimix.spectral import singular_values, top_k_svd
 
 from test_spectral import planted_omega
@@ -29,7 +29,8 @@ BERNOULLI = EdgeDistribution("bernoulli")
 
 
 # (id, call, printed name, interval, float parameter, value below, value above, admissible integer);
-# an interval open to infinity has no value above but inf, which every row gets
+# an interval open to infinity has no value above but inf, which every row gets, and the
+# real line none below
 ARGUMENTS = [
     ("m", lambda v: EdgeDistribution("binomial", m=v), "binomial parameter m",
      "[1, 9223372036854775807]", False, 0, 2**63, 2),
@@ -63,6 +64,16 @@ ARGUMENTS = [
     ("top_k_svd", lambda v: top_k_svd(OMEGA, v).left, "K", "[1, 15]", False, 0, 16, 2),
     ("singular_values", lambda v: singular_values(OMEGA, v), "k_max", "[1, 15]", False, 0, 16, 2),
     ("spa", lambda v: spa(OMEGA, v), "K", "[1, 20]", False, 0, 21, 2),
+    ("tau", lambda v: separation_margins(BERNOULLI, 2.0, 1.0, 10, v), "tau",
+     "(0, inf)", True, 0, None, 2),
+    ("empirical_tau_gamma", lambda v: empirical_tau_gamma(OMEGA, 0.5 * OMEGA, v), "rho",
+     "(0, inf)", True, 0, None, 2),
+    ("radius", lambda v: vertex_matrix(OMEGA, (0, 5), v), "radius",
+     "[0, inf)", True, -5e-324, None, 2),
+    ("alpha_in", lambda v: make_standard_two_block(300, v, 1.0), "alpha_in",
+     "(-inf, inf)", True, None, None, 2),
+    ("alpha_out", lambda v: make_standard_two_block(300, 3.0, v), "alpha_out",
+     "(-inf, inf)", True, None, None, 2),
 ]
 
 FRACTION, HUGE = 2.5, 10**400  # HUGE lies beyond float range
@@ -72,7 +83,7 @@ BAD = [True, np.True_, FRACTION, math.inf, math.nan, HUGE, "2"]
 def _bad_cases():
     for label, call, name, interval, is_float, below, above, _ in ARGUMENTS:
         values = [v for v in BAD if not (is_float and v is FRACTION)]  # 2.5 is a fine variance
-        values += [below] + ([] if above is None else [above])
+        values += [v for v in (below, above) if v is not None]
         kind = "a number" if is_float else "an integer"
         for value in values:
             shown = "10**400" if value is HUGE else repr(value)

@@ -14,7 +14,7 @@ from bimix.metrics import error_rate
 from bimix.model import ModelSpec, build_omega, make_planted_memberships
 from bimix.sampler import EdgeDistribution
 
-from test_io import save_edges_tsv, savetxt_bytes, spec_to_dict
+from test_io import savetxt_bytes, spec_to_dict
 from test_model import P1
 
 
@@ -46,24 +46,13 @@ class TestFit:
         assert len(diag["singular_values"]) == 2
         assert len(diag["pure_rows"]) == 2
 
-    def test_fit_from_edge_list(self, tmp_path, spec):
-        omega = build_omega(spec)
-        adj = tmp_path / "a.tsv"
-        save_edges_tsv(omega, adj)
-        prefix = str(tmp_path / "efit_")
-        assert main(["fit", str(adj), "--k", "2", "--out-prefix", prefix]) == 0
-        pi_r = load_matrix_csv(prefix + "rows.csv")
-        assert pi_r.shape == (20, 2)
-
     def test_reader_follows_file_name(self, tmp_path, spec, capsys):
-        # a .txt file is an edge list like .tsv, in any case; any other name is dense CSV
+        # every adjacency file is dense CSV: a .tsv or .txt name, in any case, changes nothing
         omega = build_omega(spec)
-        edge_lists = ("a.tsv", "a.txt", "A.TSV", "a.Txt")
-        for name in edge_lists:
-            save_edges_tsv(omega, tmp_path / name)
-        save_matrix_csv(omega, tmp_path / "a.csv")
+        names = ("a.tsv", "a.txt", "A.TSV", "a.Txt", "a.csv")
         outputs = {}
-        for name in (*edge_lists, "a.csv"):
+        for name in names:
+            save_matrix_csv(omega, tmp_path / name)
             prefix = str(tmp_path / f"{name}_")
             assert main(["fit", str(tmp_path / name), "--k", "2", "--out-prefix", prefix]) == 0
             capsys.readouterr()
@@ -71,7 +60,7 @@ class TestFit:
             files = [(tmp_path / f"{name}_{part}").read_bytes()
                      for part in ("rows.csv", "cols.csv", "diagnostics.json")]
             outputs[name] = (files, capsys.readouterr().out)
-        for name in edge_lists:
+        for name in names[:-1]:
             assert outputs[name] == outputs["a.csv"], name
 
     def test_rank_one_input_diagnostics(self, tmp_path):
@@ -115,13 +104,12 @@ class TestFit:
         assert main(["fit", str(missing), "--k", "2"]) == 1
 
     def test_token_ids_as_positions_named(self, tmp_path, capsys):
-        # seven-digit node tokens read as positions asked numpy for 727 TiB
+        # a node-token edge list is not a matrix: fit names its first line and writes nothing
+        line = "9999162\t9999161\t1.0"
         edges = tmp_path / "edges.tsv"
-        edges.write_text("9999162\t9999161\t1.0\n")
+        edges.write_text(line + "\n")
         assert main(["fit", str(edges), "--k", "2", "--out-prefix", str(tmp_path / "fit_")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: the edge list implies a (9999162, 9999161) matrix of ")
-        assert err.endswith("; a node-token edge list goes through bimix ingest\n")
+        assert capsys.readouterr().err == f"error: {edges}, line 1: cannot read {line!r} as a number\n"
         assert not list(tmp_path.glob("fit_*"))
 
 
@@ -362,9 +350,9 @@ class TestEstimateK:
         assert lines[2] == "ratio,2"  # exact rank-2 input
 
     def test_single_row_rejected_before_printing(self, tmp_path, capsys):
-        # a one-line edge list loads as a 1 x 5 matrix, which has one singular value
-        adj = tmp_path / "a.tsv"
-        adj.write_text("1\t5\t2.0\n")
+        # a 1 x 5 matrix has one singular value
+        adj = tmp_path / "a.csv"
+        adj.write_text("0,0,0,0,2.0\n")
         assert main(["estimate-k", str(adj)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -388,8 +376,8 @@ class TestComposedWorkflow:
                          Pi_c=make_planted_memberships(30, 2, 10),
                          dist=EdgeDistribution("signed"))
         A = sample_adjacency(build_omega(spec), spec.dist, RandomSource(5))
-        net = tmp_path / "net.tsv"
-        save_edges_tsv(A, net)
+        net = tmp_path / "net.tsv"  # node tokens 1..30 on both sides, zeros left out
+        net.write_text("".join(f"{i + 1}\t{j + 1}\t{float(A[i, j])!r}\n" for i, j in zip(*np.nonzero(A))))
         save_matrix_csv(spec.Pi_r, tmp_path / "tr.csv")
         save_matrix_csv(spec.Pi_c, tmp_path / "tc.csv")
         dense = tmp_path / "A.csv"

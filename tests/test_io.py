@@ -1,4 +1,4 @@
-"""Serialization round-trip tests for matrices, edge lists and model JSON."""
+"""Serialization tests for dense CSV matrices and model JSON."""
 
 import io
 import json
@@ -12,11 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from bimix.harness import plan_from_json
-from bimix.ingest import EdgeListError
 from bimix.io import (
     CHUNK_BYTES,
-    SHAPE_HEADER,
-    load_edges_tsv,
     load_matrix_csv,
     save_matrix_csv,
     spec_from_dict,
@@ -190,109 +187,6 @@ class TestMatrixCSVReader:
         lineno = head.count(b"\n") + 2
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line {lineno}: "):
             load_matrix_csv(path)
-
-
-def save_edges_tsv(A, path) -> None:
-    """Write a dense matrix as ``row<TAB>col<TAB>weight`` lines, 1-indexed, under a shape header.
-
-    A non-finite entry raises ``ValueError`` before the file is opened.
-    """
-    A = np.asarray(A, dtype=float)
-    bad = np.argwhere(~np.isfinite(A))
-    if len(bad):
-        i, j = bad[0]
-        raise ValueError(f"A[{i}, {j}] = {float(A[i, j])!r}: edge weights must be finite")
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"{SHAPE_HEADER} {A.shape[0]} {A.shape[1]}\n")
-        for i, j in zip(*np.nonzero(A)):
-            fh.write(f"{i + 1}\t{j + 1}\t{float(A[i, j])!r}\n")
-
-
-class TestEdgesTSV:
-    def test_roundtrip_exact_with_zero_omission(self, tmp_path):
-        rng = np.random.default_rng(1)
-        A = rng.normal(size=(6, 4)) * (rng.random((6, 4)) < 0.5)
-        path = tmp_path / "a.tsv"
-        save_edges_tsv(A, path)
-        text = path.read_text()
-        assert text.startswith("% shape: 6 4\n")
-        assert len(text.strip().splitlines()) == 1 + np.count_nonzero(A)
-        np.testing.assert_array_equal(load_edges_tsv(path), A)
-
-    def test_trailing_zero_rows_survive(self, tmp_path):
-        A = np.zeros((4, 5))
-        A[0, 1] = 2.0
-        path = tmp_path / "a.tsv"
-        save_edges_tsv(A, path)
-        np.testing.assert_array_equal(load_edges_tsv(path), A)
-
-    def test_one_indexed(self, tmp_path):
-        A = np.array([[0.0, 3.0], [0.0, 0.0]])
-        path = tmp_path / "a.tsv"
-        save_edges_tsv(A, path)
-        assert "1\t2\t3.0" in path.read_text()
-
-    def test_row_major_lines_without_zeros(self, tmp_path):
-        A = np.array([[0.0, -0.0, 1.5], [-2.0, 0.0, 0.25]])
-        path = tmp_path / "a.tsv"
-        save_edges_tsv(A.T, path)  # a transposed view is still written row by row
-        assert path.read_text() == "% shape: 3 2\n1\t2\t-2.0\n3\t1\t1.5\n3\t2\t0.25\n"
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_rejected_before_writing(self, tmp_path, bad):
-        A = np.array([[1.0, 0.0, 2.0], [0.0, 3.0, bad]])
-        A[1, 0] = bad
-        path = tmp_path / "a.tsv"
-        with pytest.raises(ValueError, match=r"^A\[1, 0\] = "):
-            save_edges_tsv(A, path)
-        assert not path.exists()
-
-    def test_without_header_sizes_by_max_index(self, tmp_path):
-        path = tmp_path / "a.tsv"
-        path.write_text("1\t2\t5.0\n3\t1\t-2.0\n")
-        A = load_edges_tsv(path)
-        assert A.shape == (3, 2)
-        assert A[0, 1] == 5.0 and A[2, 0] == -2.0
-
-
-class TestEdgesTSVErrors:
-    @pytest.mark.parametrize(
-        "text, lineno",
-        [
-            pytest.param("% shape: 2 2\n1\t1\t1.0\n0\t1\t5.0\n", 3, id="index-zero"),
-            pytest.param("1\t-1\t5.0\n", 1, id="negative-index"),
-            pytest.param("1\t2\t5.0\n1\t2\t6.0\n", 2, id="duplicate-position"),
-            pytest.param("% shape: 2 2\n1\t1\t1.0\n3\t1\t5.0\n", 3, id="row-past-shape"),
-            pytest.param("1\t3\t1.0\n% shape: 2 2\n", 1, id="column-past-trailing-shape"),
-            pytest.param("% shape: 4\n1\t1\t1.0\n", 1, id="one-field-header"),
-            pytest.param("% shape: 2 x\n", 1, id="non-integer-header"),
-            pytest.param("1\tx\t1.0\n", 1, id="non-integer-position"),
-            pytest.param("1\t1\tabc\n", 1, id="unparsable-weight"),
-            pytest.param("1\t1\t1.0\n2\t1\n", 2, id="two-columns"),
-            pytest.param("% shape: 2 2\n1\t1\t1.0\n% shape: 3 3\n", 3, id="second-header"),
-        ],
-    )
-    def test_rejected_naming_the_line(self, tmp_path, text, lineno):
-        path = tmp_path / "a.tsv"
-        path.write_text(text)
-        with pytest.raises(EdgeListError, match=f"^line {lineno}: "):
-            load_edges_tsv(path)
-
-    def test_comments_and_blank_lines_skipped(self, tmp_path):
-        path = tmp_path / "a.tsv"
-        path.write_text("# made by hand\n% shape: 2 3\n\n1\t3\t2.5\n% note\n")
-        np.testing.assert_array_equal(load_edges_tsv(path), [[0.0, 0.0, 2.5], [0.0, 0.0, 0.0]])
-
-    @pytest.mark.parametrize("text", ["9999162\t9999161\t1.0\n", "% shape: 9999162 9999161\n"],
-                             ids=["position", "header"])
-    def test_shape_beyond_memory_rejected_before_allocating(self, tmp_path, text):
-        # node tokens read as positions asked numpy for 727 TiB
-        path = tmp_path / "a.tsv"
-        path.write_text(text)
-        message = re.escape("the edge list implies a (9999162, 9999161) matrix of 799865845624656 bytes")
-        with pytest.raises(EdgeListError, match=f"^{message}, .*; a node-token edge list goes through "
-                                                "bimix ingest$"):
-            load_edges_tsv(path)
 
 
 def spec_to_dict(spec: ModelSpec) -> dict:
