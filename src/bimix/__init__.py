@@ -17,7 +17,7 @@ from .harness import (
     run_sweep,
     scenario,
 )
-from .ingest import EdgeList, EdgeListError, load_edge_list, summarize, to_dense
+from .ingest import EdgeListError, load_edge_list, summarize
 from .metrics import (
     SeparationMargins,
     empirical_tau_gamma,
@@ -49,7 +49,6 @@ from .spectral import TruncatedSVD, estimate_k_eigengap, singular_values, top_k_
 
 __all__ = [
     "EdgeDistribution",
-    "EdgeList",
     "EdgeListError",
     "FitResult",
     "IllPosedFitError",
@@ -87,7 +86,6 @@ __all__ = [
     "singular_values",
     "spa",
     "summarize",
-    "to_dense",
     "top_k_svd",
     "validate_model",
     "vertex_matrix",

@@ -12,7 +12,7 @@ import numpy as np
 from . import __version__
 from .disp import disp
 from .harness import SCENARIO_NAMES, load_plan, run_sweep, scenario
-from .ingest import load_edge_list, summarize, to_dense
+from .ingest import load_edge_list, summarize
 from .io import load_matrix_csv, save_matrix_csv
 from .metrics import error_rate, hamm_rc, mixed_proportion
 from .spectral import estimate_k_eigengap, singular_values
@@ -71,12 +71,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    edges = load_edge_list(
+    A, edges = load_edge_list(
         args.edges, format=args.format, duplicates="sum" if args.sum_duplicates else "error"
     )
-    A = to_dense(edges)
     save_matrix_csv(A, args.dense)
-    stats = summarize(edges)
+    stats = summarize(A, edges)
     with open(args.summary, "w") as fh:
         json.dump(stats, fh, indent=2)
         fh.write("\n")

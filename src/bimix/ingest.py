@@ -2,17 +2,15 @@
 
 Files are plain text with 2 or 3 columns per line (source, target, optional
 weight; a 2-column line weighs 1); comment lines starting with '%' or '#'
-are skipped.  Node ids are arbitrary tokens.  An ``EdgeList`` holds each
-(source, target) pair once, so duplicates are resolved only at load.  Its
-nodes are its edges' endpoints in first-appearance order, so no node is
-isolated and rows and columns share one numbering.
+are skipped.  Node ids are arbitrary tokens, numbered by first appearance,
+source before target, so no node is isolated and rows and columns share one
+numbering.  Each (source, target) pair is one cell of the dense matrix, so
+duplicates are resolved while the file is read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -21,42 +19,6 @@ DUPLICATE_POLICIES = ("error", "sum")
 
 class EdgeListError(ValueError):
     """Malformed edge-list input."""
-
-
-@dataclass(frozen=True)
-class EdgeList:
-    """Weighted (source, target, weight) edges; the nodes are their endpoints.
-
-    Each (source, target) pair appears at most once; a repeat raises
-    ``EdgeListError`` when the list is built.
-    """
-
-    edges: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
-        pairs = [(src, tgt) for src, tgt, _ in self.edges]
-        if len(set(pairs)) < len(pairs):
-            src, tgt = _first_repeat(pairs)
-            raise EdgeListError(f"duplicate edge {src!r} -> {tgt!r}")
-
-    @cached_property
-    def nodes(self) -> tuple:
-        """Every endpoint once, source before target, in edge order; computed once per list."""
-        return tuple(dict.fromkeys(node for src, tgt, _ in self.edges for node in (src, tgt)))
-
-
-def _first_repeat(items):
-    seen = set()
-    return next(item for item in items if item in seen or seen.add(item))  # add() gives None
-
-
-def _parse_token(token: str):
-    try:
-        value = int(token)
-    except ValueError:
-        return token
-    return value if str(value) == token else token
 
 
 def _fields(path, format: str):
@@ -78,8 +40,10 @@ def _fields(path, format: str):
                 yield lineno, parts
 
 
-def _weight(lineno: int, token) -> float:
+def _weight(lineno: int, token: str) -> float:
     try:
+        if "_" in token:  # float() reads 1_0 as 10; the dense CSV reader rejects it
+            raise ValueError(token)
         weight = float(token)
     except ValueError:
         raise EdgeListError(f"line {lineno}: unparsable weight {token!r}") from None
@@ -88,63 +52,57 @@ def _weight(lineno: int, token) -> float:
     return weight
 
 
-def load_edge_list(path, format: str = "tsv", duplicates: str = "error") -> EdgeList:
-    """Parse an edge-list file; a 2-column line is an edge of weight 1.
+def load_edge_list(path, format: str = "tsv", duplicates: str = "error") -> tuple[np.ndarray, int]:
+    """Parse an edge-list file into ``(A, edges)``; a 2-column line is an edge of weight 1.
 
-    ``format='tsv'`` splits on whitespace, ``'csv'`` on commas.  Duplicate
-    (source, target) pairs are resolved here per the declared policy.
+    ``A`` is the square dense matrix with ``A[i, j]`` the weight of edge
+    i -> j, else 0, its rows and columns both numbered in the order the node
+    tokens first appear; ``edges`` is the number of distinct (source, target)
+    pairs.  ``format='tsv'`` splits on whitespace, ``'csv'`` on commas.
+    Duplicate pairs are resolved per the declared policy, and a file with no
+    edge lines is an error.
     """
     if format not in ("tsv", "csv"):
         raise ValueError(f"format must be 'tsv' or 'csv', got {format!r}")
     if duplicates not in DUPLICATE_POLICIES:
         raise ValueError(f"duplicates must be one of {DUPLICATE_POLICIES}")
-    ids: dict = {}  # token -> node id; distinct tokens, distinct ids
-    weights: dict = {}
+    ids: dict = {}  # token -> row and column index
+    weights: dict = {}  # (row, column) -> weight
     for lineno, parts in _fields(path, format):
         for token in parts[:2]:
             if token not in ids:
                 if not token:
                     raise EdgeListError(f"line {lineno}: empty node id")
-                ids[token] = _parse_token(token)
-        src, tgt = ids[parts[0]], ids[parts[1]]
-        weight = _weight(lineno, parts[2] if len(parts) == 3 else 1.0)
-        if (src, tgt) in weights:
+                ids[token] = len(ids)
+        cell = ids[parts[0]], ids[parts[1]]
+        weight = _weight(lineno, parts[2] if len(parts) == 3 else "1")
+        if cell in weights:
             if duplicates == "error":
-                raise EdgeListError(f"line {lineno}: duplicate edge {src!r} -> {tgt!r}")
-            weight += weights[src, tgt]
-        weights[src, tgt] = weight
-    edges = tuple((s, t, w) for (s, t), w in weights.items())
-    return EdgeList(edges)
+                raise EdgeListError(f"line {lineno}: duplicate edge {parts[0]} -> {parts[1]}")
+            weight += weights[cell]
+        weights[cell] = weight
+    if not weights:
+        raise EdgeListError(f"{path} holds no edges")
+    A = np.zeros((len(ids), len(ids)))
+    rows, cols = zip(*weights)
+    A[rows, cols] = list(weights.values())
+    return A, len(weights)
 
 
-def to_dense(edge_list: EdgeList):
-    """Dense adjacency matrix with A[i, j] = weight of edge i -> j, else 0.
+def summarize(A: np.ndarray, edges: int) -> dict:
+    """Node count, edge count, weight range of ``A``, share of positive edges.
 
-    Rows and columns are both numbered in ``edge_list.nodes`` order.
+    ``A`` and ``edges`` are what ``load_edge_list`` returns: each edge is one
+    cell, so the positive cells are the positive edges.  The range takes in
+    the empty cells' 0, and a zero end reads 0.0, never -0.0.
     """
-    index = {node: i for i, node in enumerate(edge_list.nodes)}
-    A = np.zeros((len(index), len(index)))
-    rows = [index[src] for src, _, _ in edge_list.edges]
-    cols = [index[tgt] for _, tgt, _ in edge_list.edges]
-    A[rows, cols] = [w for _, _, w in edge_list.edges]
-    return A
-
-
-def summarize(edge_list: EdgeList) -> dict:
-    """Node count, edge count, matrix-wide weight range, share of positive edges.
-
-    The range is that of ``to_dense``'s matrix, read from the edge weights
-    (plus 0 if a cell is empty) without building it; a zero end reads 0.0.
-    """
-    n, n_edges = len(edge_list.nodes), len(edge_list.edges)
-    positive = sum(1 for _, _, w in edge_list.edges if w > 0)
-    weights = [w for _, _, w in edge_list.edges] + ([0.0] if n_edges < n * n else [])
+    n = len(A)
     return {
         "n": n,
         "n_rows": n,
         "n_cols": n,
-        "edges": n_edges,
-        "min_weight": float(np.min(weights)) + 0.0 if weights else 0.0,
-        "max_weight": float(np.max(weights)) + 0.0 if weights else 0.0,
-        "pct_positive_edges": 100.0 * positive / n_edges if n_edges else 0.0,
+        "edges": edges,
+        "min_weight": float(A.min()) + 0.0,
+        "max_weight": float(A.max()) + 0.0,
+        "pct_positive_edges": 100.0 * np.count_nonzero(A > 0) / edges,
     }

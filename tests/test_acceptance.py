@@ -16,7 +16,7 @@ import pytest
 
 from bimix.disp import disp
 from bimix.harness import SweepPlan, run_replicates, run_sweep, scenario
-from bimix.ingest import load_edge_list, to_dense
+from bimix.ingest import load_edge_list
 from bimix.metrics import error_rate, hamm_rc, mixed_proportion
 from bimix.model import (
     ModelSpec,
@@ -257,7 +257,32 @@ DATASETS = {
 }
 
 
+def dataset_problems(name, path, n, edges, lo, hi) -> list:
+    """How an edge-list file's node and edge counts and weight range differ from the expected."""
+    A, got_edges = load_edge_list(path)
+    problems = []
+    if len(A) != n or got_edges != edges:
+        problems.append(f"{name} size ({len(A)}, {got_edges})")
+    if float(A.min()) != lo or float(A.max()) != hi:
+        problems.append(f"{name} weight range ({A.min()}, {A.max()})")
+    return problems
+
+
 class TestCriterion9:
+    def test_dataset_statistics_check(self, tmp_path):
+        # the datasets are absent from tier-1 runs, so the check runs here on a
+        # generated file whose counts and range are known without loading it
+        rng = np.random.default_rng(9)
+        pairs = list(dict.fromkeys(map(tuple, rng.integers(0, 40, size=(120, 2)).tolist())))
+        weights = rng.integers(1, 5, size=len(pairs)).astype(float)
+        weights[3] = -2.0
+        path = tmp_path / "net.tsv"
+        path.write_text("".join(f"{s}\t{t}\t{w}\n" for (s, t), w in zip(pairs, weights)))
+        n = len({node for pair in pairs for node in pair})
+        assert dataset_problems("net", path, n, len(pairs), -2.0, weights.max()) == []
+        assert dataset_problems("net", path, n + 1, len(pairs), 0.0, weights.max()) == [
+            f"net size ({n}, {len(pairs)})", f"net weight range (-2.0, {weights.max()})"]
+
     def test_real_data_statistics(self):
         missing = [name for name, (fname, *_) in DATASETS.items()
                    if not (DATA_DIR / fname).exists()]
@@ -266,14 +291,9 @@ class TestCriterion9:
                   f"(looked in {DATA_DIR}/)")
             pytest.skip("reference dataset files not supplied")
         problems = []
-        for name, (fname, n, edges, lo, hi) in DATASETS.items():
-            el = load_edge_list(DATA_DIR / fname)
-            A = to_dense(el)
-            if len(el.nodes) != n or len(el.edges) != edges:
-                problems.append(f"{name} size ({len(el.nodes)}, {len(el.edges)})")
-            if float(A.min()) != lo or float(A.max()) != hi:
-                problems.append(f"{name} weight range ({A.min()}, {A.max()})")
-        crisis = to_dense(load_edge_list(DATA_DIR / DATASETS["crisis"][0]))
+        for name, (fname, *expected) in DATASETS.items():
+            problems += dataset_problems(name, DATA_DIR / fname, *expected)
+        crisis, _ = load_edge_list(DATA_DIR / DATASETS["crisis"][0])
         sv = singular_values(crisis, 10)
         k_hat = estimate_k_eigengap(sv, "difference")
         if k_hat != 2:

@@ -8,7 +8,7 @@ import pytest
 from bimix.cli import main
 from bimix.disp import disp
 from bimix.harness import STREAM_STRIDE, scenario
-from bimix.ingest import load_edge_list, to_dense
+from bimix.ingest import load_edge_list
 from bimix.io import load_matrix_csv, save_matrix_csv
 from bimix.metrics import error_rate
 from bimix.model import ModelSpec, build_omega, make_planted_memberships
@@ -328,8 +328,8 @@ class TestIngest:
         dense, prefix = tmp_path / "A.csv", str(tmp_path / "f_")
         assert main(["ingest", str(edges), "--dense", str(dense),
                      "--summary", str(tmp_path / "s.json")]) == 0
-        A = to_dense(load_edge_list(edges))
-        assert A.shape[0] > 250 and np.count_nonzero(A) == len(pairs)
+        A, n_edges = load_edge_list(edges)
+        assert A.shape[0] > 250 and np.count_nonzero(A) == n_edges == len(pairs)
         assert dense.read_bytes() == savetxt_bytes(A)
         assert main(["fit", str(dense), "--k", "2", "--out-prefix", prefix]) == 0
         result = disp(A, 2)

@@ -1,15 +1,14 @@
-"""Edge-list parsing, node derivation, densification and summary tests."""
+"""Edge-list parsing, matrix building and summary tests."""
 
 import json
 import math
-import tracemalloc
+import re
 
 import numpy as np
 import pytest
 
-from bimix import ingest
 from bimix.cli import main
-from bimix.ingest import EdgeList, EdgeListError, load_edge_list, summarize, to_dense
+from bimix.ingest import EdgeListError, load_edge_list, summarize
 
 
 def write(tmp_path, text, name="edges.tsv"):
@@ -18,19 +17,25 @@ def write(tmp_path, text, name="edges.tsv"):
     return path
 
 
+def edge_text(edges):
+    """One ``source target weight`` line per edge, the weight written with ``repr``."""
+    return "".join(f"{src} {tgt} {weight!r}\n" for src, tgt, weight in edges)
+
+
 class TestLoadEdgeList:
     def test_three_column_tsv(self, tmp_path):
-        el = load_edge_list(write(tmp_path, "a\tb\t2.5\n"))
-        assert el.edges == (("a", "b", 2.5),)
-        assert el.nodes == ("a", "b")
+        A, edges = load_edge_list(write(tmp_path, "a\tb\t2.5\n"))
+        np.testing.assert_array_equal(A, [[0.0, 2.5], [0.0, 0.0]])
+        assert edges == 1
 
     def test_two_columns_take_default_weight(self, tmp_path):
-        el = load_edge_list(write(tmp_path, "1 2\n"))
-        assert el.edges == ((1, 2, 1.0),)
+        A, edges = load_edge_list(write(tmp_path, "1 2\n"))
+        np.testing.assert_array_equal(A, [[0.0, 1.0], [0.0, 0.0]])
 
     def test_csv_format(self, tmp_path):
-        el = load_edge_list(write(tmp_path, "x, y, -3\ny, x, 4\n"), format="csv")
-        assert el.edges == (("x", "y", -3.0), ("y", "x", 4.0))
+        A, edges = load_edge_list(write(tmp_path, "x, y, -3\ny, x, 4\n"), format="csv")
+        np.testing.assert_array_equal(A, [[0.0, -3.0], [4.0, 0.0]])
+        assert edges == 2
 
     @pytest.mark.parametrize("line", ["a,,1", ",b,1", "a, ,1", "a,"])
     def test_csv_empty_node_rejected_naming_the_line(self, tmp_path, line):
@@ -40,8 +45,8 @@ class TestLoadEdgeList:
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         text = "% header\n# another comment\n\n1\t2\t1\n"
-        el = load_edge_list(write(tmp_path, text))
-        assert len(el.edges) == 1
+        A, edges = load_edge_list(write(tmp_path, text))
+        assert (A.shape, edges) == ((2, 2), 1)
 
     def test_malformed_line_reports_number(self, tmp_path):
         with pytest.raises(EdgeListError, match="line 2"):
@@ -51,42 +56,41 @@ class TestLoadEdgeList:
         with pytest.raises(EdgeListError, match="non-finite"):
             load_edge_list(write(tmp_path, "1\t2\tinf\n"))
 
-    def test_unparsable_weight_rejected(self, tmp_path):
-        with pytest.raises(EdgeListError, match="weight"):
-            load_edge_list(write(tmp_path, "1\t2\tabc\n"))
+    @pytest.mark.parametrize("weight", ["abc", "1_0"])
+    def test_unparsable_weight_rejected(self, tmp_path, weight):
+        # float() reads 1_0 as 10; the dense CSV reader and this one reject it
+        with pytest.raises(EdgeListError, match=f"^line 1: unparsable weight '{weight}'$"):
+            load_edge_list(write(tmp_path, f"1\t2\t{weight}\n"))
 
     def test_duplicate_default_errors(self, tmp_path):
-        with pytest.raises(EdgeListError, match="duplicate"):
-            load_edge_list(write(tmp_path, "1\t2\t1\n1\t2\t3\n"))
+        # the repeat is named by its tokens as written
+        with pytest.raises(EdgeListError, match=r"^line 3: duplicate edge 07 -> \+4$"):
+            load_edge_list(write(tmp_path, "07\t+4\t1\n7\t4\t1\n07\t+4\t3\n"))
 
     def test_duplicate_sum_policy(self, tmp_path):
-        el = load_edge_list(write(tmp_path, "1\t2\t1\n1\t2\t3\n"), duplicates="sum")
-        assert el.edges == ((1, 2, 4.0),)
+        A, edges = load_edge_list(write(tmp_path, "1\t2\t1\n1\t2\t3\n"), duplicates="sum")
+        np.testing.assert_array_equal(A, [[0.0, 4.0], [0.0, 0.0]])
+        assert edges == 1
 
     def test_first_appearance_interning(self, tmp_path):
-        el = load_edge_list(write(tmp_path, "5\t3\t1\n2\t5\t1\n"))
-        assert el.nodes == (5, 3, 2)
+        # nodes 5, 3, 2 take rows and columns 0, 1, 2
+        A, _ = load_edge_list(write(tmp_path, "5\t3\t1\n2\t5\t2\n"))
+        np.testing.assert_array_equal(A, [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
 
     def test_tokens_spelling_one_int_stay_distinct(self, tmp_path):
-        # only a canonical integer token becomes an int: 07 is not 7, 1_0 is not 10
-        el = load_edge_list(write(tmp_path, "7 1 1\n07 2 1\n1_0 10 3\n-4 +4 1\n"))
-        assert el.nodes == (7, 1, "07", 2, "1_0", 10, -4, "+4")
-        assert el.edges == ((7, 1, 1.0), ("07", 2, 1.0), ("1_0", 10, 3.0), (-4, "+4", 1.0))
-        assert to_dense(el).shape == (8, 8)
+        # each distinct token is its own node: 07 is not 7, 1_0 is not 10, +4 is not 4
+        A, edges = load_edge_list(write(tmp_path, "7 1 1\n07 2 1\n1_0 10 3\n-4 +4 1\n"))
+        expected = np.zeros((8, 8))
+        expected[[0, 2, 4, 6], [1, 3, 5, 7]] = [1.0, 1.0, 3.0, 1.0]
+        np.testing.assert_array_equal(A, expected)
+        assert edges == 4
 
 
 class TestEdgeList:
-    def test_manual_duplicates_rejected_when_built(self):
-        with pytest.raises(EdgeListError, match="duplicate edge 1 -> 2"):
-            EdgeList(edges=((1, 2, 1.0), (3, 1, 2.0), (1, 2, 5.0)))
-
-    def test_reversed_pair_and_self_loop_are_distinct(self):
-        el = EdgeList(edges=((1, 2, 1.0), (2, 1, 2.0), (1, 1, 3.0)))
-        np.testing.assert_array_equal(to_dense(el), [[3.0, 1.0], [2.0, 0.0]])
-
-    def test_first_repeat_named(self):
-        with pytest.raises(EdgeListError, match="^duplicate edge 3 -> 1$"):
-            EdgeList(edges=((1, 2, 1.0), (3, 1, 1.0), (3, 1, 2.0), (1, 2, 3.0)))
+    def test_reversed_pair_and_self_loop_are_distinct(self, tmp_path):
+        A, edges = load_edge_list(write(tmp_path, "1 2 1\n2 1 2\n1 1 3\n"))
+        np.testing.assert_array_equal(A, [[3.0, 1.0], [2.0, 0.0]])
+        assert edges == 3
 
 
 class TestDropIsolated:
@@ -102,50 +106,50 @@ class TestDropIsolated:
         ],
     )
     def test_loaded_lists_have_no_isolated_nodes(self, tmp_path, text, duplicates):
-        # the derived nodes are the file's node tokens in first-appearance order
+        # rows and columns are the file's node tokens in first-appearance order
         path = write(tmp_path, text)
-        el = load_edge_list(path, duplicates=duplicates)
-        tokens = [token for line in path.read_text().splitlines() for token in line.split()[:2]]
-        assert el.nodes == tuple(ingest._parse_token(t) for t in dict.fromkeys(tokens))
+        A, edges = load_edge_list(path, duplicates=duplicates)
+        lines = [line.split() for line in path.read_text().splitlines()]
+        tokens = dict.fromkeys(token for line in lines for token in line[:2])
+        index = {token: i for i, token in enumerate(tokens)}
+        expected = np.zeros((len(index), len(index)))
+        for src, tgt, *weight in lines:
+            expected[index[src], index[tgt]] += float(weight[0]) if weight else 1.0
+        np.testing.assert_array_equal(A, expected)
+        assert edges == len({(src, tgt) for src, tgt, *_ in lines})
 
 
 class TestToDense:
-    def test_small_square(self):
-        el = EdgeList(edges=(("a", "b", 2.0), ("c", "a", -1.0)))
-        A = to_dense(el)
+    """The matrix ``load_edge_list`` builds: one cell per (source, target) pair."""
+
+    def test_small_square(self, tmp_path):
+        A, _ = load_edge_list(write(tmp_path, "a b 2\nc a -1\n"))
         assert A.shape == (3, 3)
         assert np.count_nonzero(A) == 2
         assert A[0, 1] == 2.0 and A[2, 0] == -1.0
 
-    def test_self_loops_kept(self):
-        el = EdgeList(edges=((1, 1, 3.0),))
-        A = to_dense(el)
-        assert A[0, 0] == 3.0
+    def test_self_loops_kept(self, tmp_path):
+        A, _ = load_edge_list(write(tmp_path, "1 1 3\n"))
+        np.testing.assert_array_equal(A, [[3.0]])
 
-    def test_nonzero_count_matches_edges(self):
+    def test_nonzero_count_matches_edges(self, tmp_path):
         rng = np.random.default_rng(0)
         pairs = {(int(a), int(b)) for a, b in rng.integers(0, 8, size=(30, 2))}
-        edges = tuple((a, b, 1.0) for a, b in pairs)
-        el = EdgeList(edges=edges)
-        assert np.count_nonzero(to_dense(el)) == len(edges)
+        A, edges = load_edge_list(write(tmp_path, edge_text((a, b, 1.0) for a, b in pairs)))
+        assert np.count_nonzero(A) == edges == len(pairs)
 
-    def test_empty_lists(self):
-        assert to_dense(EdgeList()).shape == (0, 0)
-        assert EdgeList().nodes == ()
-
-    def test_nodes_computed_once_and_left_out_of_equality(self):
-        edges = (("a", "b", 1.0), ("b", "c", 2.0))
-        el, twin = EdgeList(edges), EdgeList(edges)
-        assert el.nodes is el.nodes == ("a", "b", "c")
-        assert el == twin and hash(el) == hash(twin)  # twin has not computed its nodes
-        assert twin.nodes == el.nodes and el == twin
+    def test_empty_lists(self, tmp_path):
+        # a file with no edge lines would give an empty matrix that fit cannot read
+        for text in ("", "% only\n# comments\n\n"):
+            path = write(tmp_path, text)
+            with pytest.raises(EdgeListError, match=f"^{re.escape(str(path))} holds no edges$"):
+                load_edge_list(path)
 
 
 class TestSummarize:
     def test_statistics(self, tmp_path):
         text = "1\t2\t1\n2\t1\t-1\n1\t3\t2\n"
-        el = load_edge_list(write(tmp_path, text))
-        stats = summarize(el)
+        stats = summarize(*load_edge_list(write(tmp_path, text)))
         assert stats["n"] == 3
         assert stats["edges"] == 3
         # range over the dense matrix, zeros included
@@ -159,35 +163,39 @@ class TestSummarize:
         lines = [
             f"{i}\t{j}\t{A[i, j]}" for i in range(5) for j in range(5) if A[i, j] != 0
         ]
-        el = load_edge_list(write(tmp_path, "\n".join(lines) + "\n"))
-        B = to_dense(el)
+        B, edges = load_edge_list(write(tmp_path, "\n".join(lines) + "\n"))
         # same multiset of weights lands in the dense matrix
         assert sorted(B[B != 0]) == sorted(A[A != 0])
+        assert edges == len(lines)
 
-    def test_range_without_empty_cell(self):
+    def test_range_without_empty_cell(self, tmp_path):
         # every cell holds an edge, so 0 is not in the range
-        el = EdgeList(edges=((1, 1, 3.0), (1, 2, 1.5), (2, 1, 2.0), (2, 2, 4.0)))
-        stats = summarize(el)
+        edges = [(1, 1, 3.0), (1, 2, 1.5), (2, 1, 2.0), (2, 2, 4.0)]
+        stats = summarize(*load_edge_list(write(tmp_path, edge_text(edges))))
         assert stats["min_weight"] == 1.5 and stats["max_weight"] == 4.0
-        el = EdgeList(edges=((1, 1, -3.0), (1, 2, -1.5), (2, 1, -2.0), (2, 2, -4.0)))
-        assert summarize(el)["max_weight"] == -1.5
+        negative = [(src, tgt, -weight) for src, tgt, weight in edges]
+        stats = summarize(*load_edge_list(write(tmp_path, edge_text(negative))))
+        assert stats["max_weight"] == -1.5
 
-    def test_rectangular(self):
+    def test_rectangular(self, tmp_path):
         # sources and targets of a bipartite list share one node numbering
-        el = EdgeList(edges=(("u1", "v1", 1.0), ("u2", "v1", 2.0), ("u2", "v2", -1.0)))
-        assert summarize(el) == {
+        path = write(tmp_path, "u1 v1 1\nu2 v1 2\nu2 v2 -1\n")
+        assert summarize(*load_edge_list(path)) == {
             "n": 4, "n_rows": 4, "n_cols": 4, "edges": 3, "min_weight": -1.0,
             "max_weight": 2.0, "pct_positive_edges": pytest.approx(100.0 * 2 / 3),
         }
-        el = EdgeList(edges=(("u1", "v1", 1.0), ("u2", "v1", 2.0)))
-        stats = summarize(el)
+        A, edges = load_edge_list(write(tmp_path, "u1 v1 1\nu2 v1 2\n"))
+        stats = summarize(A, edges)
         assert (stats["n_rows"], stats["n_cols"], stats["min_weight"]) == (3, 3, 0.0)
-        assert to_dense(el).shape == (3, 3)
+        assert A.shape == (3, 3)
 
-    def test_empty_lists(self):
-        stats = summarize(EdgeList())
-        assert (stats["n"], stats["min_weight"], stats["max_weight"]) == (0, 0.0, 0.0)
-        assert stats["pct_positive_edges"] == 0.0
+    def test_empty_lists(self, tmp_path, capsys):
+        # bimix ingest writes nothing for a file with no edge lines
+        for text in ("", "% only\n# comments\n\n"):
+            edges, dense, summary = write(tmp_path, text), tmp_path / "A.csv", tmp_path / "s.json"
+            assert main(["ingest", str(edges), "--dense", str(dense), "--summary", str(summary)]) == 1
+            assert capsys.readouterr().err == f"error: {edges} holds no edges\n"
+            assert not dense.exists() and not summary.exists()
 
     @pytest.mark.parametrize(
         "edges",
@@ -197,41 +205,25 @@ class TestSummarize:
             pytest.param(((1, 1, 1.0), (1, 2, -0.0), (2, 1, 1.0), (2, 2, 2.0)), id="min-at-0-1"),
         ],
     )
-    def test_zero_extreme_reads_positive_zero(self, edges):
-        stats = summarize(EdgeList(edges=edges))
+    def test_zero_extreme_reads_positive_zero(self, tmp_path, edges):
+        stats = summarize(*load_edge_list(write(tmp_path, edge_text(edges))))
         assert stats["min_weight"] == 0.0 and math.copysign(1.0, stats["min_weight"]) == 1.0
-        negative = tuple((s, t, -w) for s, t, w in edges)
-        stats = summarize(EdgeList(edges=negative))
+        negative = [(src, tgt, -weight) for src, tgt, weight in edges]
+        stats = summarize(*load_edge_list(write(tmp_path, edge_text(negative))))
         assert stats["max_weight"] == 0.0 and math.copysign(1.0, stats["max_weight"]) == 1.0
 
     @pytest.mark.parametrize("first", [0, 1])
     def test_nan_weight_gives_nan_range(self, first):
-        # load_edge_list rejects non-finite weights; a hand-built list keeps them
-        edges = [(1, 2, float("nan")), (2, 1, 1.0)]
-        stats = summarize(EdgeList(edges=edges[first:] + edges[:first]))
+        # load_edge_list rejects non-finite weights; a matrix built by hand keeps them
+        A = np.zeros((2, 2))
+        A[[first, 1 - first], [1 - first, first]] = [float("nan"), 1.0]
+        stats = summarize(A, 2)
         assert math.isnan(stats["min_weight"]) and math.isnan(stats["max_weight"])
 
-    def test_matrix_not_built(self, monkeypatch):
-        # a 2000 x 2000 matrix would take 32 MB; the summary reads only the edges
-        def no_dense(*args, **kwargs):
-            raise AssertionError("summarize built the dense matrix")
 
-        monkeypatch.setattr(ingest, "to_dense", no_dense)
-        # a chain through 2000 nodes, plus a self-loop
-        el = EdgeList(edges=tuple((i, i + 1, 2.0) for i in range(1999)) + ((5, 5, -1.0),))
-        tracemalloc.start()
-        try:
-            stats = summarize(el)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (stats["n_rows"], stats["min_weight"], stats["max_weight"]) == (2000, -1.0, 2.0)
-        assert peak < 4_000_000
-
-
-# Recorded from `bimix ingest --sum-duplicates` before the duplicate rule moved
-# into EdgeList: negative and zero weights, a -0.0, self-loops, 2-column lines,
-# a 17-digit weight and two summed duplicates (a -> b and the self-loop c -> c).
+# Recorded from an earlier `bimix ingest --sum-duplicates`: negative and zero
+# weights, a -0.0, self-loops, 2-column lines, a 17-digit weight and two
+# summed duplicates (a -> b and the self-loop c -> c).
 GOLDEN_EDGES = """\
 % golden fixture
 a\tb\t-1.5
