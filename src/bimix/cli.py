@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 
@@ -11,9 +12,9 @@ import numpy as np
 
 from . import __version__
 from .disp import disp
-from .harness import SCENARIO_NAMES, load_plan, run_sweep, scenario
+from .harness import SCENARIO_NAMES, run_sweep, scenario
 from .ingest import load_edge_list, summarize
-from .io import load_matrix_csv, save_matrix_csv
+from .io import load_matrix_csv, load_plan, save_matrix_csv
 from .metrics import error_rate, hamm_rc, mixed_proportion
 from .spectral import estimate_k_eigengap, singular_values
 
@@ -40,8 +41,8 @@ def _cmd_eval(args) -> int:
     est_rows = load_matrix_csv(args.est_rows)
     est_cols = load_matrix_csv(args.est_cols)
     out = {
-        "eta_r": mixed_proportion(est_rows, args.threshold),
-        "eta_c": mixed_proportion(est_cols, args.threshold),
+        "eta_r": mixed_proportion(est_rows),
+        "eta_c": mixed_proportion(est_cols),
     }
     if est_rows.shape == est_cols.shape:
         out["hamm_rc"] = hamm_rc(est_rows, est_cols)
@@ -62,6 +63,9 @@ def _cmd_sweep(args) -> int:
         plan = load_plan(args.config)
     else:
         plan = scenario(args.scenario, **given)
+    folder = os.path.dirname(args.out) or "."
+    if not os.path.isdir(folder):  # checked before the first point runs, not after the last
+        raise ValueError(f"cannot write {args.out}: no directory {folder}")
     result = run_sweep(plan, n_jobs=args.jobs)
     result.to_csv(args.out)
     ran = sum(1 for pt in result.points if not pt.skipped)
@@ -114,7 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--est-cols", required=True)
     p.add_argument("--true-rows")
     p.add_argument("--true-cols")
-    p.add_argument("--threshold", type=float, default=0.8, help="highly-mixed cutoff")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("sweep", help="run a replicated parameter sweep")

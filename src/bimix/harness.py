@@ -2,8 +2,9 @@
 
 A sweep plan pins a base model, one grid axis (``rho``, ``alpha_grid``, or
 the base law's shape parameter ``m``, ``sigma2`` or ``beta``), a replicate
-count and a master seed.  It checks its grid when built: an (alpha_in,
-alpha_out) pair per point on ``alpha_grid``, one number on any other axis.
+count and a master seed (``io.load_plan`` reads one from JSON).  It checks
+its grid when built: an (alpha_in, alpha_out) pair per point on
+``alpha_grid``, one number on any other axis.
 Every replicate's randomness derives from (master seed, grid index,
 replicate index), so at a fixed BLAS thread count a sweep's records are
 identical under any ``n_jobs``.  The BLAS thread count itself can move the
@@ -28,7 +29,6 @@ a sweep can vary come from the edge-law records in ``sampler``.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, replace
@@ -398,33 +398,3 @@ def scenario(name: str, replicates: int = 50, master_seed: int = 0) -> SweepPlan
     )
     return SweepPlan(base, axis, grid, replicates, master_seed, scenario=name)
 
-
-def plan_from_json(data: dict) -> SweepPlan:
-    """Build a plan from a JSON document: a scenario reference or a full plan.
-
-    A key the document's kind does not read is an error.  Values are checked
-    first, so a document in an old layout is told what is wrong with its axis.
-    """
-    from .io import json_field, json_keys, json_value, spec_from_dict
-
-    json_value(data, dict, "a plan document")
-    kind = "a scenario reference" if "scenario" in data else "a plan"
-    given = {key: json_value(data[key], int, f"{kind}'s {key!r}")
-             for key in ("replicates", "master_seed") if key in data}
-    if "scenario" in data:
-        known = ("scenario", "replicates", "master_seed")
-        plan = scenario(json_field(data, "scenario", str, kind), **given)
-    else:
-        known = ("base", "axis", "grid", "replicates", "master_seed", "name")
-        grid = json_field(data, "grid", list, kind)
-        base = spec_from_dict(json_field(data, "base", dict, kind))
-        axis = json_field(data, "axis", str, kind)
-        name = json_value(data.get("name", "custom"), str, f"{kind}'s 'name'")
-        plan = SweepPlan(base, axis, grid, scenario=name, **given)
-    json_keys(data, known, kind)
-    return plan
-
-
-def load_plan(path) -> SweepPlan:
-    with open(path) as fh:
-        return plan_from_json(json.load(fh))

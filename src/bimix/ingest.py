@@ -44,12 +44,9 @@ def _weight(lineno: int, token: str) -> float:
     try:
         if "_" in token:  # float() reads 1_0 as 10; the dense CSV reader rejects it
             raise ValueError(token)
-        weight = float(token)
+        return float(token)
     except ValueError:
         raise EdgeListError(f"line {lineno}: unparsable weight {token!r}") from None
-    if not math.isfinite(weight):
-        raise EdgeListError(f"line {lineno}: non-finite weight {weight!r}")
-    return weight
 
 
 def load_edge_list(path, format: str = "tsv", duplicates: str = "error") -> tuple[np.ndarray, int]:
@@ -59,8 +56,9 @@ def load_edge_list(path, format: str = "tsv", duplicates: str = "error") -> tupl
     i -> j, else 0, its rows and columns both numbered in the order the node
     tokens first appear; ``edges`` is the number of distinct (source, target)
     pairs.  ``format='tsv'`` splits on whitespace, ``'csv'`` on commas.
-    Duplicate pairs are resolved per the declared policy, and a file with no
-    edge lines is an error.
+    Duplicate pairs are resolved per the declared policy.  A weight that is
+    not finite, a sum of repeats among them, and a file with no edge lines
+    are errors.
     """
     if format not in ("tsv", "csv"):
         raise ValueError(f"format must be 'tsv' or 'csv', got {format!r}")
@@ -80,6 +78,8 @@ def load_edge_list(path, format: str = "tsv", duplicates: str = "error") -> tupl
             if duplicates == "error":
                 raise EdgeListError(f"line {lineno}: duplicate edge {parts[0]} -> {parts[1]}")
             weight += weights[cell]
+        if not math.isfinite(weight):  # two finite weights can sum past the float range
+            raise EdgeListError(f"line {lineno}: non-finite weight {weight!r}")
         weights[cell] = weight
     if not weights:
         raise EdgeListError(f"{path} holds no edges")

@@ -1,4 +1,4 @@
-"""Serialization: dense CSV matrices; reading model documents.
+"""Serialization: dense CSV matrices; the one reader of model and sweep-plan JSON documents.
 
 Dense CSV matrices are mostly zeros, so both directions touch only the
 cells that are not the single character ``0``.  The writer splices each
@@ -15,8 +15,11 @@ whatever the file's name; an edge list of node tokens becomes one through
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
+from .harness import SweepPlan
 from .model import ModelSpec
 from .sampler import PARAM_KINDS, EdgeDistribution
 
@@ -188,16 +191,14 @@ def _json_numbers(value, what: str):
 def spec_from_dict(data: dict) -> ModelSpec:
     """Model spec from a JSON model document.
 
-    It holds ``rho``, the nested lists ``P``, ``Pi_r`` and ``Pi_c``, and
-    ``dist``: the law's ``kind`` and its shape parameter by name, if any;
-    ``n_r``, ``n_c`` and ``K`` may be left out.  A key outside that layout,
-    at the top or in ``dist``, a missing key, a value of the wrong JSON type
-    (every matrix entry and shape parameter must be a number), and an
-    ``n_r``, ``n_c`` or ``K`` that contradicts ``P``, ``Pi_r`` and ``Pi_c``
-    raise ``ValueError``.
+    It holds ``ModelSpec``'s five fields: ``rho``, the nested lists ``P``,
+    ``Pi_r`` and ``Pi_c``, and ``dist``: the law's ``kind`` and its shape
+    parameter by name, if any.  A key outside that layout, at the top or in
+    ``dist``, a missing key and a value of the wrong JSON type (every matrix
+    entry and shape parameter must be a number) raise ``ValueError``.
     """
     where = "the model spec"
-    json_keys(data, ("n_r", "n_c", "K", "rho", "P", "Pi_r", "Pi_c", "dist"), where)
+    json_keys(data, ("rho", "P", "Pi_r", "Pi_c", "dist"), where)
     dist = json_field(data, "dist", dict, where)
     json_keys(dist, ("kind", *PARAM_KINDS), f"{where}'s 'dist'")
     json_field(dist, "kind", str, f"{where}'s 'dist'")
@@ -206,12 +207,37 @@ def spec_from_dict(data: dict) -> ModelSpec:
             json_field(dist, param, float, f"{where}'s 'dist'")
     matrices = {key: _json_numbers(json_field(data, key, list, where), f"{where}'s {key!r}")
                 for key in ("P", "Pi_r", "Pi_c")}
-    spec = ModelSpec(
+    return ModelSpec(
         rho=json_field(data, "rho", float, where),
         dist=EdgeDistribution(**dist),
         **matrices,
     )
-    for key, size in (("n_r", spec.n_r), ("n_c", spec.n_c), ("K", spec.K)):
-        if key in data and data[key] != size:
-            raise ValueError(f"{where}'s {key}={data[key]!r} contradicts its matrices' {size}")
-    return spec
+
+
+def plan_from_json(data: dict) -> SweepPlan:
+    """Sweep plan from a JSON plan document.
+
+    It holds ``base`` (a model document), ``axis`` and ``grid``, and may
+    hold ``replicates``, ``master_seed`` and ``name``.  An unknown key, a
+    missing key and a wrong JSON type raise ``ValueError``.  Values are
+    checked before unknown keys, so an old layout is told what is wrong with
+    its axis, unless a key the plan needs is missing.
+    """
+    where, known = "a plan", ("base", "axis", "grid", "replicates", "master_seed", "name")
+    json_value(data, dict, "a plan document")
+    if not {"base", "axis", "grid"} <= data.keys():
+        json_keys(data, known, where)  # such as a scenario reference's 'scenario'
+    given = {key: json_value(data[key], int, f"{where}'s {key!r}")
+             for key in ("replicates", "master_seed") if key in data}
+    grid = json_field(data, "grid", list, where)
+    base = spec_from_dict(json_field(data, "base", dict, where))
+    axis = json_field(data, "axis", str, where)
+    name = json_value(data.get("name", "custom"), str, f"{where}'s 'name'")
+    plan = SweepPlan(base, axis, grid, scenario=name, **given)
+    json_keys(data, known, where)
+    return plan
+
+
+def load_plan(path) -> SweepPlan:
+    with open(path) as fh:
+        return plan_from_json(json.load(fh))

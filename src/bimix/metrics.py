@@ -17,6 +17,7 @@ import numpy as np
 from .sampler import _LAWS, GRID_NODES, POSITIVE, EdgeDistribution, RhoInterval, block_interval, checked
 
 PERMUTATION_LIMIT = 10
+HIGHLY_MIXED = 0.8  # a node is highly mixed when no membership weight exceeds this
 
 
 def _check_pair(est: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -66,13 +67,9 @@ def hamm_rc(Pi_r_hat: np.ndarray, Pi_c_hat: np.ndarray) -> float:
     return _min_permutation_l1(Pi_r_hat, Pi_c_hat) / Pi_r_hat.shape[0]
 
 
-def mixed_proportion(Pi_hat: np.ndarray, threshold: float = 0.8) -> float:
-    """Fraction of nodes whose largest membership weight is at most ``threshold``."""
-    Pi_hat = np.asarray(Pi_hat, dtype=float)
-    k = Pi_hat.shape[1]
-    if not (1.0 / k < threshold < 1.0):
-        raise ValueError(f"threshold must lie in (1/K, 1) = (1/{k}, 1), got {threshold}")
-    return float(np.mean(Pi_hat.max(axis=1) <= threshold))
+def mixed_proportion(Pi_hat: np.ndarray) -> float:
+    """Share of nodes whose largest membership weight is at most ``HIGHLY_MIXED``; 0 at K=1."""
+    return float(np.mean(np.asarray(Pi_hat, dtype=float).max(axis=1) <= HIGHLY_MIXED))
 
 
 @dataclass(frozen=True)

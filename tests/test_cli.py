@@ -149,6 +149,16 @@ class TestEval:
                      given, absent[2]]) == 1
         assert capsys.readouterr().err == f"error: {missing} is required with {given}\n"
 
+    def test_one_community_fit_has_no_mixed_node(self, tmp_path, spec, capsys):
+        # every weight of a K=1 fit is 1; the cutoff's old range check refused every K=1 input
+        save_matrix_csv(build_omega(spec), tmp_path / "a.csv")
+        prefix = str(tmp_path / "fit_")
+        assert main(["fit", str(tmp_path / "a.csv"), "--k", "1", "--out-prefix", prefix]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--est-rows", prefix + "rows.csv", "--est-cols", prefix + "cols.csv"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["eta_r"] == out["eta_c"] == 0.0
+
 
 class TestEmptyMatrixCSV:
     @pytest.mark.parametrize("text", ["", "# no data\n"], ids=["empty", "comments-only"])
@@ -190,7 +200,7 @@ class TestSweep:
     def test_config_rejects_scenario_options(self, tmp_path, capsys, flag):
         # a plan file carries its own seed and replicate count
         config = tmp_path / "plan.json"
-        config.write_text(json.dumps({"scenario": "setup5", "replicates": 2, "master_seed": 4}))
+        config.write_text(json.dumps({**setup1_plan(), "master_seed": 4}))
         out = tmp_path / "r.csv"
         assert main(["sweep", "--config", str(config), *flag, "--out", str(out)]) == 1
         assert "--config" in capsys.readouterr().err
@@ -206,9 +216,9 @@ class TestSweep:
         assert not out.exists()
 
     @pytest.mark.parametrize("given, message", [
-        ({"scenario": "setup1", "replicates": 2.7},
+        ({"axis": "rho", "grid": [0.5], "replicates": 2.7},
          f"replicates must be an integer in [1, {STREAM_STRIDE}), got 2.7"),
-        ({"scenario": "setup1", "master_seed": 3.9},
+        ({"axis": "rho", "grid": [0.5], "master_seed": 3.9},
          "seed must be an integer in [0, 18446744073709551616), got 3.9"),
         ({"axis": "rho", "grid": [[1.0, 2.0]]}, "rho grid value must be one finite number, got [1.0, 2.0]"),
         ({"axis": "alpha_grid", "grid": [2.0]},
@@ -220,9 +230,8 @@ class TestSweep:
         base = ModelSpec(P=P1, rho=2.0, Pi_r=make_planted_memberships(12, 2, 3),
                          Pi_c=make_planted_memberships(12, 2, 3),
                          dist=EdgeDistribution("normal", sigma2=0.0))
-        data = given if "scenario" in given else {"base": spec_to_dict(base), **given}
         config = tmp_path / "plan.json"
-        config.write_text(json.dumps(data))
+        config.write_text(json.dumps({"base": spec_to_dict(base), **given}))
         out = tmp_path / "r.csv"
         assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -230,11 +239,15 @@ class TestSweep:
 
     @pytest.mark.parametrize("data, message", [
         ([setup1_plan()], "a plan document must be an object, got a list"),
-        ({"scenario": ["setup1"]}, "a scenario reference's 'scenario' must be a string, got a list"),
+        # a scenario reference once ran the catalogue's grid; bimix sweep --scenario does that
+        ({"scenario": "setup1", "replicates": 2, "master_seed": 4},
+         "a plan takes only the keys base, axis, grid, replicates, master_seed, name; got 'scenario'"),
         (setup1_plan(Pi_r=None), "the model spec has no key 'Pi_r'"),
-        (setup1_plan(K=5, n_r=999), "the model spec's n_r=999 contradicts its matrices' 16"),
-        (setup1_plan(n_c=15), "the model spec's n_c=15 contradicts its matrices' 14"),
-        (setup1_plan(K=5), "the model spec's K=5 contradicts its matrices' 2"),
+        # the sizes come from the matrices: a copy, even a matching one, is refused
+        (setup1_plan(K=2, n_r=16), "the model spec takes only the keys rho, P, Pi_r, Pi_c, dist; "
+                                   "got 'K', 'n_r'"),
+        (setup1_plan(n_c=14), "the model spec takes only the keys rho, P, Pi_r, Pi_c, dist; got 'n_c'"),
+        (setup1_plan(K=2), "the model spec takes only the keys rho, P, Pi_r, Pi_c, dist; got 'K'"),
         (setup1_plan(dist="bernoulli"), "the model spec's 'dist' must be an object, got a string"),
         ({**setup1_plan(), "grid": None}, "a plan's 'grid' must be a list, got null"),
         ({**setup1_plan(), "base": 3}, "a plan's 'base' must be an object, got a number"),
@@ -244,7 +257,7 @@ class TestSweep:
         *(({**setup1_plan(), "name": name},
            f"scenario name may not hold a comma, a double quote or a line break, got {name!r}")
           for name in ("a,b", 'a"b', "a\nb", "a\rb")),
-    ], ids=["list", "scenario-list", "no-Pi_r", "K-and-n_r", "n_c", "K", "dist-string",
+    ], ids=["list", "scenario-reference", "no-Pi_r", "K-and-n_r", "n_c", "K", "dist-string",
             "null-grid", "base-number", "no-grid", "name-list",
             "name-comma", "name-quote", "name-newline", "name-return"])
     def test_unreadable_plan_document_named(self, tmp_path, capsys, data, message):
@@ -254,6 +267,17 @@ class TestSweep:
         assert main(["sweep", "--config", str(config), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_missing_out_directory_rejected_before_any_point(self, tmp_path, capsys, monkeypatch):
+        # the whole sweep once ran before the CSV's open failed
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr("bimix.cli.run_sweep", no_sweep)
+        out = tmp_path / "missing" / "r.csv"
+        assert main(["sweep", "--scenario", "setup1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: no directory {out.parent}\n"
+        assert not out.parent.exists()
 
     def test_jobs_write_the_serial_bytes(self, tmp_path):
         # 300 nodes a side: every fit takes the block Krylov SVD
@@ -314,6 +338,17 @@ class TestIngest:
         assert main(["ingest", str(edges), "--sum-duplicates", "--dense", str(dense),
                      "--summary", str(summary)]) == 0
         assert load_matrix_csv(dense)[0, 1] == 3.0
+
+    def test_summed_weight_past_float_range_rejected(self, tmp_path, capsys):
+        # two finite weights once summed to inf, written as 0,inf and "max_weight": Infinity
+        edges = tmp_path / "e.tsv"
+        edges.write_text("1 2 1e308\n1 2 1e308\n")
+        dense = tmp_path / "a.csv"
+        summary = tmp_path / "s.json"
+        assert main(["ingest", str(edges), "--sum-duplicates", "--dense", str(dense),
+                     "--summary", str(summary)]) == 1
+        assert capsys.readouterr().err == "error: line 2: non-finite weight inf\n"
+        assert not dense.exists() and not summary.exists()
 
     def test_sparse_network_bytes_equal_savetxt(self, tmp_path):
         # a 300-node, 0.7%-dense network with integer, negative and 17-digit

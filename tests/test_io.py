@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bimix.harness import plan_from_json
 from bimix.io import (
     CHUNK_BYTES,
     load_matrix_csv,
+    plan_from_json,
     save_matrix_csv,
     spec_from_dict,
 )
@@ -190,12 +190,9 @@ class TestMatrixCSVReader:
 
 
 def spec_to_dict(spec: ModelSpec) -> dict:
-    """The JSON model document ``spec_from_dict`` reads for ``spec``, sizes included."""
+    """The JSON model document ``spec_from_dict`` reads for ``spec``."""
     dist = spec.dist
     return {
-        "n_r": spec.n_r,
-        "n_c": spec.n_c,
-        "K": spec.K,
         "rho": spec.rho,
         "P": spec.P.tolist(),
         "Pi_r": spec.Pi_r.tolist(),
@@ -216,9 +213,6 @@ class TestSpecJSON:
         np.testing.assert_array_equal(loaded.P, spec.P)
         np.testing.assert_array_equal(loaded.Pi_r, spec.Pi_r)
         np.testing.assert_array_equal(loaded.Pi_c, spec.Pi_c)
-        # the sizes are read from the matrices; their keys may be left out
-        data = {k: v for k, v in spec_to_dict(spec).items() if k not in ("n_r", "n_c", "K")}
-        assert (spec_from_dict(data).n_r, spec_from_dict(data).K) == (8, 2)
 
     @pytest.mark.parametrize("change, message", [
         ({"P": [[1, "0.2"], [True, 0.8]]}, "an entry of the model spec's 'P' must be a number, got a string"),
@@ -239,13 +233,11 @@ class TestSpecJSON:
             spec_from_dict({**spec_to_dict(spec), **change})
 
     @pytest.mark.parametrize("change, message", [
-        ({"Rho": 5}, "the model spec takes only the keys n_r, n_c, K, rho, P, Pi_r, Pi_c, dist; "
-                     "got 'Rho'"),
+        ({"Rho": 5}, "the model spec takes only the keys rho, P, Pi_r, Pi_c, dist; got 'Rho'"),
         ({"dist": {"kind": "bernoulli", "sigma": 2.0}},
          "the model spec's 'dist' takes only the keys kind, m, sigma2, beta; got 'sigma'"),
         ({"dist": {"kind": "bernoulli", "sigma": 2.0}, "Rho": 5, "k": 2},
-         "the model spec takes only the keys n_r, n_c, K, rho, P, Pi_r, Pi_c, dist; "
-         "got 'Rho', 'k'"),
+         "the model spec takes only the keys rho, P, Pi_r, Pi_c, dist; got 'Rho', 'k'"),
     ], ids=["top", "dist", "several"])
     def test_unknown_keys_rejected_naming_them(self, change, message):
         # these were once dropped: the first two returned the spec at rho = 0.9
@@ -291,11 +283,3 @@ class TestSpecJSON:
         assert spec_from_dict(spec_to_dict(spec)).dist == spec.dist
         with pytest.raises(TypeError, match="sigma"):
             EdgeDistribution(**{"kind": "bernoulli", "sigma": 2.0})
-
-    def test_dimension_fields_present(self):
-        spec = ModelSpec(P=P1, rho=0.5, Pi_r=make_planted_memberships(8, 2, 2),
-                         Pi_c=make_planted_memberships(6, 2, 1),
-                         dist=EdgeDistribution("bernoulli"))
-        data = json.loads(json.dumps(spec_to_dict(spec)))
-        assert (data["n_r"], data["n_c"], data["K"]) == (8, 6, 2)
-        assert data["dist"] == {"kind": "bernoulli"}

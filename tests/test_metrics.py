@@ -133,16 +133,9 @@ class TestMixedProportion:
         pi = np.full((5, 2), 0.5)
         assert mixed_proportion(pi) == 1.0
 
-    def test_threshold_range_enforced(self):
-        pi = np.full((5, 2), 0.5)
-        with pytest.raises(ValueError):
-            mixed_proportion(pi, threshold=0.5)
-        with pytest.raises(ValueError):
-            mixed_proportion(pi, threshold=1.0)
-
     def test_counts_boundary_as_mixed(self):
         pi = np.array([[0.8, 0.2], [0.9, 0.1]])
-        assert mixed_proportion(pi, threshold=0.8) == 0.5
+        assert mixed_proportion(pi) == 0.5
 
 
 class TestSeparationMargins:
