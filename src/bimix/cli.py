@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -16,7 +17,12 @@ from .harness import SCENARIO_NAMES, run_sweep, scenario
 from .ingest import load_edge_list, summarize
 from .io import load_matrix_csv, load_plan, save_matrix_csv
 from .metrics import error_rate, hamm_rc, mixed_proportion
+from .sampler import RhoInterval, checked
 from .spectral import estimate_k_eigengap, singular_values
+
+
+# the eigengap rules compare at least two singular values
+_K_MAX = RhoInterval(2, math.inf, lo_open=False, hi_open=True)
 
 
 def _cmd_fit(args) -> int:
@@ -63,9 +69,14 @@ def _cmd_sweep(args) -> int:
         plan = load_plan(args.config)
     else:
         plan = scenario(args.scenario, **given)
+    # --out is checked before the first point runs, not after the last
     folder = os.path.dirname(args.out) or "."
-    if not os.path.isdir(folder):  # checked before the first point runs, not after the last
+    if os.path.isdir(args.out):
+        raise ValueError(f"cannot write {args.out}: it is a directory")
+    if not os.path.isdir(folder):
         raise ValueError(f"cannot write {args.out}: no directory {folder}")
+    if not os.access(folder, os.W_OK):
+        raise ValueError(f"cannot write {args.out}: directory {folder} is not writable")
     result = run_sweep(plan, n_jobs=args.jobs)
     result.to_csv(args.out)
     ran = sum(1 for pt in result.points if not pt.skipped)
@@ -88,10 +99,11 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_estimate_k(args) -> int:
+    k_max = checked(args.k_max, "--k-max", _K_MAX, int)  # checked before the file is read
     A = load_matrix_csv(args.adjacency)
     if min(A.shape) < 2:
         raise ValueError(f"estimate-k needs at least 2 rows and 2 columns, got shape {A.shape}")
-    sv = singular_values(A, min(args.k_max, min(A.shape)))
+    sv = singular_values(A, min(k_max, min(A.shape)))
     # every line is computed before any is printed, so a failure prints none
     lines = [",".join(repr(float(s)) for s in sv)]
     lines += [f"{method},{estimate_k_eigengap(sv, method)}" for method in ("difference", "ratio")]

@@ -4,7 +4,9 @@ A sweep plan pins a base model, one grid axis (``rho``, ``alpha_grid``, or
 the base law's shape parameter ``m``, ``sigma2`` or ``beta``), a replicate
 count and a master seed (``io.load_plan`` reads one from JSON).  It checks
 its grid when built: an (alpha_in, alpha_out) pair per point on
-``alpha_grid``, one number on any other axis.
+``alpha_grid``, one number on any other axis.  A sweep's result holds the
+plan and a ``SweepPoint`` per grid point: the error's mean and std, or why
+the point was skipped.
 Every replicate's randomness derives from (master seed, grid index,
 replicate index), so at a fixed BLAS thread count a sweep's records are
 identical under any ``n_jobs``.  The BLAS thread count itself can move the
@@ -119,9 +121,8 @@ class SweepPlan:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """Outcome at one grid point; ``skipped`` holds the reason when not run."""
+    """Outcome at the plan's grid point of the same index; ``skipped`` holds the reason when not run."""
 
-    values: dict
     mean_error: float | None
     std_error: float | None
     skipped: str = ""
@@ -139,9 +140,8 @@ class SweepResult:
         seed = str(self.plan.master_seed)
         header = ["scenario", *columns, "mean_error", "std_error", "replicates", "skipped", "seed"]
         lines = [",".join(header)]
-        for pt in self.points:
-            row = [self.plan.scenario]
-            row += [repr(float(pt.values[c])) for c in columns]
+        for value, pt in zip(self.plan.grid, self.points, strict=True):
+            row = [self.plan.scenario, *(repr(float(v)) for v in np.ravel(value))]
             if pt.skipped:
                 row += ["", "", "0", pt.skipped.replace(",", ";"), seed]
             else:
@@ -195,14 +195,12 @@ def _point_spec(plan: SweepPlan, value) -> ModelSpec:
 
 
 def _run_point(plan: SweepPlan, index: int) -> SweepPoint:
-    value = plan.grid[index]
-    values = dict(zip(plan.axis_columns(), map(float, np.ravel(value)), strict=True))
     try:
-        spec = _point_spec(plan, value)
+        spec = _point_spec(plan, plan.grid[index])
         mean, std = run_replicates(spec, plan.replicates, plan.master_seed, index * STREAM_STRIDE)
     except ValueError as exc:  # an invalid point; a failed replicate raises RuntimeError
-        return SweepPoint(values, None, None, skipped=str(exc))
-    return SweepPoint(values, mean, std)
+        return SweepPoint(None, None, skipped=str(exc))
+    return SweepPoint(mean, std)
 
 
 def run_sweep(plan: SweepPlan, n_jobs: int = 1) -> SweepResult:

@@ -11,6 +11,10 @@ sparse matrix it holds little more than that result and one chunk.  This
 is the one adjacency format ``bimix fit`` and ``bimix estimate-k`` read,
 whatever the file's name; an edge list of node tokens becomes one through
 ``bimix ingest``.
+
+The JSON readers check a document's keys, unknown ones first, and the JSON
+type of each value no later rule reads; ``EdgeDistribution`` checks a shape
+parameter, and ``SweepPlan`` the axis, grid, replicate count and seed.
 """
 
 from __future__ import annotations
@@ -194,17 +198,16 @@ def spec_from_dict(data: dict) -> ModelSpec:
     It holds ``ModelSpec``'s five fields: ``rho``, the nested lists ``P``,
     ``Pi_r`` and ``Pi_c``, and ``dist``: the law's ``kind`` and its shape
     parameter by name, if any.  A key outside that layout, at the top or in
-    ``dist``, a missing key and a value of the wrong JSON type (every matrix
-    entry and shape parameter must be a number) raise ``ValueError``.
+    ``dist``, a missing key, a null in ``dist`` and a value of the wrong JSON
+    type raise ``ValueError``; ``EdgeDistribution`` checks the shape parameter.
     """
     where = "the model spec"
     json_keys(data, ("rho", "P", "Pi_r", "Pi_c", "dist"), where)
     dist = json_field(data, "dist", dict, where)
     json_keys(dist, ("kind", *PARAM_KINDS), f"{where}'s 'dist'")
     json_field(dist, "kind", str, f"{where}'s 'dist'")
-    for param in PARAM_KINDS:
-        if param in dist:
-            json_field(dist, param, float, f"{where}'s 'dist'")
+    if None in dist.values():  # EdgeDistribution reads None as a parameter left out
+        raise ValueError(f"{where}'s 'dist' may not hold null")
     matrices = {key: _json_numbers(json_field(data, key, list, where), f"{where}'s {key!r}")
                 for key in ("P", "Pi_r", "Pi_c")}
     return ModelSpec(
@@ -218,24 +221,19 @@ def plan_from_json(data: dict) -> SweepPlan:
     """Sweep plan from a JSON plan document.
 
     It holds ``base`` (a model document), ``axis`` and ``grid``, and may
-    hold ``replicates``, ``master_seed`` and ``name``.  An unknown key, a
-    missing key and a wrong JSON type raise ``ValueError``.  Values are
-    checked before unknown keys, so an old layout is told what is wrong with
-    its axis, unless a key the plan needs is missing.
+    hold ``replicates``, ``master_seed`` and ``name``.  An unknown key, checked
+    before any value, a missing key and a wrong JSON type raise ``ValueError``;
+    ``SweepPlan`` checks the grid, the axis, the count and the seed.
     """
     where, known = "a plan", ("base", "axis", "grid", "replicates", "master_seed", "name")
     json_value(data, dict, "a plan document")
-    if not {"base", "axis", "grid"} <= data.keys():
-        json_keys(data, known, where)  # such as a scenario reference's 'scenario'
-    given = {key: json_value(data[key], int, f"{where}'s {key!r}")
-             for key in ("replicates", "master_seed") if key in data}
+    json_keys(data, known, where)
+    given = {key: data[key] for key in ("replicates", "master_seed") if key in data}
     grid = json_field(data, "grid", list, where)
     base = spec_from_dict(json_field(data, "base", dict, where))
     axis = json_field(data, "axis", str, where)
     name = json_value(data.get("name", "custom"), str, f"{where}'s 'name'")
-    plan = SweepPlan(base, axis, grid, scenario=name, **given)
-    json_keys(data, known, where)
-    return plan
+    return SweepPlan(base, axis, grid, scenario=name, **given)
 
 
 def load_plan(path) -> SweepPlan:

@@ -223,8 +223,11 @@ class TestSweep:
         ({"axis": "rho", "grid": [[1.0, 2.0]]}, "rho grid value must be one finite number, got [1.0, 2.0]"),
         ({"axis": "alpha_grid", "grid": [2.0]},
          "alpha_grid grid value must be a pair of finite numbers, got 2.0"),
-        ({"axis": "dist_param", "param": "sigma2", "grid": [1.0]},
+        ({"axis": "dist_param", "grid": [1.0]},
          "unknown axis 'dist_param'; expected one of ('rho', 'alpha_grid', 'm', 'sigma2', 'beta')"),
+        # the old layout: its 'param' key is named before its axis is read
+        ({"axis": "dist_param", "param": "sigma2", "grid": [1.0]},
+         "a plan takes only the keys base, axis, grid, replicates, master_seed, name; got 'param'"),
     ])
     def test_config_plan_checked_before_any_point(self, tmp_path, capsys, given, message):
         base = ModelSpec(P=P1, rho=2.0, Pi_r=make_planted_memberships(12, 2, 3),
@@ -278,6 +281,18 @@ class TestSweep:
         assert main(["sweep", "--scenario", "setup1", "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: cannot write {out}: no directory {out.parent}\n"
         assert not out.parent.exists()
+
+    def test_out_directory_rejected_before_any_point(self, tmp_path, capsys, monkeypatch):
+        # the whole sweep once ran before the CSV's open failed with [Errno 21]
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr("bimix.cli.run_sweep", no_sweep)
+        out = tmp_path / "r.csv"
+        out.mkdir()
+        assert main(["sweep", "--scenario", "setup1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: it is a directory\n"
+        assert [path.name for path in tmp_path.rglob("*")] == ["r.csv"]
 
     def test_jobs_write_the_serial_bytes(self, tmp_path):
         # 300 nodes a side: every fit takes the block Krylov SVD
@@ -399,7 +414,24 @@ class TestEstimateK:
         assert main(["estimate-k", str(adj), "--k-max", "1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: need at least 2 singular values\n"
+        # the flag is refused before the SVD, which used to run and then fail
+        assert captured.err == "error: --k-max must be an integer in [2, inf), got 1\n"
+
+    @pytest.mark.parametrize("k_max, name", [("0", "a.csv"), ("-3", "a.csv"), ("1", "missing.csv")],
+                             ids=["0", "-3", "1-missing-file"])
+    def test_k_max_below_two_rejected_before_the_file_is_read(self, tmp_path, spec, capsys,
+                                                               k_max, name):
+        # 0 was once refused with the matrix's range [1, n]; the flag comes before the file
+        save_matrix_csv(build_omega(spec), tmp_path / "a.csv")
+        assert main(["estimate-k", str(tmp_path / name), "--k-max", k_max]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --k-max must be an integer in [2, inf), got {k_max}\n"
+
+    def test_k_max_above_the_matrix_is_capped(self, tmp_path, spec, capsys):
+        save_matrix_csv(build_omega(spec), tmp_path / "a.csv")  # 20 x 16
+        assert main(["estimate-k", str(tmp_path / "a.csv"), "--k-max", "50"]) == 0
+        assert len(capsys.readouterr().out.splitlines()[0].split(",")) == 16
 
 
 class TestComposedWorkflow:

@@ -277,9 +277,12 @@ class TestSweepPointContract:
     @pytest.mark.parametrize("which", ["alpha_plan", "rho_plan"])
     def test_rows_match_point_by_point_reference(self, which):
         plan, spec_for = getattr(self, which)()
-        points = run_sweep(plan).points
-        for index, (value, pt) in enumerate(zip(plan.grid, points, strict=True)):
-            assert pt.values == dict(zip(plan.axis_columns(), np.ravel(value).tolist()))
+        result = run_sweep(plan)
+        points = result.points
+        rows = [line.split(",") for line in result.to_csv_text().splitlines()[1:]]
+        width = len(plan.axis_columns())
+        for index, (value, pt, row) in enumerate(zip(plan.grid, points, rows, strict=True)):
+            assert [float(cell) for cell in row[1:1 + width]] == np.ravel(value).tolist()
             skipped, mean, std = reference_point(spec_for, value, index, plan.replicates,
                                                  plan.master_seed)
             assert (pt.skipped, pt.mean_error, pt.std_error) == (skipped, mean, std)
@@ -314,8 +317,8 @@ class TestCSV:
         plan = SweepPlan(noiseless_spec(), "rho", (0.5, 2.0), replicates=3, master_seed=4,
                          scenario="demo")
         result = SweepResult(plan, (
-            SweepPoint({"rho": 0.5}, 0.25, 0.0625),
-            SweepPoint({"rho": 2.0}, None, None, skipped="outside (0, 1], for a, b"),
+            SweepPoint(0.25, 0.0625),
+            SweepPoint(None, None, skipped="outside (0, 1], for a, b"),
         ))
         assert result.to_csv_text().encode() == (
             b"scenario,rho,mean_error,std_error,replicates,skipped,seed\n"
@@ -536,11 +539,14 @@ class TestPlanJSON:
         with pytest.raises(ValueError, match=f"^{message}$"):
             scenario("sim1a", replicates=replicates)
 
-    @pytest.mark.parametrize("key", ["replicates", "master_seed"])
-    def test_boolean_count_or_seed_rejected(self, key):
-        # true once ran as 1
+    @pytest.mark.parametrize("key, message", [
+        ("replicates", f"replicates must be an integer in [1, {STREAM_STRIDE}), got True"),
+        ("master_seed", f"seed must be an integer in [0, {2**64}), got True"),
+    ], ids=["replicates", "master_seed"])
+    def test_boolean_count_or_seed_rejected(self, key, message):
+        # true once ran as 1; SweepPlan checks both, as it does for the Python API
         full = {"base": spec_to_dict(noiseless_spec()), "axis": "rho", "grid": [0.5]}
-        with pytest.raises(ValueError, match=f"^a plan's '{key}' must be a number, got a boolean$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             plan_from_json({**full, key: True})
 
     @pytest.mark.parametrize("axis, base, ints, skipped", [
@@ -568,6 +574,16 @@ class TestPlanJSON:
         with pytest.raises(ValueError, match=f"^{message}$"):
             plan_from_json(data)
 
+    @pytest.mark.parametrize("bad", [{"replicates": True}, {"grid": None}, {"base": 3},
+                                     {"axis": "dist_param"}], ids=["replicates", "grid", "base", "axis"])
+    def test_unknown_key_named_before_any_value(self, bad):
+        data = {"base": spec_to_dict(noiseless_spec()), "axis": "rho", "grid": [0.5],
+                **bad, "replicate": 5}
+        message = re.escape("a plan takes only the keys base, axis, grid, replicates, master_seed, "
+                            "name; got 'replicate'")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            plan_from_json(data)
+
 
 class TestPlanAxis:
     """A plan names its axis as the CSV header does and checks its grid when built."""
@@ -583,6 +599,9 @@ class TestPlanAxis:
         )
         with pytest.raises(ValueError, match=f"^{message}$"):
             SweepPlan(self.binomial_spec(), "dist_param", (2.0,))
+        # the old layout's 'param' key is named before its axis is read
+        message = re.escape("a plan takes only the keys base, axis, grid, replicates, master_seed, "
+                            "name; got 'param'")
         with pytest.raises(ValueError, match=f"^{message}$"):
             plan_from_json({"base": spec_to_dict(self.binomial_spec()), "axis": "dist_param",
                             "param": "m", "grid": [2.0]})

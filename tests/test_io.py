@@ -219,11 +219,18 @@ class TestSpecJSON:
         ({"P": [[1, 0.2], [True, 0.8]]}, "an entry of the model spec's 'P' must be a number, got a boolean"),
         ({"Pi_c": [[1, 0], [0, 1], [None, 1]]},
          "an entry of the model spec's 'Pi_c' must be a number, got null"),
+        # a shape parameter is checked by EdgeDistribution, which names the law
         ({"dist": {"kind": "binomial", "m": True}},
-         "the model spec's 'dist''s 'm' must be a number, got a boolean"),
+         "binomial parameter m must be an integer in [1, 9223372036854775807], got True"),
         ({"dist": {"kind": "normal", "sigma2": "1"}},
-         "the model spec's 'dist''s 'sigma2' must be a number, got a string"),
-    ], ids=["P-string", "P-boolean", "Pi_c-null", "m-boolean", "sigma2-string"])
+         "normal parameter sigma2 must be a number in [0, inf), got '1'"),
+        ({"dist": {"kind": "logistic", "beta": [1.0]}},
+         "logistic parameter beta must be a number in (0, inf), got [1.0]"),
+        # EdgeDistribution takes None for a parameter left out, so a null is refused here
+        ({"dist": {"kind": "bernoulli", "sigma2": None}}, "the model spec's 'dist' may not hold null"),
+        ({"dist": {"kind": "binomial", "m": None}}, "the model spec's 'dist' may not hold null"),
+    ], ids=["P-string", "P-boolean", "Pi_c-null", "m-boolean", "sigma2-string", "beta-list",
+            "other-law-parameter-null", "m-null"])
     def test_non_number_entries_rejected_naming_the_key(self, change, message):
         # these were once coerced (true as 1, "0.2" as 0.2) or raised a TypeError
         spec = ModelSpec(P=P1, rho=0.5, Pi_r=make_planted_memberships(8, 2, 2),
