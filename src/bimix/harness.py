@@ -251,8 +251,10 @@ def _worker_pool(n_jobs: int):
     """The ``n_jobs``-process pool, started on first use with BLAS pinned to one thread.
 
     Workers fork from a forkserver that preloads this module, so numpy
-    loads there once with the pinned thread count; the caller's
-    environment is restored once the server runs.
+    loads there once with the pinned thread count.  The server does not
+    take the caller's ``sys.path`` and ignores a preload it cannot import,
+    so the directory holding this package goes first on its ``PYTHONPATH``.
+    The caller's environment is restored once the server runs.
     """
     global _pool, _pool_jobs
     if _pool is not None and _pool_jobs == n_jobs:
@@ -265,8 +267,10 @@ def _worker_pool(n_jobs: int):
 
     context = multiprocessing.get_context("forkserver")
     context.set_forkserver_preload([__name__])
-    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    saved = {name: os.environ.get(name) for name in (*_BLAS_THREAD_VARS, "PYTHONPATH")}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (package_root, saved["PYTHONPATH"])))
     try:
         forkserver.ensure_running()
     finally:

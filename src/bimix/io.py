@@ -13,8 +13,9 @@ whatever the file's name; an edge list of node tokens becomes one through
 ``bimix ingest``.
 
 The JSON readers check a document's keys, unknown ones first, and the JSON
-type of each value no later rule reads; ``EdgeDistribution`` checks a shape
-parameter, and ``SweepPlan`` the axis, grid, replicate count and seed.
+type of each value no later rule reads; ``ModelSpec`` checks a matrix entry,
+``EdgeDistribution`` a shape parameter, and ``SweepPlan`` the axis, grid,
+replicate count and seed.
 """
 
 from __future__ import annotations
@@ -182,16 +183,6 @@ def json_keys(data: dict, known, where: str) -> None:
         raise ValueError(f"{where} takes only the keys {', '.join(known)}; got {unknown}")
 
 
-def _json_numbers(value, what: str):
-    """``value``, nested lists whose every entry is a JSON number; else ``ValueError``."""
-    for item in value:
-        if isinstance(item, list):
-            _json_numbers(item, what)
-        else:
-            json_value(item, float, f"an entry of {what}")
-    return value
-
-
 def spec_from_dict(data: dict) -> ModelSpec:
     """Model spec from a JSON model document.
 
@@ -199,7 +190,8 @@ def spec_from_dict(data: dict) -> ModelSpec:
     ``Pi_r`` and ``Pi_c``, and ``dist``: the law's ``kind`` and its shape
     parameter by name, if any.  A key outside that layout, at the top or in
     ``dist``, a missing key, a null in ``dist`` and a value of the wrong JSON
-    type raise ``ValueError``; ``EdgeDistribution`` checks the shape parameter.
+    type raise ``ValueError``; ``ModelSpec`` checks each matrix entry, and
+    ``EdgeDistribution`` the shape parameter.
     """
     where = "the model spec"
     json_keys(data, ("rho", "P", "Pi_r", "Pi_c", "dist"), where)
@@ -208,8 +200,7 @@ def spec_from_dict(data: dict) -> ModelSpec:
     json_field(dist, "kind", str, f"{where}'s 'dist'")
     if None in dist.values():  # EdgeDistribution reads None as a parameter left out
         raise ValueError(f"{where}'s 'dist' may not hold null")
-    matrices = {key: _json_numbers(json_field(data, key, list, where), f"{where}'s {key!r}")
-                for key in ("P", "Pi_r", "Pi_c")}
+    matrices = {key: json_field(data, key, list, where) for key in ("P", "Pi_r", "Pi_c")}
     return ModelSpec(
         rho=json_field(data, "rho", float, where),
         dist=EdgeDistribution(**dist),

@@ -9,6 +9,7 @@ full rank, and rho > 0 scales the whole expectation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,21 @@ def block_violations(P: np.ndarray) -> list[str]:
     return out
 
 
+def _non_number(value) -> str:
+    """``""`` if every entry of ``value`` is a real number; else a text naming the first that is not.
+
+    A bool or a string is not a number, though ``np.asarray(..., dtype=float)``
+    reads True as 1.0 and "0.2" as 0.2.  Nested lists and tuples are checked
+    entry by entry; an ndarray by its dtype alone, so rebuilding a spec from
+    float arrays, as every sweep point does, checks no entry.
+    """
+    if isinstance(value, np.ndarray):
+        return "" if value.dtype.kind in "iuf" else f"dtype {value.dtype}"
+    if isinstance(value, (list, tuple)):
+        return next(filter(None, map(_non_number, value)), "")
+    return "" if isinstance(value, numbers.Real) and not isinstance(value, bool) else repr(value)
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Complete parameter bundle: connectivity, scale, memberships, edge law."""
@@ -89,9 +105,12 @@ class ModelSpec:
     dist: EdgeDistribution
 
     def __post_init__(self):
-        object.__setattr__(self, "P", np.asarray(self.P, dtype=float))
-        object.__setattr__(self, "Pi_r", np.asarray(self.Pi_r, dtype=float))
-        object.__setattr__(self, "Pi_c", np.asarray(self.Pi_c, dtype=float))
+        # validate_model reports a rho or an entry that is not finite or out of range
+        for name in ("P", "Pi_r", "Pi_c", "rho"):
+            if bad := _non_number(getattr(self, name)):
+                raise ValueError(f"{name} must hold only numbers, got {bad}")
+        for name in ("P", "Pi_r", "Pi_c"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         object.__setattr__(self, "rho", float(self.rho))
 
     @property

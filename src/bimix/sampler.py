@@ -149,12 +149,17 @@ _LAWS = {
     "exponential": _Law(
         mean=lambda d: POSITIVE,
         variance=lambda d, rho: rho * rho,
-        draw=lambda g, omega, d: g.exponential(scale=omega),
+        # bit-equal to g.exponential(scale=omega), which computes scale * e over
+        # the same standard exponential variates but broadcasts entry by entry
+        draw=lambda g, omega, d: omega * g.standard_exponential(omega.shape),
     ),
     "uniform": _Law(
         mean=lambda d: NONNEGATIVE,
         variance=lambda d, rho: rho * rho / 3.0,
-        draw=lambda g, omega, d: g.uniform(low=0.0, high=2.0 * omega),
+        # bit-equal to g.uniform(low=0.0, high=2.0 * omega), which computes
+        # low + (high - low) * u over the same variates but broadcasts entry by
+        # entry; 0.0 + x is x, and the product is 2.0 * omega times u
+        draw=lambda g, omega, d: (2.0 * omega) * g.random(omega.shape),
     ),
     "logistic": _Law(
         variance=lambda d, rho: math.pi**2 * d.beta**2 / 3.0,
@@ -167,8 +172,10 @@ _LAWS = {
         mean=lambda d: RhoInterval(-1.0, 1.0, lo_open=False),
         block=lambda d: RhoInterval(-1.0, 1.0, hi_open=True),
         variance=lambda d, rho: 1.0,
-        # +1 with probability (1 + omega) / 2, else -1
-        draw=lambda g, omega, d: np.where(g.random(omega.shape) < (1.0 + omega) / 2.0, 1.0, -1.0),
+        # +1 with probability (1 + omega) / 2, else -1: the same values as
+        # np.where(u < (1 + omega) / 2, 1.0, -1.0) from one multiply-add pass
+        # over the comparison, without np.where's per-entry select
+        draw=lambda g, omega, d: 2.0 * (g.random(omega.shape) < (1.0 + omega) / 2.0) - 1.0,
     ),
 }
 

@@ -233,6 +233,28 @@ class TestWorkerPool:
         assert left == []
         assert (tmp_path / "err").read_text() == ""
 
+    @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="needs a /proc file system")
+    def test_forkserver_preloads_bimix_found_through_sys_path(self, tmp_path):
+        # the server ignores the caller's sys.path and swallows the preload's ImportError,
+        # so without PYTHONPATH every worker imported numpy on its first task
+        script = tmp_path / "main.py"
+        script.write_text(
+            "import sys\n"
+            "if __name__ == '__main__':\n"
+            "    sys.path.insert(0, sys.argv[1])\n"
+            "    from dataclasses import replace\n"
+            "    from multiprocessing import forkserver\n"
+            "    from bimix.harness import run_sweep, scenario\n"
+            "    plan = scenario('setup1', replicates=1)\n"
+            "    run_sweep(replace(plan, grid=plan.grid[:2]), n_jobs=2)\n"
+            "    with open(f'/proc/{forkserver._forkserver._forkserver_pid}/maps') as fh:\n"
+            "        print('openblas' in fh.read().lower())\n")
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+        done = subprocess.run([sys.executable, str(script), str(SRC)], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "True\n"
+
 
 def reference_point(spec_for, value, index, replicates, seed):
     """(skip reason, mean, std) at one grid point, from the public API alone."""

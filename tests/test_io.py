@@ -215,10 +215,10 @@ class TestSpecJSON:
         np.testing.assert_array_equal(loaded.Pi_c, spec.Pi_c)
 
     @pytest.mark.parametrize("change, message", [
-        ({"P": [[1, "0.2"], [True, 0.8]]}, "an entry of the model spec's 'P' must be a number, got a string"),
-        ({"P": [[1, 0.2], [True, 0.8]]}, "an entry of the model spec's 'P' must be a number, got a boolean"),
-        ({"Pi_c": [[1, 0], [0, 1], [None, 1]]},
-         "an entry of the model spec's 'Pi_c' must be a number, got null"),
+        # a matrix entry is checked by ModelSpec, which names the field
+        ({"P": [[1, "0.2"], [True, 0.8]]}, "P must hold only numbers, got '0.2'"),
+        ({"P": [[1, 0.2], [True, 0.8]]}, "P must hold only numbers, got True"),
+        ({"Pi_c": [[1, 0], [0, 1], [None, 1]]}, "Pi_c must hold only numbers, got None"),
         # a shape parameter is checked by EdgeDistribution, which names the law
         ({"dist": {"kind": "binomial", "m": True}},
          "binomial parameter m must be an integer in [1, 9223372036854775807], got True"),

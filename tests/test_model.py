@@ -206,6 +206,51 @@ class TestValidateModel:
         assert any("exceeds" in msg or "columns" in msg for msg in validate_model(spec))
 
 
+class TestModelSpecFields:
+    """A bool or string rho or matrix entry is refused, not read as a number."""
+
+    @pytest.mark.parametrize("rho, printed", [
+        (True, "True"), (np.bool_(True), "np.True_"), ("0.5", "'0.5'"), (None, "None"),
+        (np.array(True), "dtype bool"),
+    ], ids=["bool", "numpy-bool", "string", "none", "0-d-bool-array"])
+    def test_rho_not_a_number_rejected(self, rho, printed):
+        # the first three were built as rho = 1.0, 1.0 and 0.5
+        with pytest.raises(ValueError, match=f"^{re.escape(f'rho must hold only numbers, got {printed}')}$"):
+            ModelSpec(P=P1, rho=rho, Pi_r=np.eye(2), Pi_c=np.eye(2), dist=EdgeDistribution("bernoulli"))
+
+    def test_infinite_rho_left_to_validate_model(self):
+        spec = ModelSpec(P=P1, rho=math.inf, Pi_r=np.eye(2), Pi_c=np.eye(2),
+                         dist=EdgeDistribution("bernoulli"))
+        assert validate_model(spec) == ["rho=inf outside admissible interval (0, 1] for bernoulli"]
+
+    @pytest.mark.parametrize("field, value, printed", [
+        ("P", [[True, "0.2"], [0.3, 0.8]], "True"),
+        ("P", [[1.0, "0.2"], [0.3, 0.8]], "'0.2'"),
+        ("P", ((1.0, 0.2), (0.3, np.bool_(False))), "np.False_"),
+        ("P", True, "True"),
+        ("Pi_r", [[1.0, 0.0], [0.0, None]], "None"),
+        ("Pi_c", [[1.0, 0.0], [0.0, {}]], "{}"),
+        ("Pi_c", np.eye(2, dtype=bool), "dtype bool"),
+        ("Pi_r", np.array([["1", "0"], ["0", "1"]]), "dtype <U1"),
+        ("P", np.array([[1.0, 0.2], [0.3, 0.8]], dtype=object), "dtype object"),
+    ], ids=["P-bool", "P-string", "P-numpy-bool-in-tuples", "P-bool-scalar", "Pi_r-none",
+            "Pi_c-dict", "Pi_c-bool-array", "Pi_r-string-array", "P-object-array"])
+    def test_matrix_entry_not_a_number_rejected_naming_the_field(self, field, value, printed):
+        # np.asarray(dtype=float) read True as 1.0 and "0.2" as 0.2, so validate_model passed them
+        fields = {"P": P1, "Pi_r": np.eye(2), "Pi_c": np.eye(2), field: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{field} must hold only numbers, got {printed}')}$"):
+            ModelSpec(rho=0.5, dist=EdgeDistribution("bernoulli"), **fields)
+
+    def test_numbers_kept(self):
+        spec = ModelSpec(P=[[1, np.float32(0.25)], (np.int64(0), 0.5)], rho=np.float64(0.5),
+                         Pi_r=np.eye(2, dtype=np.uint8), Pi_c=np.eye(2, dtype=int),
+                         dist=EdgeDistribution("bernoulli"))
+        assert type(spec.rho) is float and spec.rho == 0.5
+        np.testing.assert_array_equal(spec.P, [[1.0, 0.25], [0.0, 0.5]])
+        assert {spec.P.dtype, spec.Pi_r.dtype, spec.Pi_c.dtype} == {np.dtype(float)}
+        assert validate_model(spec) == []
+
+
 # The rule validate_model applied before it checked rho * P entry by entry: rho
 # in the law's interval, and P's sign class (the tightest one all its entries
 # share) at least as strong as the class the law requires.

@@ -103,6 +103,31 @@ class TestDegenerateCases:
             want = source.generator().normal(loc=omega, scale=math.sqrt(sigma2))
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
+    @pytest.mark.parametrize("kind, oracle", [
+        ("signed", lambda g, omega: np.where(g.random(omega.shape) < (1.0 + omega) / 2.0, 1.0, -1.0)),
+        ("uniform", lambda g, omega: g.uniform(low=0.0, high=2.0 * omega)),
+        ("exponential", lambda g, omega: g.exponential(scale=omega)),
+    ])
+    def test_draw_matches_numpy_broadcasting_call_bit_for_bit(self, kind, oracle):
+        # each law draws from the whole-matrix variates the way the normal law
+        # does; numpy's broadcasting call is the oracle, over 50 seeds and C,
+        # Fortran and strided means
+        rng = np.random.default_rng(1)
+        for case in range(50):
+            shape = tuple(rng.integers(1, 40, size=2))
+            if kind == "signed":  # every fifth case holds only the ends -1 and 1, and 0
+                omega = (rng.uniform(-1.0, 1.0, shape) if case % 5 else
+                         rng.choice([-1.0, 0.0, 1.0], shape))
+            else:  # uniform takes a zero mean, the exponential law none
+                omega = rng.exponential(size=shape) * 10.0 ** rng.integers(-3, 4)
+                if kind == "uniform" and case % 4 == 0:
+                    omega[:, 0] = 0.0
+            omega = (omega, np.asfortranarray(omega), omega[:, ::2])[case % 3]
+            source = RandomSource(case)
+            got = sample_adjacency(omega, EdgeDistribution(kind), source)
+            want = oracle(source.generator(), omega)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
 
 class TestPoissonMoments:
     def test_million_draw_mean_and_variance(self):

@@ -272,6 +272,47 @@ class TestKrylovPath:
         np.testing.assert_allclose(t.right[:, 0], np.abs(Vt[0]), atol=1e-12)
         assert full_svd_calls == []
 
+    def test_singular_gram_falls_back_to_householder_qr(self, full_svd_calls, monkeypatch):
+        # a rank-one or exact-rank A makes a block's Gram matrix singular, so
+        # cholesky raises and the block is orthonormalized by np.linalg.qr
+        rng = np.random.default_rng(22)
+        inputs = (np.outer(rng.uniform(0.5, 1.0, 620), rng.uniform(0.5, 1.0, 580)),
+                  build_omega(random_valid_spec(np.random.default_rng(21), 300, 300, 2)))
+        qr_calls = []
+        real = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a: qr_calls.append(a.shape) or real(a))
+        for A in inputs:
+            U, s, Vt = np.linalg.svd(A, full_matrices=False)
+            qr_calls.clear()
+            t = top_k_svd(A, 2)
+            assert qr_calls
+            rank = int(np.sum(s > s[0] * 1e-10))
+            np.testing.assert_allclose(t.singular_values, s[:2], rtol=0, atol=1e-9 * s[0])
+            assert subspace_gap(U[:, :rank], t.left) <= 1e-7
+            assert subspace_gap(Vt[:rank].T, t.right) <= 1e-7
+            np.testing.assert_allclose(t.left.T @ t.left, np.eye(2), atol=1e-12)
+            np.testing.assert_allclose(t.right.T @ t.right, np.eye(2), atol=1e-12)
+        assert full_svd_calls == []
+
+    @pytest.mark.parametrize("shape", [(300, 300), (600, 560)])
+    def test_graded_spectrum_takes_cholesky_qr(self, shape, full_svd_calls, monkeypatch):
+        # singular values spread over 12 decades: every block's Gram matrix is
+        # positive definite, so no block falls back to np.linalg.qr
+        rng = np.random.default_rng(5)
+        Q1, Q2 = (np.linalg.qr(rng.standard_normal((n, n)))[0] for n in shape)
+        A = (Q1[:, : min(shape)] * np.logspace(0.0, -12.0, min(shape))) @ Q2[:, : min(shape)].T
+        U, s, Vt = np.linalg.svd(A, full_matrices=False)
+        qr_calls = []
+        real = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda a: qr_calls.append(a.shape) or real(a))
+        t = top_k_svd(A, 3)
+        assert qr_calls == [] and full_svd_calls == []
+        np.testing.assert_allclose(t.singular_values, s[:3], rtol=0, atol=1e-9 * s[0])
+        assert subspace_gap(U[:, :3], t.left) <= 1e-7
+        assert subspace_gap(Vt[:3].T, t.right) <= 1e-7
+        np.testing.assert_allclose(t.left.T @ t.left, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(t.right.T @ t.right, np.eye(3), atol=1e-12)
+
     @pytest.mark.parametrize("shape", [(720, 600), (600, 720), (600, 600)])
     def test_memory_layout_does_not_matter(self, shape, full_svd_calls):
         # the layout decides which BLAS kernel each product runs

@@ -1,4 +1,4 @@
-"""The repository tools: catalogue drift is reported and signed, replicates give spread, sizes count."""
+"""The repository tools: catalogue drift is reported and signed, replicates give spread, sizes count, layers are timed."""
 
 import csv
 import importlib.util
@@ -14,6 +14,7 @@ import bimix
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "catalogue_drift.py"
 DIGEST = TOOL.with_name("catalogue_digest.py")
 SIZES = TOOL.with_name("source_size.py")
+LAYERS = TOOL.with_name("layer_times.py")
 HEADER = "scenario,rho,mean_error,std_error,replicates,skipped,seed"
 OLD = f"{HEADER}\ns,0.5,0.25,0.125,2,,0\ns,0.6,,,0,rho too large,0\n"
 
@@ -98,3 +99,16 @@ def test_source_size_counts_what_grep_counts():
     assert int(sizes["__all__"]) == len(bimix.__all__)
     cli = (src / "bimix" / "cli.py").read_text()
     assert int(sizes["flags"]) == cli.count('add_argument("--') - cli.count('add_argument("--version"')
+
+
+def test_layer_times_reports_every_layer_at_both_sizes():
+    env = {**os.environ, "PYTHONPATH": str(LAYERS.parents[1] / "src")}
+    out = subprocess.run([sys.executable, str(LAYERS), "--passes", "2", "--points", "1",
+                          "--large-n", "90"], capture_output=True, text=True, timeout=120, env=env)
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout.splitlines()[-1])
+    layers = ["sample", "top_k_svd", "spa_solve", "score"]
+    assert list(report) == ["300", "90"]
+    assert list(report["300"]) == layers and list(report["90"]) == [*layers, "singular_values_10"]
+    assert all(ms > 0 for size in report.values() for ms in size.values())
+    assert len(out.stdout.splitlines()) == 1 + 9
