@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sampler import finite_matrix
 from .spa import spa, vertex_matrix
 from .spectral import top_k_svd
 
@@ -76,7 +77,7 @@ def memberships_from_embedding(X: np.ndarray, radius: float = 0.0):
     refined vertex matrix, count of rows given the uniform vector): rows whose
     clamped weights sum below ``1e-12`` carry no usable sign information.
     """
-    X = np.asarray(X, dtype=float)
+    X = finite_matrix(X, "X")
     k = X.shape[1]
     idx = spa(X, k)
     B = vertex_matrix(X, idx, radius)

@@ -48,7 +48,8 @@ from .model import (
     make_planted_memberships,
     make_standard_two_block,
 )
-from .sampler import COUNTS, PARAM_KINDS, EdgeDistribution, RandomSource, RhoInterval, checked, sample_adjacency
+from .sampler import (COUNTS, PARAM_KINDS, EdgeDistribution, RandomSource, RhoInterval, checked, is_number,
+                      sample_adjacency)
 
 AXES = ("rho", "alpha_grid", *PARAM_KINDS)
 
@@ -64,13 +65,13 @@ _P_POS_ALT = np.array([[1.0, 0.2], [0.1, 0.9]])
 _P_MIXED_ALT = np.array([[1.0, -0.2], [0.1, -0.9]])
 
 
-# module constants: the check runs once per grid point, 900 times for sim1b
-_NUMBER = (int, float, np.integer, np.floating)
+# a module constant: the check runs once per grid point, 900 times for sim1b
 _SEQUENCE = (tuple, list, np.ndarray)
 
 
 def _finite_number(value) -> bool:
-    return isinstance(value, _NUMBER) and not isinstance(value, bool) and math.isfinite(value)
+    # the number test alone: through sampler.checked, building sim1b, sim4c and sim8b took 3.7 ms, not 1.0
+    return is_number(value) and math.isfinite(value)
 
 
 def _grid_point(axis: str, value):
@@ -99,13 +100,15 @@ class SweepPlan:
     def __post_init__(self):
         if self.axis not in AXES:
             raise ValueError(f"unknown axis {self.axis!r}; expected one of {AXES}")
-        if len(self.grid) == 0:
-            raise ValueError("grid must be nonempty")
+        # a tuple, a list or an ndarray with at least one axis
+        if not (isinstance(self.grid, (tuple, list)) or getattr(self.grid, "ndim", 0)) or not len(self.grid):
+            raise ValueError(f"grid must be a nonempty sequence, got {self.grid!r}")
         object.__setattr__(self, "replicates", checked(self.replicates, "replicates", _REPLICATES, int))
         object.__setattr__(self, "master_seed", RandomSource(self.master_seed).seed)  # usable by every replicate
-        if any(c in self.scenario for c in ',"\r\n'):  # the CSV writes the name unquoted
-            raise ValueError("scenario name may not hold a comma, a double quote or a line break, "
-                             f"got {self.scenario!r}")
+        # the CSV writes the name unquoted
+        if not isinstance(self.scenario, str) or any(c in self.scenario for c in ',"\r\n'):
+            raise ValueError("scenario name must be a string without a comma, a double quote or a line "
+                             f"break, got {self.scenario!r}")
         object.__setattr__(self, "grid", tuple(_grid_point(self.axis, v) for v in self.grid))
         if self.axis in PARAM_KINDS and self.base.dist.kind != PARAM_KINDS[self.axis]:
             raise ValueError(f"axis {self.axis!r} requires a {PARAM_KINDS[self.axis]} base distribution")

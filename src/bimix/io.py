@@ -12,10 +12,11 @@ is the one adjacency format ``bimix fit`` and ``bimix estimate-k`` read,
 whatever the file's name; an edge list of node tokens becomes one through
 ``bimix ingest``.
 
-The JSON readers check a document's keys, unknown ones first, and the JSON
-type of each value no later rule reads; ``ModelSpec`` checks a matrix entry,
-``EdgeDistribution`` a shape parameter, and ``SweepPlan`` the axis, grid,
-replicate count and seed.
+The JSON readers check only keys and objects: a document's keys, unknown
+ones first, then missing ones, and that each object they read keys from is
+one.  Every value is checked by the constructor that owns it: ``ModelSpec``
+rho and each matrix, ``EdgeDistribution`` the kind and a shape parameter,
+and ``SweepPlan`` the axis, grid, replicate count, seed and name.
 """
 
 from __future__ import annotations
@@ -157,30 +158,26 @@ def _is_number(cell: bytes) -> bool:
     return b"_" not in cell
 
 
-_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "a number",
-               float: "a number", bool: "a boolean", type(None): "null"}
+_JSON_TYPES = {list: "a list", str: "a string", int: "a number", float: "a number", bool: "a boolean",
+               type(None): "null"}
 
 
-def json_value(value, kind: type, what: str):
-    """``value`` if its JSON type is that of ``kind``; else ``ValueError`` naming both types."""
-    got = _JSON_TYPES.get(type(value), type(value).__name__)
-    if got != _JSON_TYPES[kind]:
-        raise ValueError(f"{what} must be {_JSON_TYPES[kind]}, got {got}")
+def json_object(value, what: str) -> dict:
+    """``value`` if it is a JSON object; else ``ValueError`` naming the JSON type it has."""
+    if not isinstance(value, dict):
+        got = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise ValueError(f"{what} must be an object, got {got}")
     return value
 
 
-def json_field(data: dict, key: str, kind: type, where: str):
-    """``data[key]``, checked by ``json_value``; a missing key raises ``ValueError`` naming it."""
-    if key not in data:
-        raise ValueError(f"{where} has no key {key!r}")
-    return json_value(data[key], kind, f"{where}'s {key!r}")
-
-
-def json_keys(data: dict, known, where: str) -> None:
-    """Raise ``ValueError`` naming every key of ``data`` outside ``known``."""
+def json_keys(data: dict, known, required, where: str) -> None:
+    """``ValueError`` naming every key of ``data`` outside ``known``, else the first of ``required`` it lacks."""
     unknown = ", ".join(repr(key) for key in data if key not in known)
     if unknown:
         raise ValueError(f"{where} takes only the keys {', '.join(known)}; got {unknown}")
+    for key in required:
+        if key not in data:
+            raise ValueError(f"{where} has no key {key!r}")
 
 
 def spec_from_dict(data: dict) -> ModelSpec:
@@ -189,23 +186,17 @@ def spec_from_dict(data: dict) -> ModelSpec:
     It holds ``ModelSpec``'s five fields: ``rho``, the nested lists ``P``,
     ``Pi_r`` and ``Pi_c``, and ``dist``: the law's ``kind`` and its shape
     parameter by name, if any.  A key outside that layout, at the top or in
-    ``dist``, a missing key, a null in ``dist`` and a value of the wrong JSON
-    type raise ``ValueError``; ``ModelSpec`` checks each matrix entry, and
-    ``EdgeDistribution`` the shape parameter.
+    ``dist``, a missing key, a ``dist`` that is not an object and a null in
+    it raise ``ValueError``; ``ModelSpec`` checks rho and each matrix, and
+    ``EdgeDistribution`` the kind and the shape parameter.
     """
-    where = "the model spec"
-    json_keys(data, ("rho", "P", "Pi_r", "Pi_c", "dist"), where)
-    dist = json_field(data, "dist", dict, where)
-    json_keys(dist, ("kind", *PARAM_KINDS), f"{where}'s 'dist'")
-    json_field(dist, "kind", str, f"{where}'s 'dist'")
+    where, fields = "the model spec", ("rho", "P", "Pi_r", "Pi_c", "dist")
+    json_keys(data, fields, fields, where)
+    dist = json_object(data["dist"], f"{where}'s 'dist'")
+    json_keys(dist, ("kind", *PARAM_KINDS), ("kind",), f"{where}'s 'dist'")
     if None in dist.values():  # EdgeDistribution reads None as a parameter left out
         raise ValueError(f"{where}'s 'dist' may not hold null")
-    matrices = {key: json_field(data, key, list, where) for key in ("P", "Pi_r", "Pi_c")}
-    return ModelSpec(
-        rho=json_field(data, "rho", float, where),
-        dist=EdgeDistribution(**dist),
-        **matrices,
-    )
+    return ModelSpec(dist=EdgeDistribution(**dist), **{key: data[key] for key in fields[:4]})
 
 
 def plan_from_json(data: dict) -> SweepPlan:
@@ -213,18 +204,14 @@ def plan_from_json(data: dict) -> SweepPlan:
 
     It holds ``base`` (a model document), ``axis`` and ``grid``, and may
     hold ``replicates``, ``master_seed`` and ``name``.  An unknown key, checked
-    before any value, a missing key and a wrong JSON type raise ``ValueError``;
-    ``SweepPlan`` checks the grid, the axis, the count and the seed.
+    before any value, a missing key and a document or ``base`` that is not an
+    object raise ``ValueError``; ``SweepPlan`` checks every other value.
     """
     where, known = "a plan", ("base", "axis", "grid", "replicates", "master_seed", "name")
-    json_value(data, dict, "a plan document")
-    json_keys(data, known, where)
+    json_keys(json_object(data, "a plan document"), known, known[:3], where)
     given = {key: data[key] for key in ("replicates", "master_seed") if key in data}
-    grid = json_field(data, "grid", list, where)
-    base = spec_from_dict(json_field(data, "base", dict, where))
-    axis = json_field(data, "axis", str, where)
-    name = json_value(data.get("name", "custom"), str, f"{where}'s 'name'")
-    return SweepPlan(base, axis, grid, scenario=name, **given)
+    base = spec_from_dict(json_object(data["base"], f"{where}'s 'base'"))
+    return SweepPlan(base, data["axis"], data["grid"], scenario=data.get("name", "custom"), **given)
 
 
 def load_plan(path) -> SweepPlan:

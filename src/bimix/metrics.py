@@ -14,19 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampler import _LAWS, GRID_NODES, POSITIVE, EdgeDistribution, RhoInterval, block_interval, checked
+from .sampler import (_LAWS, GRID_NODES, POSITIVE, EdgeDistribution, RhoInterval, block_interval, checked,
+                      finite_matrix)
 
 PERMUTATION_LIMIT = 10
 HIGHLY_MIXED = 0.8  # a node is highly mixed when no membership weight exceeds this
 
 
-def _check_pair(est: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    est = np.asarray(est, dtype=float)
-    ref = np.asarray(ref, dtype=float)
+def _check_pair(est: np.ndarray, ref: np.ndarray, names: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+    est, ref = finite_matrix(est, names[0]), finite_matrix(ref, names[1])
     if est.shape != ref.shape:
         raise ValueError(f"shape mismatch: {est.shape} vs {ref.shape}")
-    if est.ndim != 2:
-        raise ValueError(f"expected 2-d matrices, got shape {est.shape}")
     if est.shape[1] > PERMUTATION_LIMIT:
         raise ValueError(f"K={est.shape[1]} exceeds the permutation-search limit {PERMUTATION_LIMIT}")
     return est, ref
@@ -50,8 +48,8 @@ def error_rate(
     Row and column sides minimize over column permutations independently;
     each side's entrywise absolute sum is divided by its node count.
     """
-    Pi_r_hat, Pi_r = _check_pair(Pi_r_hat, Pi_r)
-    Pi_c_hat, Pi_c = _check_pair(Pi_c_hat, Pi_c)
+    Pi_r_hat, Pi_r = _check_pair(Pi_r_hat, Pi_r, ("Pi_r_hat", "Pi_r"))
+    Pi_c_hat, Pi_c = _check_pair(Pi_c_hat, Pi_c, ("Pi_c_hat", "Pi_c"))
     row = _min_permutation_l1(Pi_r_hat, Pi_r) / Pi_r.shape[0]
     col = _min_permutation_l1(Pi_c_hat, Pi_c) / Pi_c.shape[0]
     return max(row, col)
@@ -63,13 +61,13 @@ def hamm_rc(Pi_r_hat: np.ndarray, Pi_c_hat: np.ndarray) -> float:
     Zero for an undirected network; large values flag heavy asymmetry
     between row-side and column-side community structure.
     """
-    Pi_r_hat, Pi_c_hat = _check_pair(Pi_r_hat, Pi_c_hat)
+    Pi_r_hat, Pi_c_hat = _check_pair(Pi_r_hat, Pi_c_hat, ("Pi_r_hat", "Pi_c_hat"))
     return _min_permutation_l1(Pi_r_hat, Pi_c_hat) / Pi_r_hat.shape[0]
 
 
 def mixed_proportion(Pi_hat: np.ndarray) -> float:
     """Share of nodes whose largest membership weight is at most ``HIGHLY_MIXED``; 0 at K=1."""
-    return float(np.mean(np.asarray(Pi_hat, dtype=float).max(axis=1) <= HIGHLY_MIXED))
+    return float(np.mean(finite_matrix(Pi_hat, "Pi_hat").max(axis=1) <= HIGHLY_MIXED))
 
 
 @dataclass(frozen=True)
@@ -102,14 +100,11 @@ def separation_margins(
     lie in the law's admissible rho * P entries times n / log(n).
     """
     n, tau = checked(n, "n", GRID_NODES, int), checked(tau, "tau", POSITIVE)
-    alpha_in, alpha_out = float(alpha_in), float(alpha_out)
     block, log_n = block_interval(dist), math.log(n)
     limit = n / log_n
     interval = RhoInterval(block.lo * limit, block.hi * limit, block.lo_open, block.hi_open)
-    for alpha in (alpha_in, alpha_out):
-        if not interval.contains(alpha):
-            raise ValueError(f"{dist.kind} alpha must lie in {block} * n/log(n) = {interval}, "
-                             f"got {alpha}")
+    alpha_in = checked(alpha_in, f"{dist.kind} alpha_in ({block} * n/log(n))", interval)
+    alpha_out = checked(alpha_out, f"{dist.kind} alpha_out ({block} * n/log(n))", interval)
 
     rho = max(abs(alpha_in), abs(alpha_out)) * log_n / n
     magnitude = _LAWS[dist.kind].variance(dist, rho) * n / log_n
@@ -126,8 +121,7 @@ def empirical_tau_gamma(A: np.ndarray, omega: np.ndarray, rho: float) -> tuple[f
     gamma_hat is the largest squared deviation divided by rho.  Both are
     plug-ins from one realization, not expectations.
     """
-    A = np.asarray(A, dtype=float)
-    omega = np.asarray(omega, dtype=float)
+    A, omega = finite_matrix(A, "A"), finite_matrix(omega, "omega")
     if A.shape != omega.shape:
         raise ValueError(f"shape mismatch: {A.shape} vs {omega.shape}")
     rho = checked(rho, "rho", POSITIVE)

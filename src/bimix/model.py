@@ -9,18 +9,17 @@ full rank, and rho > 0 scales the whole expectation.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sampler import COUNTS, GRID_NODES, REALS, EdgeDistribution, admissible_rho_interval, block_interval, checked
+from .sampler import (COUNTS, GRID_NODES, REALS, EdgeDistribution, admissible_rho_interval, block_interval,
+                      checked, is_number)
 
 # sigma_K must exceed RANK_RTOL * sigma_1 for a matrix to count as rank K
 RANK_RTOL = 1e-10
-ROW_SUM_ATOL = 1e-12
-UNIT_MAX_ATOL = 1e-12
-PURE_ROW_ATOL = 1e-12
+# a row sum, a pure row's weight and P's largest absolute entry must equal 1 within this
+UNIT_ATOL = 1e-12
 
 
 class InvalidModelError(ValueError):
@@ -52,13 +51,13 @@ def membership_violations(pi: np.ndarray, K: int, name: str) -> list[str]:
         out.append(f"{name}: entries must lie in [0, 1]")
     sums = pi.sum(axis=1)
     off = np.abs(sums - 1.0)
-    if np.any(off > ROW_SUM_ATOL):
+    if np.any(off > UNIT_ATOL):
         i = int(np.argmax(off))
-        out.append(f"{name}: row {i} sums to {float(sums[i])!r}, must be 1 within {ROW_SUM_ATOL:g}")
+        out.append(f"{name}: row {i} sums to {float(sums[i])!r}, must be 1 within {UNIT_ATOL:g}")
     if _rank_deficient(pi, k):
         out.append(f"{name}: rank below the community count {k}")
     for community in range(k):
-        if not np.any(pi[:, community] >= 1.0 - PURE_ROW_ATOL):
+        if not np.any(pi[:, community] >= 1.0 - UNIT_ATOL):
             out.append(f"{name}: community {community} has no pure row")
     return out
 
@@ -72,7 +71,7 @@ def block_violations(P: np.ndarray) -> list[str]:
     if not np.all(np.isfinite(P)):
         out.append("block matrix: contains non-finite entries")
         return out
-    if abs(np.max(np.abs(P)) - 1.0) > UNIT_MAX_ATOL:
+    if abs(np.max(np.abs(P)) - 1.0) > UNIT_ATOL:
         out.append(f"block matrix: maximum absolute entry is {float(np.max(np.abs(P)))!r}, must equal 1")
     if _rank_deficient(P, P.shape[0]):
         out.append(f"block matrix: rank below {P.shape[0]}")
@@ -91,7 +90,7 @@ def _non_number(value) -> str:
         return "" if value.dtype.kind in "iuf" else f"dtype {value.dtype}"
     if isinstance(value, (list, tuple)):
         return next(filter(None, map(_non_number, value)), "")
-    return "" if isinstance(value, numbers.Real) and not isinstance(value, bool) else repr(value)
+    return "" if is_number(value) else repr(value)
 
 
 @dataclass(frozen=True)
@@ -106,11 +105,15 @@ class ModelSpec:
 
     def __post_init__(self):
         # validate_model reports a rho or an entry that is not finite or out of range
-        for name in ("P", "Pi_r", "Pi_c", "rho"):
+        for name in ("P", "Pi_r", "Pi_c"):
             if bad := _non_number(getattr(self, name)):
                 raise ValueError(f"{name} must hold only numbers, got {bad}")
-        for name in ("P", "Pi_r", "Pi_c"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            matrix = np.asarray(getattr(self, name), dtype=float)
+            if matrix.ndim != 2:
+                raise ValueError(f"{name} must be a 2-d matrix, got shape {matrix.shape}")
+            object.__setattr__(self, name, matrix)
+        if _non_number(self.rho) or np.ndim(self.rho):
+            raise ValueError(f"rho must be one number, got {self.rho!r}")
         object.__setattr__(self, "rho", float(self.rho))
 
     @property
@@ -123,8 +126,7 @@ class ModelSpec:
 
     @property
     def K(self) -> int:
-        # a 0-d P has no communities; validate_model reports its shape
-        return self.P.shape[0] if self.P.ndim else 0
+        return self.P.shape[0]
 
 
 def validate_model(spec: ModelSpec) -> list[str]:

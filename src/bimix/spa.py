@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sampler import NONNEGATIVE, RhoInterval, checked
+from .sampler import NONNEGATIVE, RhoInterval, checked, finite_matrix
 
 # residual norms at or below RESIDUAL_RTOL times the initial maximum norm
 # signal rank deficiency
@@ -28,11 +28,7 @@ def spa(X: np.ndarray, K: int) -> tuple[int, ...]:
     Raises RankDeficientInputError when the residual matrix runs out of mass
     before K rows are chosen.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise ValueError("matrix contains non-finite entries")
+    X = finite_matrix(X, "X")
     K = checked(K, "K", RhoInterval(1, X.shape[0], lo_open=False), int)
 
     R = X.copy()
@@ -68,7 +64,7 @@ def vertex_matrix(X: np.ndarray, idx, radius: float = 0.0) -> np.ndarray:
     included; the ball mean averages that noise out.  At radius 0 the ball
     holds only exact copies of X_j and the cited rows come back unchanged.
     """
-    X = np.asarray(X, dtype=float)
+    X = finite_matrix(X, "X")
     idx = list(idx)
     for i in idx:
         if not (0 <= int(i) < X.shape[0]):

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampler import RhoInterval, checked
+from .sampler import RhoInterval, checked, finite_matrix
 
 RATIO_FLOOR_RTOL = 1e-12
 KRYLOV_RTOL = 1e-10  # stop once no Ritz value moves by more than this times sigma_1
@@ -104,11 +104,7 @@ class TruncatedSVD:
 
 
 def _validate_input(A: np.ndarray, k: int, what: str) -> tuple[np.ndarray, int]:
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix contains non-finite entries")
+    A = finite_matrix(A, "A")
     return A, checked(k, what, RhoInterval(1, min(A.shape), lo_open=False), int)
 
 

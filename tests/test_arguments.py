@@ -1,10 +1,15 @@
-"""One rule for every count, seed, shape parameter and float argument: the same bad values, the same message.
+"""One rule for every count, seed, shape parameter and float argument, and one for every matrix argument.
 
-Each row names a public argument, how to call with it, its interval and one
-admissible integer.  Every bad value raises ``ValueError("{name} must be an
-integer in {interval}, got {value!r}")`` ("a number" for a float parameter),
-and the admissible integer gives the same result as a Python int, an
-integral float and a numpy integer.
+Each row of ``ARGUMENTS`` names a public argument, how to call with it, its
+interval and one admissible integer.  Every bad value raises
+``ValueError("{name} must be an integer in {interval}, got {value!r}")``
+("a number" for a float parameter), and the admissible integer gives the
+same result as a Python int, an integral float and a numpy integer.
+
+Each row of ``MATRICES`` names a public matrix argument, how to call with
+it and one admissible matrix.  A 1-d or 3-d array raises ``ValueError("{name}
+must be a 2-d matrix, got shape {shape}")``, and a nan or inf entry
+``ValueError("{name} at entry (i, j) is {value}, outside (-inf, inf)")``.
 """
 
 import math
@@ -13,9 +18,9 @@ import re
 import numpy as np
 import pytest
 
-from bimix.disp import disp
+from bimix.disp import disp, memberships_from_embedding
 from bimix.harness import STREAM_STRIDE, run_replicates, run_sweep, scenario
-from bimix.metrics import empirical_tau_gamma, separation_margins
+from bimix.metrics import empirical_tau_gamma, error_rate, hamm_rc, mixed_proportion, separation_margins
 from bimix.model import make_planted_memberships, make_standard_two_block
 from bimix.sampler import EdgeDistribution, RandomSource
 from bimix.spa import spa, vertex_matrix
@@ -74,6 +79,11 @@ ARGUMENTS = [
      "(-inf, inf)", True, None, None, 2),
     ("alpha_out", lambda v: make_standard_two_block(300, 3.0, v), "alpha_out",
      "(-inf, inf)", True, None, None, 2),
+    # a string or a bool alpha was once read as float(alpha)
+    ("margin-alpha_in", lambda v: separation_margins(BERNOULLI, v, 1.0, 300, 1.0),
+     "bernoulli alpha_in ([0, 1] * n/log(n))", "[0, 52.5967]", True, -5e-324, 60.0, 2),
+    ("margin-alpha_out", lambda v: separation_margins(BERNOULLI, 2.0, v, 300, 1.0),
+     "bernoulli alpha_out ([0, 1] * n/log(n))", "[0, 52.5967]", True, -5e-324, 60.0, 2),
 ]
 
 FRACTION, HUGE = 2.5, 10**400  # HUGE lies beyond float range
@@ -102,3 +112,50 @@ def test_integral_float_and_numpy_integer_equal_the_int(call, good):
     expected = call(good)
     for value in (float(good), np.int64(good)):
         np.testing.assert_equal(call(value), expected)
+
+
+PI = make_planted_memberships(6, 2, 2)
+EMBEDDING = top_k_svd(OMEGA, 2).left
+
+# (id, call with the matrix argument, printed name, admissible matrix)
+MATRICES = [
+    ("top_k_svd", lambda M: top_k_svd(M, 1), "A", OMEGA),
+    ("singular_values", lambda M: singular_values(M, 1), "A", OMEGA),
+    ("disp", lambda M: disp(M, 2), "A", OMEGA),
+    ("spa", lambda M: spa(M, 2), "X", OMEGA),
+    ("vertex_matrix", lambda M: vertex_matrix(M, [1]), "X", OMEGA),
+    ("memberships_from_embedding", memberships_from_embedding, "X", EMBEDDING),
+    ("error_rate-Pi_r_hat", lambda M: error_rate(M, PI, PI, PI), "Pi_r_hat", PI),
+    ("error_rate-Pi_r", lambda M: error_rate(PI, M, PI, PI), "Pi_r", PI),
+    ("error_rate-Pi_c_hat", lambda M: error_rate(PI, PI, M, PI), "Pi_c_hat", PI),
+    ("error_rate-Pi_c", lambda M: error_rate(PI, PI, PI, M), "Pi_c", PI),
+    ("hamm_rc-Pi_r_hat", lambda M: hamm_rc(M, PI), "Pi_r_hat", PI),
+    ("hamm_rc-Pi_c_hat", lambda M: hamm_rc(PI, M), "Pi_c_hat", PI),
+    ("mixed_proportion", mixed_proportion, "Pi_hat", PI),
+    ("empirical_tau_gamma-A", lambda M: empirical_tau_gamma(M, OMEGA, 0.5), "A", OMEGA),
+    ("empirical_tau_gamma-omega", lambda M: empirical_tau_gamma(OMEGA, M, 0.5), "omega", OMEGA),
+]
+
+
+def _bad_matrices():
+    for label, call, name, good in MATRICES:
+        for shown, bad in (("1-d", good[1]), ("3-d", good[None])):
+            yield pytest.param(call, bad, f"{name} must be a 2-d matrix, got shape {bad.shape}",
+                               id=f"{label}-{shown}")
+        for value in (math.nan, math.inf):
+            bad = good.copy()
+            bad[1, 0] = value
+            yield pytest.param(call, bad, f"{name} at entry (1, 0) is {value!r}, outside (-inf, inf)",
+                               id=f"{label}-{value!r}")
+
+
+@pytest.mark.parametrize("call, bad, printed", _bad_matrices())
+def test_bad_matrix_raises_naming_the_argument(call, bad, printed):
+    # vertex_matrix failed inside einsum on a 1-d X and the metrics returned nan or inf
+    with pytest.raises(ValueError, match=f"^{re.escape(printed)}$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("call, good", [pytest.param(row[1], row[3], id=row[0]) for row in MATRICES])
+def test_good_matrix_accepted(call, good):
+    call(good)

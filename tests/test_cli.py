@@ -140,6 +140,23 @@ class TestEval:
         out = json.loads(capsys.readouterr().out)
         assert out["hamm_rc"] == 0.0
 
+    @pytest.mark.parametrize("bad_file, message", [
+        ("er.csv", "Pi_hat at entry (3, 1) is nan, outside (-inf, inf)"),
+        ("tc.csv", "Pi_c at entry (3, 1) is nan, outside (-inf, inf)"),
+    ], ids=["estimate", "truth"])
+    def test_nan_membership_rejected_without_output(self, tmp_path, capsys, bad_file, message):
+        # a nan cell once gave "error_rate": Infinity or NaN and exit status 0
+        pi = make_planted_memberships(10, 2, 3)
+        paths = {name: tmp_path / name for name in ("er.csv", "ec.csv", "tr.csv", "tc.csv")}
+        for path in paths.values():
+            save_matrix_csv(pi, path)
+        bad = pi.copy()
+        bad[3, 1] = np.nan
+        save_matrix_csv(bad, paths[bad_file])
+        assert main(["eval", "--est-rows", str(paths["er.csv"]), "--est-cols", str(paths["ec.csv"]),
+                     "--true-rows", str(paths["tr.csv"]), "--true-cols", str(paths["tc.csv"])]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize("given, missing", [("--true-rows", "--true-cols"),
                                                 ("--true-cols", "--true-rows")])
     def test_one_truth_flag_alone_rejected(self, tmp_path, capsys, given, missing):
@@ -252,13 +269,14 @@ class TestSweep:
         (setup1_plan(n_c=14), "the model spec takes only the keys rho, P, Pi_r, Pi_c, dist; got 'n_c'"),
         (setup1_plan(K=2), "the model spec takes only the keys rho, P, Pi_r, Pi_c, dist; got 'K'"),
         (setup1_plan(dist="bernoulli"), "the model spec's 'dist' must be an object, got a string"),
-        ({**setup1_plan(), "grid": None}, "a plan's 'grid' must be a list, got null"),
+        ({**setup1_plan(), "grid": None}, "grid must be a nonempty sequence, got None"),
         ({**setup1_plan(), "base": 3}, "a plan's 'base' must be an object, got a number"),
         ({key: value for key, value in setup1_plan().items() if key != "grid"},
          "a plan has no key 'grid'"),
-        ({**setup1_plan(), "name": ["x"]}, "a plan's 'name' must be a string, got a list"),
+        ({**setup1_plan(), "name": ["x"]},
+         "scenario name must be a string without a comma, a double quote or a line break, got ['x']"),
         *(({**setup1_plan(), "name": name},
-           f"scenario name may not hold a comma, a double quote or a line break, got {name!r}")
+           f"scenario name must be a string without a comma, a double quote or a line break, got {name!r}")
           for name in ("a,b", 'a"b', "a\nb", "a\rb")),
     ], ids=["list", "scenario-reference", "no-Pi_r", "K-and-n_r", "n_c", "K", "dist-string",
             "null-grid", "base-number", "no-grid", "name-list",

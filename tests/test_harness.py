@@ -663,6 +663,38 @@ class TestPlanAxis:
         with pytest.raises(ValueError, match=rf"^{axis} grid value must be .*, got {re.escape(shown)}$"):
             plan_from_json(data)
 
+    @pytest.mark.parametrize("grid, shown", [
+        (5, "5"), (np.float64(0.5), "np.float64(0.5)"), (np.array(0.5), "array(0.5)"), ("0.5", "'0.5'"),
+        (None, "None"), ((), "()"), ([], "[]"),
+    ], ids=["int", "numpy-float", "0-d-array", "string", "none", "empty-tuple", "empty-list"])
+    def test_grid_not_a_nonempty_sequence_rejected(self, grid, shown):
+        # the first three raised TypeError from len(); a string was read one character at a time
+        message = re.escape(f"grid must be a nonempty sequence, got {shown}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SweepPlan(noiseless_spec(), "rho", grid)
+
+    def test_grid_value_beyond_float_range_rejected(self):
+        # math.isfinite raised OverflowError
+        message = re.escape(f"rho grid value must be one finite number, got {10**400}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SweepPlan(noiseless_spec(), "rho", (0.5, 10**400))
+
+    @pytest.mark.parametrize("name", [5, None, b"sim", ("a",)], ids=["int", "none", "bytes", "tuple"])
+    def test_scenario_name_not_a_string_rejected(self, name):
+        # an int or None raised TypeError from the comma test
+        message = re.escape("scenario name must be a string without a comma, a double quote or a line "
+                            f"break, got {name!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SweepPlan(noiseless_spec(), "rho", (0.5,), scenario=name)
+
+    @pytest.mark.parametrize("axis, grid", [
+        ("rho", [0.5, 1]), ("rho", (np.float32(0.5), np.int64(1))), ("rho", np.array([0.5, 1.0])),
+        ("alpha_grid", [[1, 2], (3, 4.5)]), ("alpha_grid", np.array([[1.0, 2.0], [3.0, 4.5]])),
+    ], ids=["rho-list", "rho-numpy-tuple", "rho-array", "alpha-lists", "alpha-array"])
+    def test_sequences_of_numbers_build(self, axis, grid):
+        plan = SweepPlan(noiseless_spec(12, 12), axis, grid, scenario=np.str_("named"))
+        assert len(plan.grid) == 2 and plan.scenario == "named"
+
     def test_alpha_pairs_stored_as_tuples_keeping_element_types(self):
         plan = SweepPlan(noiseless_spec(12, 12), "alpha_grid", [[1, 2], (3, 4.5)])
         assert plan.grid == ((1, 2), (3, 4.5))

@@ -213,12 +213,12 @@ class TestSeparationMargins:
 
     def test_alpha_domain_messages(self):
         cases = [
-            (EdgeDistribution("bernoulli"), 60.0, "bernoulli alpha must lie in [0, 1] * n/log(n) = [0, 52.5967], got 60.0"),
-            (EdgeDistribution("binomial", m=2), 110.0, "binomial alpha must lie in [0, 2] * n/log(n) = [0, 105.193], got 110.0"),
-            (EdgeDistribution("poisson"), -1.0, "poisson alpha must lie in (0, inf) * n/log(n) = (0, inf), got -1.0"),
-            (EdgeDistribution("uniform"), -1.0, "uniform alpha must lie in [0, inf) * n/log(n) = [0, inf), got -1.0"),
-            (EdgeDistribution("signed"), -60.0, "signed alpha must lie in (-1, 1) * n/log(n) = (-52.5967, 52.5967), got -60.0"),
-            (EdgeDistribution("normal", sigma2=1.0), math.nan, "normal alpha must lie in (-inf, inf) * n/log(n) = (-inf, inf), got nan"),
+            (EdgeDistribution("bernoulli"), 60.0, "bernoulli alpha_in ([0, 1] * n/log(n)) must be a number in [0, 52.5967], got 60.0"),
+            (EdgeDistribution("binomial", m=2), 110.0, "binomial alpha_in ([0, 2] * n/log(n)) must be a number in [0, 105.193], got 110.0"),
+            (EdgeDistribution("poisson"), -1.0, "poisson alpha_in ((0, inf) * n/log(n)) must be a number in (0, inf), got -1.0"),
+            (EdgeDistribution("uniform"), -1.0, "uniform alpha_in ([0, inf) * n/log(n)) must be a number in [0, inf), got -1.0"),
+            (EdgeDistribution("signed"), -60.0, "signed alpha_in ((-1, 1) * n/log(n)) must be a number in (-52.5967, 52.5967), got -60.0"),
+            (EdgeDistribution("normal", sigma2=1.0), math.nan, "normal alpha_in ((-inf, inf) * n/log(n)) must be a number in (-inf, inf), got nan"),
         ]
         for dist, alpha, message in cases:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

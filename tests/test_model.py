@@ -211,11 +211,14 @@ class TestModelSpecFields:
 
     @pytest.mark.parametrize("rho, printed", [
         (True, "True"), (np.bool_(True), "np.True_"), ("0.5", "'0.5'"), (None, "None"),
-        (np.array(True), "dtype bool"),
-    ], ids=["bool", "numpy-bool", "string", "none", "0-d-bool-array"])
+        (np.array(True), "array(True)"),
+        # these raised OverflowError, TypeError and TypeError
+        (10**400, "1" + "0" * 400), ([0.5], "[0.5]"), (np.array([0.5]), "array([0.5])"),
+    ], ids=["bool", "numpy-bool", "string", "none", "0-d-bool-array", "401-digits", "list",
+            "1-d-array"])
     def test_rho_not_a_number_rejected(self, rho, printed):
         # the first three were built as rho = 1.0, 1.0 and 0.5
-        with pytest.raises(ValueError, match=f"^{re.escape(f'rho must hold only numbers, got {printed}')}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'rho must be one number, got {printed}')}$"):
             ModelSpec(P=P1, rho=rho, Pi_r=np.eye(2), Pi_c=np.eye(2), dist=EdgeDistribution("bernoulli"))
 
     def test_infinite_rho_left_to_validate_model(self):
@@ -233,12 +236,26 @@ class TestModelSpecFields:
         ("Pi_c", np.eye(2, dtype=bool), "dtype bool"),
         ("Pi_r", np.array([["1", "0"], ["0", "1"]]), "dtype <U1"),
         ("P", np.array([[1.0, 0.2], [0.3, 0.8]], dtype=object), "dtype object"),
+        ("P", [[10**400, 0.2], [0.3, 0.8]], "1" + "0" * 400),  # raised OverflowError
     ], ids=["P-bool", "P-string", "P-numpy-bool-in-tuples", "P-bool-scalar", "Pi_r-none",
-            "Pi_c-dict", "Pi_c-bool-array", "Pi_r-string-array", "P-object-array"])
+            "Pi_c-dict", "Pi_c-bool-array", "Pi_r-string-array", "P-object-array", "P-401-digits"])
     def test_matrix_entry_not_a_number_rejected_naming_the_field(self, field, value, printed):
         # np.asarray(dtype=float) read True as 1.0 and "0.2" as 0.2, so validate_model passed them
         fields = {"P": P1, "Pi_r": np.eye(2), "Pi_c": np.eye(2), field: value}
         with pytest.raises(ValueError, match=f"^{re.escape(f'{field} must hold only numbers, got {printed}')}$"):
+            ModelSpec(rho=0.5, dist=EdgeDistribution("bernoulli"), **fields)
+
+    @pytest.mark.parametrize("field, value, shape", [
+        ("P", np.array([1.0, -0.5]), "(2,)"),
+        ("P", 1.0, "()"),
+        ("Pi_r", 0.5, "()"),  # validate_model raised IndexError reading n_r
+        ("Pi_c", np.ones((2, 2, 1)), "(2, 2, 1)"),
+        ("Pi_c", [], "(0,)"),
+    ], ids=["P-1-d", "P-0-d", "Pi_r-0-d", "Pi_c-3-d", "Pi_c-empty-list"])
+    def test_matrix_not_two_dimensional_rejected(self, field, value, shape):
+        fields = {"P": P1, "Pi_r": np.eye(2), "Pi_c": np.eye(2), field: value}
+        message = f"{field} must be a 2-d matrix, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ModelSpec(rho=0.5, dist=EdgeDistribution("bernoulli"), **fields)
 
     def test_numbers_kept(self):
@@ -249,6 +266,12 @@ class TestModelSpecFields:
         np.testing.assert_array_equal(spec.P, [[1.0, 0.25], [0.0, 0.5]])
         assert {spec.P.dtype, spec.Pi_r.dtype, spec.Pi_c.dtype} == {np.dtype(float)}
         assert validate_model(spec) == []
+
+    @pytest.mark.parametrize("rho", [1, np.float32(0.5), np.int64(1), np.array(0.5), np.array(1), math.inf],
+                             ids=["int", "float32", "int64", "0-d-float-array", "0-d-int-array", "inf"])
+    def test_one_number_rho_kept(self, rho):
+        spec = ModelSpec(P=P1, rho=rho, Pi_r=np.eye(2), Pi_c=np.eye(2), dist=EdgeDistribution("bernoulli"))
+        assert type(spec.rho) is float and spec.rho == float(rho)
 
 
 # The rule validate_model applied before it checked rho * P entry by entry: rho
@@ -323,28 +346,15 @@ class TestBlockInterval:
                 sample_adjacency(spec.rho * spec.P, spec.dist, RandomSource(0))
 
     @pytest.mark.parametrize("P, printed", [
-        (np.array([1.0, -0.5]), "bernoulli rho * P at entry (1) is -0.25, outside [0, 1]"),
         (np.array([[1.0, 0.2], [0.3, 0.8], [-0.5, 0.5]]),
          "bernoulli rho * P at entry (2, 0) is -0.25, outside [0, 1]"),
-    ], ids=["1-d", "3x2"])
+    ], ids=["3x2"])
     def test_non_square_block_gets_messages(self, P, printed):
         spec = ModelSpec(P=P, rho=0.5, Pi_r=np.eye(2), Pi_c=np.eye(2),
                          dist=EdgeDistribution("bernoulli"))
         report = validate_model(spec)
         assert f"block matrix: must be square, got shape {P.shape}" in report
         assert printed in report
-
-    def test_scalar_block_reported(self):
-        # a 0-d P has no first axis: validate_model raised IndexError from spec.K
-        spec = ModelSpec(P=1.0, rho=0.5, Pi_r=np.eye(2), Pi_c=np.eye(2),
-                         dist=EdgeDistribution("bernoulli"))
-        assert validate_model(spec) == [
-            "Pi_r: has 2 columns, expected K=0",
-            "Pi_c: has 2 columns, expected K=0",
-            "block matrix: must be square, got shape ()",
-        ]
-        with pytest.raises(InvalidModelError, match=r"block matrix: must be square, got shape \(\)"):
-            build_omega(spec)
 
 
 class TestSignClass:

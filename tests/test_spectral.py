@@ -105,7 +105,7 @@ class TestTopKSVD:
 
     def test_rejects_non_finite(self):
         A = np.array([[1.0, np.nan], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=r"^A at entry \(0, 1\) is nan, outside \(-inf, inf\)$"):
             top_k_svd(A, 1)
 
 
