@@ -29,11 +29,9 @@ from .metrics import (
 from .model import (
     InvalidModelError,
     ModelSpec,
-    block_violations,
     build_omega,
     make_planted_memberships,
     make_standard_two_block,
-    membership_violations,
     validate_model,
 )
 from .sampler import (
@@ -41,7 +39,6 @@ from .sampler import (
     RandomSource,
     RhoInterval,
     SamplingDomainError,
-    admissible_rho_interval,
     sample_adjacency,
 )
 from .spa import RankDeficientInputError, spa, vertex_matrix
@@ -64,8 +61,6 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "TruncatedSVD",
-    "admissible_rho_interval",
-    "block_violations",
     "build_omega",
     "disp",
     "empirical_tau_gamma",
@@ -76,7 +71,6 @@ __all__ = [
     "make_planted_memberships",
     "make_standard_two_block",
     "memberships_from_embedding",
-    "membership_violations",
     "mixed_proportion",
     "run_replicates",
     "run_sweep",

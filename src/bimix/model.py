@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampler import (COUNTS, GRID_NODES, REALS, EdgeDistribution, admissible_rho_interval, block_interval,
-                      checked, is_number)
+from .sampler import (COUNTS, GRID_NODES, REALS, EdgeDistribution, RhoInterval, block_interval, checked,
+                      is_number)
 
 # sigma_K must exceed RANK_RTOL * sigma_1 for a matrix to count as rank K
 RANK_RTOL = 1e-10
@@ -31,16 +31,13 @@ def _rank_deficient(M: np.ndarray, k: int) -> bool:
     return len(sv) < k or sv[k - 1] <= RANK_RTOL * sv[0]
 
 
-def membership_violations(pi: np.ndarray, K: int, name: str) -> list[str]:
-    """Check one membership matrix; returns one message per violated invariant.
+def _membership_violations(pi: np.ndarray, K: int, name: str) -> list[str]:
+    """One message per violated invariant of one membership matrix.
 
     Every community must own at least one pure row (a row whose weight on
     that community is 1).
     """
-    pi = np.asarray(pi, dtype=float)
-    if pi.ndim != 2:
-        return [f"{name}: expected a 2-d matrix, got shape {pi.shape}"]
-    n, k = pi.shape
+    k = pi.shape[1]
     out = []
     if k != K:
         out.append(f"{name}: has {k} columns, expected K={K}")
@@ -62,15 +59,13 @@ def membership_violations(pi: np.ndarray, K: int, name: str) -> list[str]:
     return out
 
 
-def block_violations(P: np.ndarray) -> list[str]:
-    """Check the connectivity matrix; returns one message per violated invariant."""
-    P = np.asarray(P, dtype=float)
-    out = []
-    if P.ndim != 2 or P.shape[0] != P.shape[1]:
+def _block_violations(P: np.ndarray) -> list[str]:
+    """One message per violated invariant of the connectivity matrix."""
+    if P.shape[0] != P.shape[1]:
         return [f"block matrix: must be square, got shape {P.shape}"]
     if not np.all(np.isfinite(P)):
-        out.append("block matrix: contains non-finite entries")
-        return out
+        return ["block matrix: contains non-finite entries"]
+    out = []
     if abs(np.max(np.abs(P)) - 1.0) > UNIT_ATOL:
         out.append(f"block matrix: maximum absolute entry is {float(np.max(np.abs(P)))!r}, must equal 1")
     if _rank_deficient(P, P.shape[0]):
@@ -132,18 +127,19 @@ class ModelSpec:
 def validate_model(spec: ModelSpec) -> list[str]:
     """Report every violated model invariant; an empty list means valid.
 
-    The edge law bounds rho and, for an admissible rho, every entry of rho * P.
+    The edge law bounds every entry of rho * P, so rho up to P's unit top
+    entry: Bernoulli means are probabilities so rho <= 1, binomial success
+    probabilities cap rho at the trial count m, and the signed law needs the
+    two point probabilities (1 +/- omega)/2 inside (0, 1), so rho < 1.
     """
-    out = []
-    out += membership_violations(spec.Pi_r, spec.K, "Pi_r")
-    out += membership_violations(spec.Pi_c, spec.K, "Pi_c")
-    out += block_violations(spec.P)
-    if spec.K > min(spec.n_r, spec.n_c):
-        out.append(f"K={spec.K} exceeds min(n_r, n_c)={min(spec.n_r, spec.n_c)}")
-    interval = admissible_rho_interval(spec.dist)
-    if not interval.contains(spec.rho):
-        out.append(f"rho={spec.rho!r} outside admissible interval {interval} for {spec.dist.kind}")
-    elif outside := block_interval(spec.dist).first_outside(spec.rho * spec.P):
+    out = _membership_violations(spec.Pi_r, spec.K, "Pi_r")
+    out += _membership_violations(spec.Pi_c, spec.K, "Pi_c")
+    out += _block_violations(spec.P)
+    block = block_interval(spec.dist)
+    rhos = RhoInterval(0.0, block.hi, hi_open=block.hi_open)
+    if not rhos.contains(spec.rho):
+        out.append(f"rho={spec.rho!r} outside admissible interval {rhos} for {spec.dist.kind}")
+    elif outside := block.first_outside(spec.rho * spec.P):
         out.append(f"{spec.dist.kind} rho * P at {outside}")
     return out
 
@@ -151,12 +147,17 @@ def validate_model(spec: ModelSpec) -> list[str]:
 def build_omega(spec: ModelSpec) -> np.ndarray:
     """Expectation adjacency matrix ``rho * Pi_r @ P @ Pi_c.T`` (rank exactly K).
 
+    Each mean averages entries of rho * P, which lie in the law's block
+    interval; only rounding and row sums within ``UNIT_ATOL`` of 1 take one
+    past an end, so means are clipped to the interval's closed hull.
     Raises ``InvalidModelError`` carrying ``validate_model``'s messages joined by "; ".
     """
     violations = validate_model(spec)
     if violations:
         raise InvalidModelError("; ".join(violations))
-    return spec.rho * (spec.Pi_r @ spec.P @ spec.Pi_c.T)
+    block = block_interval(spec.dist)
+    omega = spec.rho * (spec.Pi_r @ spec.P @ spec.Pi_c.T)
+    return np.clip(omega, block.lo, block.hi, out=omega)
 
 
 def make_planted_memberships(n: int, K: int, n_pure_per_community: int) -> np.ndarray:

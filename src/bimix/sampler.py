@@ -267,17 +267,6 @@ def block_interval(dist: EdgeDistribution) -> RhoInterval:
     return (law.block or law.mean)(dist)
 
 
-def admissible_rho_interval(dist: EdgeDistribution) -> RhoInterval:
-    """Range of scale parameters rho compatible with the edge law: up to its top rho * P entry.
-
-    Bernoulli means are probabilities so rho <= 1; binomial success
-    probabilities cap rho at the trial count m; the signed law needs the
-    two point probabilities (1 +/- omega)/2 to stay inside (0, 1).
-    """
-    block = block_interval(dist)
-    return RhoInterval(0.0, block.hi, hi_open=block.hi_open)
-
-
 def _check_domain(omega: np.ndarray, dist: EdgeDistribution) -> None:
     outside = _LAWS[dist.kind].mean(dist).first_outside(omega)
     if outside:

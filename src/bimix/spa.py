@@ -65,12 +65,10 @@ def vertex_matrix(X: np.ndarray, idx, radius: float = 0.0) -> np.ndarray:
     holds only exact copies of X_j and the cited rows come back unchanged.
     """
     X = finite_matrix(X, "X")
-    idx = list(idx)
-    for i in idx:
-        if not (0 <= int(i) < X.shape[0]):
-            raise IndexError(f"row index {i} out of range [0, {X.shape[0] - 1}]")
+    rows = RhoInterval(0, X.shape[0] - 1, lo_open=False)
+    idx = [checked(i, "row index", rows, int) for i in idx]
     radius = checked(radius, "radius", NONNEGATIVE)
-    B = X[np.asarray(idx, dtype=int)].copy()
+    B = X[np.asarray(idx, dtype=int)]
     for v, j in enumerate(idx):
         D = X - X[j]
         near = np.einsum("ij,ij->i", D, D) <= radius * radius

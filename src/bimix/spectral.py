@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampler import RhoInterval, checked, finite_matrix
+from .sampler import REALS, RhoInterval, checked, finite_matrix
 
 RATIO_FLOOR_RTOL = 1e-12
 KRYLOV_RTOL = 1e-10  # stop once no Ritz value moves by more than this times sigma_1
@@ -250,6 +250,8 @@ def estimate_k_eigengap(sigmas, method: str = "difference") -> int:
     sigmas = np.asarray(sigmas, dtype=float)
     if sigmas.ndim != 1 or len(sigmas) < 2:
         raise ValueError("need at least 2 singular values")
+    if outside := REALS.first_outside(sigmas):
+        raise ValueError(f"sigmas at {outside}")
     if not sigmas[0] > 0.0:
         raise ValueError("leading singular value must be positive")
     if np.any(np.diff(sigmas) > RATIO_FLOOR_RTOL * sigmas[0]):

@@ -75,6 +75,9 @@ ARGUMENTS = [
      "(0, inf)", True, 0, None, 2),
     ("radius", lambda v: vertex_matrix(OMEGA, (0, 5), v), "radius",
      "[0, inf)", True, -5e-324, None, 2),
+    # a fractional, bool or string index failed inside numpy without naming idx
+    ("row-index", lambda v: vertex_matrix(OMEGA, (v,)), "row index", "[0, 19]", False, -1, 20, 2),
+    ("row-index-later", lambda v: vertex_matrix(OMEGA, (0, 5, v)), "row index", "[0, 19]", False, -1, 20, 2),
     ("alpha_in", lambda v: make_standard_two_block(300, v, 1.0), "alpha_in",
      "(-inf, inf)", True, None, None, 2),
     ("alpha_out", lambda v: make_standard_two_block(300, 3.0, v), "alpha_out",

@@ -312,6 +312,18 @@ class TestSweep:
         assert capsys.readouterr().err == f"error: cannot write {out}: it is a directory\n"
         assert [path.name for path in tmp_path.rglob("*")] == ["r.csv"]
 
+    def test_unwritable_out_directory_rejected_before_any_point(self, tmp_path, capsys, monkeypatch):
+        # a root user may write anywhere, so the directory's mode cannot stage this
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr("bimix.cli.run_sweep", no_sweep)
+        monkeypatch.setattr("os.access", lambda path, mode: False)
+        out = tmp_path / "r.csv"
+        assert main(["sweep", "--scenario", "setup1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {out}: directory {tmp_path} is not writable\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_jobs_write_the_serial_bytes(self, tmp_path):
         # 300 nodes a side: every fit takes the block Krylov SVD
         full = scenario("sim1b", replicates=2, master_seed=11)

@@ -106,6 +106,21 @@ class TestRunSweep:
         last = result.to_csv_text().encode().split(b"\n")[-2]
         assert last == b"custom,1.0,,,0,rho=1.0 outside admissible interval (0; 1) for signed,0"
 
+    @pytest.mark.parametrize("dist, grid", [(EdgeDistribution("bernoulli"), (0.5, 1.0)),
+                                            (EdgeDistribution("binomial", m=7), (3.5, 7.0))],
+                             ids=["bernoulli", "binomial"])
+    def test_mean_rounded_past_the_law_runs(self, dist, grid):
+        # rows of (0.33, 0.56, 0.11) sum to 1 + 2.2e-16, within UNIT_ATOL, and put the
+        # top-rho mean of row 3 one ulp past the law's end; every replicate of that
+        # point failed, and the sweep lost its valid first point too
+        P = np.array([[1.0, 0.2, 0.1], [1.0, 0.9, 0.3], [1.0, 0.4, 0.8]])
+        Pi_r = np.vstack([np.eye(3), np.tile([0.33, 0.56, 0.11], (3, 1))])
+        spec = ModelSpec(P=P, rho=grid[-1], Pi_r=Pi_r, Pi_c=np.vstack([np.eye(3)] * 2), dist=dist)
+        assert validate_model(spec) == []
+        result = run_sweep(SweepPlan(spec, "rho", grid, replicates=2))
+        assert [pt.skipped for pt in result.points] == ["", ""]
+        assert all(math.isfinite(pt.mean_error) for pt in result.points)
+
     def test_failed_replicate_raises_not_skipped(self, monkeypatch):
         # a ValueError inside a replicate is a failure, not an invalid point
         def fail(A, K):

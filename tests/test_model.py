@@ -9,22 +9,34 @@ import pytest
 from bimix.model import (
     InvalidModelError,
     ModelSpec,
-    block_violations,
     build_omega,
     make_planted_memberships,
     make_standard_two_block,
-    membership_violations,
     validate_model,
 )
 from bimix.sampler import (
+    POSITIVE,
     EdgeDistribution,
     RandomSource,
+    RhoInterval,
     SamplingDomainError,
-    admissible_rho_interval,
     sample_adjacency,
 )
 
 P1 = np.array([[1.0, 0.2], [0.3, 0.8]])
+
+
+def membership_report(pi: np.ndarray, K: int) -> list[str]:
+    """validate_model's report on ``pi`` as Pi_r, beside identity Pi_c and a valid K x K P."""
+    spec = ModelSpec(P=np.eye(K), rho=0.5, Pi_r=pi, Pi_c=np.eye(K), dist=EdgeDistribution("bernoulli"))
+    return validate_model(spec)
+
+
+def block_report(P: np.ndarray) -> list[str]:
+    """validate_model's report on ``P`` beside identity memberships, at a rho every entry fits."""
+    spec = ModelSpec(P=P, rho=1.0, Pi_r=np.eye(len(P)), Pi_c=np.eye(len(P)),
+                     dist=EdgeDistribution("normal", sigma2=1.0))
+    return validate_model(spec)
 
 
 def random_valid_spec(rng, n_r, n_c, K, dist=None, rho=0.7):
@@ -95,7 +107,7 @@ class TestPlantedMemberships:
     @pytest.mark.parametrize("n,K,n_pure", [(6, 2, 1), (30, 3, 4), (50, 4, 5), (12, 2, 6)])
     def test_invariants(self, n, K, n_pure):
         pi = make_planted_memberships(n, K, n_pure)
-        assert membership_violations(pi, K, "membership") == []
+        assert membership_report(pi, K) == []
         # exactly K * n_pure pure rows for K >= 2
         pure = np.sum(np.any(pi == 1.0, axis=1))
         assert pure == K * n_pure
@@ -108,21 +120,17 @@ class TestPlantedMemberships:
 
     def test_rank_deficient_named(self):
         # rows that are valid memberships but span only one direction
-        assert membership_violations(np.full((4, 2), 0.5), 2, "membership") == [
-            "membership: rank below the community count 2",
-            "membership: community 0 has no pure row",
-            "membership: community 1 has no pure row",
+        assert membership_report(np.full((4, 2), 0.5), 2) == [
+            "Pi_r: rank below the community count 2",
+            "Pi_r: community 0 has no pure row",
+            "Pi_r: community 1 has no pure row",
         ]
-        assert "membership: rank below the community count 2" in membership_violations(
-            np.zeros((3, 2)), 2, "membership"
-        )
+        assert "Pi_r: rank below the community count 2" in membership_report(np.zeros((3, 2)), 2)
 
     def test_row_sum_printed_as_plain_float(self):
         # numpy 2 scalars repr as np.float64(...); the message, a sweep skip
         # reason, must print the bare number
-        assert "membership: row 0 sums to 0.0, must be 1 within 1e-12" in membership_violations(
-            np.zeros((3, 2)), 2, "membership"
-        )
+        assert "Pi_r: row 0 sums to 0.0, must be 1 within 1e-12" in membership_report(np.zeros((3, 2)), 2)
 
 
 class TestStandardTwoBlock:
@@ -203,7 +211,18 @@ class TestValidateModel:
     def test_k_exceeds_node_count(self):
         spec = ModelSpec(P=np.eye(3), rho=0.5, Pi_r=make_planted_memberships(3, 3, 1),
                          Pi_c=make_planted_memberships(2, 2, 1), dist=EdgeDistribution("bernoulli"))
-        assert any("exceeds" in msg or "columns" in msg for msg in validate_model(spec))
+        assert any("columns" in msg for msg in validate_model(spec))
+
+    def test_fewer_rows_than_k_fails_the_rank_rule(self):
+        # two rows cannot span three communities, whatever the columns say
+        short = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
+        spec = ModelSpec(P=np.eye(3), rho=0.5, Pi_r=np.eye(3), Pi_c=short,
+                         dist=EdgeDistribution("bernoulli"))
+        assert validate_model(spec) == [
+            "Pi_c: rank below the community count 3",
+            "Pi_c: community 1 has no pure row",
+            "Pi_c: community 2 has no pure row",
+        ]
 
 
 class TestModelSpecFields:
@@ -285,11 +304,16 @@ REQUIRED_SIGN_CLASS = {
 }
 
 
+# each law's admissible rho, in the reference rule's own words
+RHO_INTERVALS = {"bernoulli": RhoInterval(0.0, 1.0), "binomial": RhoInterval(0.0, 7.0),
+                 "signed": RhoInterval(0.0, 1.0, hi_open=True)}
+
+
 def sign_class_rule(spec: ModelSpec) -> bool:
     """The reference verdict on rho and P alone."""
     actual = 2 if np.all(spec.P > 0.0) else 1 if np.all(spec.P >= 0.0) else 0
     required = SIGN_CLASSES.index(REQUIRED_SIGN_CLASS[spec.dist.kind])
-    return admissible_rho_interval(spec.dist).contains(spec.rho) and actual >= required
+    return RHO_INTERVALS.get(spec.dist.kind, POSITIVE).contains(spec.rho) and actual >= required
 
 
 ORACLE_LAWS = [EdgeDistribution("bernoulli"), EdgeDistribution("poisson"), EdgeDistribution("binomial", m=7),
@@ -307,7 +331,7 @@ ORACLE_BLOCKS = {
 
 def oracle_rhos(dist) -> list[float]:
     """Each end of the law's rho interval, one ulp past it, and values inside."""
-    hi = admissible_rho_interval(dist).hi
+    hi = RHO_INTERVALS.get(dist.kind, POSITIVE).hi
     rhos = [0.0, math.nextafter(0.0, -math.inf), hi, 0.5]
     if math.isinf(hi):
         return rhos + [math.nextafter(hi, 0.0)]  # the largest finite rho
@@ -327,7 +351,7 @@ class TestBlockInterval:
 
     def test_rounded_entries_judged_as_the_sampler_judges_them(self):
         # The verdicts differ only where rounding takes a product out of the block
-        # interval: an entry within block_violations' 1e-12 of unit size, or one that
+        # interval: an entry within validate_model's 1e-12 of unit size, or one that
         # underflows to 0.  The sign-class rule accepted both, and the sampler then
         # rejected the means they give pure rows.
         over = ModelSpec(P=np.array([[1.0 + 5e-13, 0.2], [0.3, 0.8]]), rho=1.0, Pi_r=np.eye(2),
@@ -359,13 +383,20 @@ class TestBlockInterval:
 
 class TestSignClass:
     def test_block_violations(self):
-        assert block_violations(P1) == []
-        assert any("maximum absolute" in m for m in block_violations(P1 * 0.5))
+        assert block_report(P1) == []
+        assert any("maximum absolute" in m for m in block_report(P1 * 0.5))
         singular = np.array([[1.0, 1.0], [1.0, 1.0]])
-        assert any("rank" in m for m in block_violations(singular))
+        assert any("rank" in m for m in block_report(singular))
 
     def test_block_violations_zero_matrix(self):
-        assert "block matrix: rank below 2" in block_violations(np.zeros((2, 2)))
-        assert "block matrix: maximum absolute entry is 0.0, must equal 1" in block_violations(
-            np.zeros((2, 2))
-        )
+        assert block_report(np.zeros((2, 2))) == [
+            "block matrix: maximum absolute entry is 0.0, must equal 1",
+            "block matrix: rank below 2",
+        ]
+
+    def test_non_finite_block_named_once(self):
+        P = np.array([[1.0, math.nan], [0.3, 0.8]])
+        assert block_report(P) == [
+            "block matrix: contains non-finite entries",
+            "normal rho * P at entry (0, 1) is nan, outside (-inf, inf)",
+        ]

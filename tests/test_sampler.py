@@ -13,13 +13,12 @@ from bimix.sampler import (
     EdgeDistribution,
     RandomSource,
     SamplingDomainError,
-    admissible_rho_interval,
     block_interval,
     sample_adjacency,
 )
 from bimix.io import spec_from_dict
 from bimix.metrics import separation_margins
-from bimix.model import ModelSpec, make_planted_memberships
+from bimix.model import ModelSpec, make_planted_memberships, validate_model
 
 from test_io import spec_to_dict
 from test_model import P1
@@ -261,26 +260,34 @@ class TestGamma:
         assert gamma(EdgeDistribution("signed"), 0.5) == pytest.approx(2.0)
 
 
+def rho_report(dist, rho) -> list[str]:
+    """validate_model's report on rho under ``dist``, with identity memberships and a positive P."""
+    return validate_model(ModelSpec(P=P1, rho=rho, Pi_r=np.eye(2), Pi_c=np.eye(2), dist=dist))
+
+
+def rho_admitted(dist, rho) -> bool:
+    return not any(message.startswith("rho=") for message in rho_report(dist, rho))
+
+
 class TestRhoInterval:
     def test_bernoulli_half_open(self):
-        interval = admissible_rho_interval(EdgeDistribution("bernoulli"))
-        assert str(interval) == "(0, 1]"
-        assert interval.contains(1.0) and not interval.contains(0.0) and not interval.contains(1.01)
+        dist = EdgeDistribution("bernoulli")
+        assert rho_report(dist, 0.0) == ["rho=0.0 outside admissible interval (0, 1] for bernoulli"]
+        assert rho_admitted(dist, 1.0) and not rho_admitted(dist, 0.0) and not rho_admitted(dist, 1.01)
 
     def test_binomial_scales_with_m(self):
-        interval = admissible_rho_interval(EdgeDistribution("binomial", m=7))
-        assert interval.contains(7.0) and not interval.contains(7.5)
+        dist = EdgeDistribution("binomial", m=7)
+        assert rho_admitted(dist, 7.0) and not rho_admitted(dist, 7.5)
 
     def test_signed_open(self):
-        interval = admissible_rho_interval(EdgeDistribution("signed"))
-        assert not interval.contains(1.0) and interval.contains(0.999)
+        dist = EdgeDistribution("signed")
+        assert not rho_admitted(dist, 1.0) and rho_admitted(dist, 0.999)
 
     def test_unbounded_kinds(self):
         for dist in (EdgeDistribution("poisson"), EdgeDistribution("normal", sigma2=1.0),
                      EdgeDistribution("exponential"), EdgeDistribution("uniform"),
                      EdgeDistribution("logistic", beta=2.0)):
-            interval = admissible_rho_interval(dist)
-            assert interval.contains(1e6) and not interval.contains(0.0)
+            assert rho_admitted(dist, 1e6) and not rho_admitted(dist, 0.0)
 
 
 LIMIT_300 = 300 / math.log(300)  # the grid alpha that makes rho * P entry 1 at n = 300
@@ -316,7 +323,7 @@ class TestLawDomains:
                              ids=[d.kind if d.m is None else f"{d.kind}-{d.m}" for d, *_ in LAW_DOMAINS])
     def test_domain(self, dist, block, rho, alpha):
         assert str(block_interval(dist)) == block
-        assert str(admissible_rho_interval(dist)) == rho
+        assert rho_report(dist, 0.0) == [f"rho=0.0 outside admissible interval {rho} for {dist.kind}"]
         lo, hi, lo_closed, hi_closed = alpha
         for end, closed, outward in ((lo, lo_closed, -math.inf), (hi, hi_closed, math.inf)):
             if math.isinf(end):

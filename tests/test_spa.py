@@ -1,5 +1,7 @@
 """Vertex-hunting tests: exact recovery on separable input, ties, invariances."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -99,7 +101,7 @@ class TestVertexMatrix:
         assert min(direct, swapped) < 1e-12
 
     def test_out_of_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(ValueError, match=re.escape("row index must be an integer in [0, 2], got 3")):
             vertex_matrix(np.eye(3), (0, 3))
 
     def test_ball_mean(self):

@@ -1,5 +1,6 @@
 """Truncated SVD and eigengap tests, checked against full-decomposition oracles."""
 
+import math
 import re
 import subprocess
 import sys
@@ -491,6 +492,18 @@ class TestEigengap:
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method"):
             estimate_k_eigengap([2.0, 1.0], "elbow")
+
+    @pytest.mark.parametrize("method", ["difference", "ratio"])
+    @pytest.mark.parametrize("sigmas, printed", [
+        ([3.0, math.nan, 1.0], "entry (1) is nan"),
+        ([3.0, 2.0, math.nan], "entry (2) is nan"),
+        ([math.inf, 2.0, 1.0], "entry (0) is inf"),
+        ([3.0, 2.0, 1.0, math.nan], "entry (3) is nan"),
+    ], ids=["nan-inside", "nan-last", "inf-first", "nan-after-three"])
+    def test_non_finite_rejected(self, sigmas, printed, method):
+        # both rules returned 1, 2, 1 and 3
+        with pytest.raises(ValueError, match=f"^{re.escape(f'sigmas at {printed}, outside (-inf, inf)')}$"):
+            estimate_k_eigengap(sigmas, method)
 
     @given(st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=2, max_size=12))
     @settings(max_examples=60, deadline=None)
