@@ -41,7 +41,6 @@ from .sampler import (
     SamplingDomainError,
     sample_adjacency,
 )
-from .spa import RankDeficientInputError, spa, vertex_matrix
 from .spectral import TruncatedSVD, estimate_k_eigengap, singular_values, top_k_svd
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "InvalidModelError",
     "ModelSpec",
     "RandomSource",
-    "RankDeficientInputError",
     "RhoInterval",
     "SCENARIO_NAMES",
     "SamplingDomainError",
@@ -78,9 +76,7 @@ __all__ = [
     "scenario",
     "separation_margins",
     "singular_values",
-    "spa",
     "summarize",
     "top_k_svd",
     "validate_model",
-    "vertex_matrix",
 ]

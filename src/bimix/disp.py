@@ -23,16 +23,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampler import finite_matrix
-from .spa import spa, vertex_matrix
+from .sampler import NONNEGATIVE, RhoInterval, checked, finite_matrix
 from .spectral import top_k_svd
 
 COND_LIMIT = 1e12
 DEGENERATE_ROW_TOL = 1e-12
+# residual norms at or below RESIDUAL_RTOL times the initial maximum norm
+# signal rank deficiency
+RESIDUAL_RTOL = 1e-12
 
 
 class IllPosedFitError(RuntimeError):
-    """The selected vertex rows are too close to singular to invert."""
+    """The embedding holds no K invertible vertex rows: SPA collapsed or they are near singular."""
 
 
 @dataclass(frozen=True)
@@ -67,18 +69,73 @@ class FitResult:
     rank_deficient: bool
 
 
+def spa(X: np.ndarray, K: int) -> tuple[int, ...]:
+    """Successive projection: select K vertex rows of X, in selection order.
+
+    On input X = Pi @ B with row-stochastic Pi holding at least one pure row
+    per community and nonsingular B, the selected rows are exactly pure rows,
+    one per community.  Selection repeatedly takes the row with the largest
+    residual norm and deflates every row against it.  Ties in the maximum
+    residual norm break toward the lowest row index.  Raises IllPosedFitError
+    when the residual matrix runs out of mass before K rows are chosen.
+    """
+    R = X.copy()
+    norms = np.sqrt((R * R).sum(axis=1))
+    floor = RESIDUAL_RTOL * norms.max()
+    selected: list[int] = []
+    directions: list[np.ndarray] = []
+    for _ in range(K):
+        norms = np.sqrt((R * R).sum(axis=1))
+        j = int(np.argmax(norms))  # first maximum: lowest-index tie rule
+        if norms[j] <= floor:
+            raise IllPosedFitError(
+                f"residual collapsed after {len(selected)} of {K} selections"
+            )
+        u = R[j].copy()
+        # re-orthogonalize against earlier directions to limit drift
+        for _ in range(2):
+            for d in directions:
+                u -= (u @ d) * d
+        u /= np.linalg.norm(u)
+        R -= np.outer(R @ u, u)
+        directions.append(u)
+        selected.append(j)
+    return tuple(selected)
+
+
+def vertex_matrix(X: np.ndarray, idx, radius: float) -> np.ndarray:
+    """Stack the cited rows of X in the given order, each averaged over its ball.
+
+    Vertex v is the mean of the rows of X within Euclidean distance
+    ``radius`` of cited row X_j, so it moves at most ``radius`` from X_j.  On
+    a noisy embedding the row SPA cites is the most extreme one, noise
+    included; the ball mean averages that noise out.  At radius 0 the ball
+    holds only exact copies of X_j and the cited rows come back unchanged.
+    """
+    B = X[np.asarray(idx, dtype=int)]
+    for v, j in enumerate(idx):
+        D = X - X[j]
+        near = np.einsum("ij,ij->i", D, D) <= radius * radius
+        # shift X_j by the mean offset: exact copies add exactly zero
+        B[v] += D[near].mean(axis=0)
+    return B
+
+
 def memberships_from_embedding(X: np.ndarray, radius: float = 0.0):
     """Vertex hunting plus simplex inversion on the rows of an embedding.
 
     SPA selects one vertex row per column of ``X`` (K = ``X.shape[1]``); each
     vertex is then the mean of the rows within ``radius`` of SPA's pick
-    (radius 0 keeps the picks as they are).
+    (radius 0 keeps the picks as they are).  ``X``, ``K <= n`` and ``radius >= 0``
+    are checked here, once for both steps; IllPosedFitError reports an embedding
+    without K invertible vertex rows.
     Returns (memberships, SPA's selected rows, condition number of the
     refined vertex matrix, count of rows given the uniform vector): rows whose
     clamped weights sum below ``1e-12`` carry no usable sign information.
     """
     X = finite_matrix(X, "X")
-    k = X.shape[1]
+    k = checked(X.shape[1], "K", RhoInterval(1, X.shape[0], lo_open=False), int)
+    radius = checked(radius, "radius", NONNEGATIVE)
     idx = spa(X, k)
     B = vertex_matrix(X, idx, radius)
     cond = float(np.linalg.cond(B))

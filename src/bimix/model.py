@@ -28,7 +28,7 @@ class InvalidModelError(ValueError):
 
 def _rank_deficient(M: np.ndarray, k: int) -> bool:
     sv = np.linalg.svd(M, compute_uv=False)
-    return len(sv) < k or sv[k - 1] <= RANK_RTOL * sv[0]
+    return len(sv) < k or k > 0 and sv[k - 1] <= RANK_RTOL * sv[0]
 
 
 def _membership_violations(pi: np.ndarray, K: int, name: str) -> list[str]:
@@ -63,6 +63,8 @@ def _block_violations(P: np.ndarray) -> list[str]:
     """One message per violated invariant of the connectivity matrix."""
     if P.shape[0] != P.shape[1]:
         return [f"block matrix: must be square, got shape {P.shape}"]
+    if not P.size:
+        return ["block matrix: has no entries, K must be at least 1"]
     if not np.all(np.isfinite(P)):
         return ["block matrix: contains non-finite entries"]
     out = []

@@ -23,12 +23,12 @@ from bimix.harness import STREAM_STRIDE, run_replicates, run_sweep, scenario
 from bimix.metrics import empirical_tau_gamma, error_rate, hamm_rc, mixed_proportion, separation_margins
 from bimix.model import make_planted_memberships, make_standard_two_block
 from bimix.sampler import EdgeDistribution, RandomSource
-from bimix.spa import spa, vertex_matrix
 from bimix.spectral import singular_values, top_k_svd
 
 from test_spectral import planted_omega
 
 OMEGA = planted_omega()  # 20 x 15
+EMBEDDING = top_k_svd(OMEGA, 2).left
 SETUP1 = scenario("setup1", replicates=2)  # 16 x 14, one grid point
 BERNOULLI = EdgeDistribution("bernoulli")
 
@@ -68,16 +68,14 @@ ARGUMENTS = [
     ("disp", lambda v: disp(OMEGA, v).Pi_r_hat, "K", "[1, 15]", False, 0, 16, 2),
     ("top_k_svd", lambda v: top_k_svd(OMEGA, v).left, "K", "[1, 15]", False, 0, 16, 2),
     ("singular_values", lambda v: singular_values(OMEGA, v), "k_max", "[1, 15]", False, 0, 16, 2),
-    ("spa", lambda v: spa(OMEGA, v), "K", "[1, 20]", False, 0, 21, 2),
     ("tau", lambda v: separation_margins(BERNOULLI, 2.0, 1.0, 10, v), "tau",
      "(0, inf)", True, 0, None, 2),
     ("empirical_tau_gamma", lambda v: empirical_tau_gamma(OMEGA, 0.5 * OMEGA, v), "rho",
      "(0, inf)", True, 0, None, 2),
-    ("radius", lambda v: vertex_matrix(OMEGA, (0, 5), v), "radius",
-     "[0, inf)", True, -5e-324, None, 2),
-    # a fractional, bool or string index failed inside numpy without naming idx
-    ("row-index", lambda v: vertex_matrix(OMEGA, (v,)), "row index", "[0, 19]", False, -1, 20, 2),
-    ("row-index-later", lambda v: vertex_matrix(OMEGA, (0, 5, v)), "row index", "[0, 19]", False, -1, 20, 2),
+    # admissible 0: at radius 2 every ball holds every row of the embedding (rows of norm <= 1),
+    # so the vertices coincide
+    ("radius", lambda v: memberships_from_embedding(EMBEDDING, v), "radius",
+     "[0, inf)", True, -5e-324, None, 0),
     ("alpha_in", lambda v: make_standard_two_block(300, v, 1.0), "alpha_in",
      "(-inf, inf)", True, None, None, 2),
     ("alpha_out", lambda v: make_standard_two_block(300, 3.0, v), "alpha_out",
@@ -118,15 +116,12 @@ def test_integral_float_and_numpy_integer_equal_the_int(call, good):
 
 
 PI = make_planted_memberships(6, 2, 2)
-EMBEDDING = top_k_svd(OMEGA, 2).left
 
 # (id, call with the matrix argument, printed name, admissible matrix)
 MATRICES = [
     ("top_k_svd", lambda M: top_k_svd(M, 1), "A", OMEGA),
     ("singular_values", lambda M: singular_values(M, 1), "A", OMEGA),
     ("disp", lambda M: disp(M, 2), "A", OMEGA),
-    ("spa", lambda M: spa(M, 2), "X", OMEGA),
-    ("vertex_matrix", lambda M: vertex_matrix(M, [1]), "X", OMEGA),
     ("memberships_from_embedding", memberships_from_embedding, "X", EMBEDDING),
     ("error_rate-Pi_r_hat", lambda M: error_rate(M, PI, PI, PI), "Pi_r_hat", PI),
     ("error_rate-Pi_r", lambda M: error_rate(PI, M, PI, PI), "Pi_r", PI),
@@ -162,3 +157,12 @@ def test_bad_matrix_raises_naming_the_argument(call, bad, printed):
 @pytest.mark.parametrize("call, good", [pytest.param(row[1], row[3], id=row[0]) for row in MATRICES])
 def test_good_matrix_accepted(call, good):
     call(good)
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (5, 0), (1, 2)], ids=str)
+def test_embedding_without_k_rows_rejected(shape):
+    # K is the embedding's column count, and SPA picks K distinct rows
+    n, k = shape
+    printed = f"K must be an integer in [1, {n}], got {k}"
+    with pytest.raises(ValueError, match=f"^{re.escape(printed)}$"):
+        memberships_from_embedding(np.ones(shape))

@@ -269,6 +269,10 @@ class TestSweep:
         (setup1_plan(n_c=14), "the model spec takes only the keys rho, P, Pi_r, Pi_c, dist; got 'n_c'"),
         (setup1_plan(K=2), "the model spec takes only the keys rho, P, Pi_r, Pi_c, dist; got 'K'"),
         (setup1_plan(dist="bernoulli"), "the model spec's 'dist' must be an object, got a string"),
+        # an empty membership matrix raised IndexError from validate_model's rank rule
+        *((setup1_plan(**{field: [[], []]}), f"every grid point is invalid: {field}: has 0 columns, "
+                                              f"expected K=2; {field}: row 0 sums to 0.0, must be 1 within 1e-12")
+          for field in ("Pi_r", "Pi_c")),
         ({**setup1_plan(), "grid": None}, "grid must be a nonempty sequence, got None"),
         ({**setup1_plan(), "base": 3}, "a plan's 'base' must be an object, got a number"),
         ({key: value for key, value in setup1_plan().items() if key != "grid"},
@@ -279,6 +283,7 @@ class TestSweep:
            f"scenario name must be a string without a comma, a double quote or a line break, got {name!r}")
           for name in ("a,b", 'a"b', "a\nb", "a\rb")),
     ], ids=["list", "scenario-reference", "no-Pi_r", "K-and-n_r", "n_c", "K", "dist-string",
+            "Pi_r-no-columns", "Pi_c-no-columns",
             "null-grid", "base-number", "no-grid", "name-list",
             "name-comma", "name-quote", "name-newline", "name-return"])
     def test_unreadable_plan_document_named(self, tmp_path, capsys, data, message):

@@ -224,6 +224,18 @@ class TestValidateModel:
             "Pi_c: community 2 has no pure row",
         ]
 
+    @pytest.mark.parametrize("field, printed", [
+        ("Pi_r", ["Pi_r: has 0 columns, expected K=2", "Pi_r: row 0 sums to 0.0, must be 1 within 1e-12"]),
+        ("Pi_c", ["Pi_c: has 0 columns, expected K=2", "Pi_c: row 0 sums to 0.0, must be 1 within 1e-12"]),
+        ("P", ["Pi_r: has 2 columns, expected K=0", "Pi_c: has 2 columns, expected K=0",
+               "block matrix: has no entries, K must be at least 1"]),
+    ], ids=["Pi_r", "Pi_c", "P"])
+    def test_zero_size_matrix_named(self, field, printed):
+        # an empty Pi raised IndexError from the rank rule, and an empty P from np.max
+        empty = np.zeros((0, 0) if field == "P" else (2, 0))
+        fields = {"P": P1, "Pi_r": np.eye(2), "Pi_c": np.eye(2), field: empty}
+        assert validate_model(ModelSpec(rho=0.5, dist=EdgeDistribution("bernoulli"), **fields)) == printed
+
 
 class TestModelSpecFields:
     """A bool or string rho or matrix entry is refused, not read as a number."""

@@ -18,7 +18,6 @@ from bimix.harness import scenario
 from bimix.metrics import error_rate
 from bimix.model import ModelSpec, build_omega, make_planted_memberships, make_standard_two_block
 from bimix.sampler import EdgeDistribution, RandomSource, sample_adjacency
-from bimix.spa import spa
 from bimix.spectral import estimate_k_eigengap, singular_values, top_k_svd
 
 from test_model import P1, random_valid_spec
@@ -117,21 +116,20 @@ def planted_omega():
 
 
 class TestCountArguments:
-    # True fitted K = 1, 3.5 raised TypeError from slicing, and spa truncated
-    # 2.7 to 2; each is now named, with the count's range, before any work
+    # True fitted K = 1 and 3.5 raised TypeError from slicing; each is now
+    # named, with the count's range, before any work
     @pytest.mark.parametrize("call, count", [
         (disp, True), (disp, np.True_), (top_k_svd, False),
-        (singular_values, 3.5), (singular_values, True), (spa, 2.7), (spa, True), (spa, "2"),
+        (singular_values, 3.5), (singular_values, True),
     ], ids=lambda v: v.__name__ if callable(v) else repr(v))
     def test_bool_or_fraction_rejected_naming_the_count(self, call, count):
         name = "k_max" if call is singular_values else "K"
-        rows = 20 if call is spa else 15  # spa's K is bounded by the rows, the SVD's by the shorter side
-        printed = f"{name} must be an integer in [1, {rows}], got {count!r}"
+        printed = f"{name} must be an integer in [1, 15], got {count!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(printed)}$"):
             call(planted_omega(), count)
 
     @pytest.mark.parametrize("count", [2.0, np.float64(2.0)], ids=repr)
-    @pytest.mark.parametrize("call", [disp, top_k_svd, spa], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("call", [disp, top_k_svd], ids=lambda f: f.__name__)
     def test_integral_float_fits_as_its_integer(self, call, count):
         # an integral float fits bit-identically to its integer
         fields = lambda r: asdict(r) if is_dataclass(r) else r
@@ -144,7 +142,6 @@ class TestCountArguments:
         for count in (np.int64(2), np.int32(2), np.uint8(2), 2.0, np.float64(2.0)):
             assert disp(omega, count).pure_rows == disp(omega, 2).pure_rows
             np.testing.assert_array_equal(singular_values(omega, count), singular_values(omega, 2))
-            assert spa(omega, count) == spa(omega, 2)
 
 
 def planted_poisson(rng, n, K, n_edges):

@@ -6,13 +6,14 @@ Run from the root of a bimix checkout:
 
 A replicate samples A, takes its top-K SVD, finds the row and the column
 memberships by SPA and the simplex solve, and scores them; the layers timed
-are ``sample_adjacency``, ``top_k_svd``, the two
-``memberships_from_embedding`` calls (``spa_solve``) and ``error_rate``
-(``score``).  The n = 300 inputs are ``N`` fixed-seed points from a strided
-slice of each of sim1b, sim4c and sim8b (K = 2; invalid points are passed
-over).  The large input is a planted K = 3 Poisson network of ``--large-n``
-nodes a side, 70% of them pure, with about 19,000 expected edges, sampled
-three times each pass; at that size ``singular_values(A, 10)``, the call behind
+are ``sample_adjacency``, ``top_k_svd``, the rest of ``disp``
+(``spa_solve``: the fit less its SVD, timed by a wrapper around the
+``top_k_svd`` that ``disp`` looks up, so the ball radius and every other
+step are disp's own) and ``error_rate`` (``score``).  The n = 300 inputs
+are ``N`` fixed-seed points from a strided slice of each of sim1b, sim4c
+and sim8b (K = 2; invalid points are passed over).  The large input is a
+planted K = 3 Poisson network of ``--large-n`` nodes a side, 70% of them
+pure, with about 19,000 expected edges, sampled three times each pass; at that size ``singular_values(A, 10)``, the call behind
 ``bimix estimate-k``, is timed too.  Each pass runs every input through
 every layer in turn, so the layers share the host's slow and fast spells;
 a layer's figure is the median over passes of its mean time per call.
@@ -23,14 +24,16 @@ output is one JSON object ``{size: {layer: ms}}``.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import statistics
 import time
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 
-from bimix.disp import memberships_from_embedding
+from bimix.disp import disp
 from bimix.harness import scenario
 from bimix.metrics import error_rate
 from bimix.model import InvalidModelError, ModelSpec, build_omega, make_standard_two_block
@@ -40,6 +43,7 @@ from bimix.spectral import singular_values, top_k_svd
 SCENARIOS = ("sim1b", "sim4c", "sim8b")
 LARGE_EDGES = 19000
 LARGE_REPLICATES = 3  # large networks sampled per pass
+DISP = importlib.import_module("bimix.disp")  # the package's disp attribute is the function
 
 
 def grid_inputs(points: int) -> list[tuple[ModelSpec, np.ndarray]]:
@@ -77,21 +81,26 @@ def planted_spec(n: int, K: int = 3) -> ModelSpec:
 def replicate_ms(spec: ModelSpec, omega: np.ndarray, seed: int, values: bool) -> dict:
     """Milliseconds each layer takes on one replicate of ``spec``."""
     clock = time.perf_counter
+    svd = []
+
+    def timed_svd(A, K):
+        start = clock()
+        tsvd = top_k_svd(A, K)
+        svd.append(clock() - start)
+        return tsvd
+
     t0 = clock()
     A = sample_adjacency(omega, spec.dist, RandomSource(seed))
     t1 = clock()
-    tsvd = top_k_svd(A, spec.K)
+    with mock.patch.object(DISP, "top_k_svd", timed_svd):
+        fit = disp(A, spec.K)
     t2 = clock()
-    ratio = tsvd.noise_edge / tsvd.singular_values[-1] if tsvd.noise_edge else 0.0
-    pi_r = memberships_from_embedding(tsvd.left, ratio * np.sqrt(spec.K / spec.n_r))[0]
-    pi_c = memberships_from_embedding(tsvd.right, ratio * np.sqrt(spec.K / spec.n_c))[0]
+    error_rate(fit.Pi_r_hat, spec.Pi_r, fit.Pi_c_hat, spec.Pi_c)
     t3 = clock()
-    error_rate(pi_r, spec.Pi_r, pi_c, spec.Pi_c)
-    t4 = clock()
-    ms = {"sample": t1 - t0, "top_k_svd": t2 - t1, "spa_solve": t3 - t2, "score": t4 - t3}
+    ms = {"sample": t1 - t0, "top_k_svd": svd[0], "spa_solve": t2 - t1 - svd[0], "score": t3 - t2}
     if values:
         singular_values(A, 10)
-        ms["singular_values_10"] = clock() - t4
+        ms["singular_values_10"] = clock() - t3
     return {layer: 1e3 * seconds for layer, seconds in ms.items()}
 
 
